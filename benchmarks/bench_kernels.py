@@ -1,4 +1,5 @@
-"""Timing comparison of the jit compiled kernels against the numpy fallbacks.
+"""Timing comparison of the jit compiled kernels against the numpy fallbacks,
+plus the time of one quantile regression fan.
 
 Run from the repository root after installing the package::
 
@@ -6,7 +7,9 @@ Run from the repository root after installing the package::
 
 Sizes mirror a realistic backtest day: a 3660 member pool of 4 variables
 for the domination counts, two years of hourly fans for the pinball batch,
-and the 101 point bid grid for the profit pools.
+and the 101 point bid grid for the profit pools.  The fan is the 99 tau
+quantile regression of one (variable, hour) on a 365 day window with the 21
+price regressors.
 """
 
 import time
@@ -14,6 +17,7 @@ import time
 import numpy as np
 
 from splitcast import _kernels as K
+from splitcast.quantreg import qr_fit_fan
 
 
 def _best_of(fn, repeats=5):
@@ -59,6 +63,12 @@ def main():
     q_grid = np.round(np.arange(101) / 100.0, 2)
     _bench("profit_pools", K.profit_pools_numba, K.profit_pools_numpy,
            (da, idp, w, 8.0, q_grid, 10.0))
+
+    X = rng.normal(size=(365, 21))
+    X[:, 0] = 1.0
+    y = X @ rng.normal(size=21) + 5.0 * rng.standard_t(3, size=365)
+    t_qr = _best_of(lambda: qr_fit_fan(X, y), repeats=3)
+    print(f"{'qr_fit_fan':18s}  one 99 tau fan, n=365, p=21: {t_qr * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

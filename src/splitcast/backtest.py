@@ -218,25 +218,27 @@ def _process_day(data, cfg, day_idx):
 # --------------------------------------------------------------------------
 # parallel driver
 
-_WORKER_CTX = None
+# the (data, cfg) of a worker process, installed once by the pool initializer,
+# so that it reaches workers under every start method (fork, spawn, forkserver)
+_worker_inputs = None
+
+
+def _init_worker(data, cfg):
+    global _worker_inputs
+    _worker_inputs = (data, cfg)
 
 
 def _day_task(day_idx):
-    data, cfg = _WORKER_CTX
-    return _process_day(data, cfg, day_idx)
+    return _process_day(*_worker_inputs, day_idx)
 
 
 def _run_days(data, cfg, day_indices):
     if cfg.workers <= 1 or len(day_indices) < 2:
         return [_process_day(data, cfg, d) for d in day_indices]
-    global _WORKER_CTX
-    _WORKER_CTX = (data, cfg)
-    try:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunk = max(1, len(day_indices) // (4 * cfg.workers))
-            return list(pool.map(_day_task, day_indices, chunksize=chunk))
-    finally:
-        _WORKER_CTX = None
+    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+                             initargs=(data, cfg)) as pool:
+        chunk = max(1, len(day_indices) // (4 * cfg.workers))
+        return list(pool.map(_day_task, day_indices, chunksize=chunk))
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .backtest import _process_day, _stream, _STREAM_MS_CORR, _STREAM_MS_UNCORR, evaluation_day_indices, run_backtest
-from .config import config_from_raw, load_config
+from .config import config_from_raw, read_config
 from .ensembles import historical_ensembles_for_day, ms_ensembles_for_day
 from .errors import ConfigError, SplitcastError
 from .features import KINDS, MarketData
@@ -136,14 +136,15 @@ def _forecast_config(args):
         "n_splits": args.splits,
         "calibration_window_days": args.window,
     }
-    cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
+    cfg = read_config(args.config, overrides)
     if args.set:
         cfg = config_from_raw(_raw_overrides(args.set), cfg)
     if args.method == "ms":
         cfg = replace(cfg, methods=("ms",), ms_modes=(args.mode,))
     else:
         cfg = replace(cfg, methods=(args.method,))
-    return replace(cfg, trading=False).validate()
+    # forecast writes fans, members and point forecasts only: no trading, no ranks
+    return replace(cfg, trading=False, mv_variables=()).validate()
 
 
 def _forecast_days(data, cfg, start, end):
@@ -312,7 +313,7 @@ def _cmd_backtest(args):
         "n_splits": args.splits,
         "calibration_window_days": args.window,
     }
-    cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
+    cfg = read_config(args.config, overrides)
     if args.no_trading:
         cfg = replace(cfg, trading=False)
     if args.set:

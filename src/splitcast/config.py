@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .features import KINDS
+from .features import KINDS, row_length
 
 ENV_CONFIG = "SPLITCAST_CONFIG"
 
@@ -40,6 +40,11 @@ def _date(text):
         return dt.date.fromisoformat(str(text).strip())
     except ValueError as exc:
         raise ConfigError(f"not an ISO date: {text!r}") from exc
+
+
+def _fit_rows(kinds):
+    """Rows a least squares fit of any of ``kinds`` needs: 2 per regressor."""
+    return max((2 * row_length(k, h) for k in kinds for h in range(1, 25)), default=0)
 
 
 @dataclass(frozen=True)
@@ -72,9 +77,28 @@ class ExperimentConfig:
     workers: int = 1
     schema: dict = field(default_factory=dict)
 
+    def min_calibration_window(self):
+        """Shortest calibration window that leaves every configured fit 2 rows
+        per regressor: point and QR fits use the whole window, ms fits
+        ``round(split_ratio * window)`` days and hist fits ``inner_window``
+        days (default: half the window)."""
+        need = 30
+        if "point" in self.methods or self.trading:
+            need = max(need, _fit_rows(KINDS if "point" in self.methods else ("W",)))
+        if "qr" in self.methods:
+            need = max(need, _fit_rows(self.qr_variables))
+        ens = _fit_rows(self.variables)
+        if "hist" in self.methods:
+            need = max(need, 2 * ens if self.inner_window is None else self.inner_window + 1)
+        if "ms" in self.methods:
+            # both sides of a split are non empty and the estimation side has ens rows
+            r = self.split_ratio
+            need = max(need, int((ens - 0.5) / r), int(0.5 / (1.0 - r)))
+            while round(r * need) < ens or round(r * need) >= need:
+                need += 1
+        return need
+
     def validate(self):
-        if self.calibration_window_days < 30:
-            raise ConfigError("calibration_window_days must be at least 30")
         if self.evaluation_days < 1:
             raise ConfigError("evaluation_days must be positive")
         if not 0.0 < self.split_ratio < 1.0:
@@ -115,6 +139,15 @@ class ExperimentConfig:
             raise ConfigError("m_bins must be at least 2")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if "hist" in self.methods and self.inner_window is not None:
+            need = _fit_rows(self.variables)
+            if self.inner_window < need:
+                raise ConfigError(f"inner_window {self.inner_window} is too short: the hist "
+                                  f"fits need at least {need} days")
+        need = self.min_calibration_window()
+        if self.calibration_window_days < need:
+            raise ConfigError(f"calibration_window_days {self.calibration_window_days} is too "
+                              f"short: this configuration needs at least {need} days")
         return self
 
 
@@ -189,11 +222,12 @@ def config_from_raw(raw, base=None):
     return replace(cfg, **updates)
 
 
-def load_config(path=None, overrides=None):
+def read_config(path=None, overrides=None):
     """Read a config file (or the SPLITCAST_CONFIG default) plus overrides.
 
     ``overrides`` is a dict of already typed values, e.g. from CLI flags;
-    entries with value None are ignored.
+    entries with value None are ignored.  The result is not validated, so a
+    caller may layer more changes on it before calling ``validate()``.
     """
     cfg = ExperimentConfig()
     path = path or os.environ.get(ENV_CONFIG)
@@ -208,7 +242,12 @@ def load_config(path=None, overrides=None):
         updates = {k: v for k, v in overrides.items() if v is not None}
         if updates:
             cfg = replace(cfg, **updates)
-    return cfg.validate()
+    return cfg
+
+
+def load_config(path=None, overrides=None):
+    """:func:`read_config`, validated."""
+    return read_config(path, overrides).validate()
 
 
 def config_echo_lines(cfg):

@@ -2,6 +2,9 @@
 
 import csv
 import filecmp
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -142,6 +145,38 @@ def test_rerun_is_byte_identical(runs):
 def test_parallel_run_matches_serial(runs):
     for name, path_a in runs.a.files.items():
         assert filecmp.cmp(path_a, runs.c.files[name], shallow=False), name
+
+
+_SPAWN_SCRIPT = textwrap.dedent("""
+    import filecmp, multiprocessing, os, sys
+    from splitcast import ExperimentConfig, run_backtest
+    from splitcast.panel import SyntheticConfig, generate_synthetic_panel
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        out = sys.argv[1]
+        panel = generate_synthetic_panel(SyntheticConfig(days=80), seed=3)
+        cfg = dict(calibration_window_days=60, evaluation_days=2, n_splits=3,
+                   variables=("L", "W"), derived=(), qr_variables=("L",),
+                   mv_variables=("L", "W"), trading=False)
+        serial = run_backtest(ExperimentConfig(output_dir=os.path.join(out, "serial"), **cfg),
+                              panel=panel)
+        spawned = run_backtest(ExperimentConfig(output_dir=os.path.join(out, "spawn"),
+                                                workers=2, **cfg), panel=panel)
+        assert spawned.n_days == 2 and sorted(serial.files) == sorted(spawned.files)
+        for name, path in serial.files.items():
+            assert filecmp.cmp(path, spawned.files[name], shallow=False), name
+        print("identical", len(serial.files))
+""")
+
+
+def test_spawned_workers_match_serial(tmp_path):
+    script = tmp_path / "spawn_run.py"
+    script.write_text(_SPAWN_SCRIPT)
+    out = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("identical")
 
 
 def test_evaluation_day_indices(panel_small):

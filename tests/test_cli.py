@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,33 @@ def test_forecast_members_dump(fan_dir, panel_csv):
     assert len(rows) == 24 * 4 * 50
     hours = {int(r[0]) for r in rows}
     assert hours == set(range(1, 25))
+
+
+def test_forecast_skips_ranks_without_changing_outputs(panel_csv, tmp_path, monkeypatch):
+    """forecast never writes multivariate ranks, so it does not compute them."""
+    import splitcast.backtest as backtest
+    import splitcast.cli as cli
+
+    calls = []
+    rank = backtest.multivariate_rank
+    monkeypatch.setattr(backtest, "multivariate_rank",
+                        lambda *a, **kw: calls.append(1) or rank(*a, **kw))
+    panel = load_panel(str(panel_csv))
+    args = ["forecast", "--method", "ms", "--mode", "corr", "--input", str(panel_csv),
+            "--start", panel.dates[150].isoformat(), "--end", panel.dates[151].isoformat(),
+            "--splits", "4", "--window", "100", "--members", *BASE_SET]
+    assert main(args + ["--out", str(tmp_path / "off")]) == 0
+    assert calls == []
+    forecast_config = cli._forecast_config
+    monkeypatch.setattr(cli, "_forecast_config",
+                        lambda a: replace(forecast_config(a), mv_variables=("DA", "ID")))
+    assert main(args + ["--out", str(tmp_path / "on")]) == 0
+    assert len(calls) == 2 * 24  # one rank per (day, hour)
+    names = sorted(p.name for p in (tmp_path / "off").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "on").iterdir())
+    assert names == ["fans.csv"] + [f"members_{panel.dates[d].isoformat()}.csv" for d in (150, 151)]
+    for name in names:
+        assert (tmp_path / "off" / name).read_bytes() == (tmp_path / "on" / name).read_bytes(), name
 
 
 def test_forecast_rejects_bad_ranges(panel_csv, tmp_path, capsys):

@@ -1,0 +1,47 @@
+"""Configuration checks that must fire before any evaluation day is computed."""
+
+from dataclasses import replace
+
+import pytest
+
+from splitcast.backtest import run_backtest
+from splitcast.config import ExperimentConfig
+from splitcast.errors import ConfigError
+
+
+def test_default_config_needs_84_day_window():
+    # hist fits on half the window, 2 rows for each of the 21 price regressors
+    cfg = ExperimentConfig()
+    assert cfg.min_calibration_window() == 84
+    with pytest.raises(ConfigError, match="at least 84 days"):
+        replace(cfg, calibration_window_days=83).validate()
+    replace(cfg, calibration_window_days=84).validate()
+
+
+def test_window_bound_follows_methods_and_variables():
+    cfg = ExperimentConfig(methods=("ms",), trading=False)
+    assert cfg.min_calibration_window() == 83  # round(0.5 * 83) = 42 estimation days
+    assert replace(cfg, split_ratio=0.3).min_calibration_window() == 139
+    small = replace(cfg, variables=("L", "W"), derived=(), mv_variables=())
+    assert small.min_calibration_window() == 35  # 2 * 9 load regressors
+    qr = ExperimentConfig(methods=("qr",), qr_variables=("L",), trading=False)
+    assert qr.min_calibration_window() == 30
+    assert replace(cfg, methods=("hist",), inner_window=60).min_calibration_window() == 61
+    with pytest.raises(ConfigError, match="inner_window 41"):
+        replace(cfg, methods=("hist",), inner_window=41, calibration_window_days=100).validate()
+
+
+def test_short_window_fails_before_day_one(panel_small, tmp_path):
+    cfg = ExperimentConfig(output_dir=str(tmp_path / "out"), calibration_window_days=60,
+                           evaluation_days=1, methods=("ms",))
+    with pytest.raises(ConfigError, match="at least 83 days"):
+        run_backtest(cfg, panel=panel_small)
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_day_at_the_minimum_window_finishes(panel_small, tmp_path):
+    cfg = ExperimentConfig(output_dir=str(tmp_path), calibration_window_days=84,
+                           evaluation_days=1, methods=("hist", "ms"))
+    result = run_backtest(cfg, panel=panel_small)
+    assert result.n_days == 1
+    assert {("hist", "DA"), ("ms_corr", "DA"), ("ms_uncorr", "RL")} <= set(result.crps)

@@ -161,3 +161,49 @@ def test_extreme_tau_stability():
     hi = qr_fit(X, y, 0.99)
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
     assert np.mean(X @ lo) < np.mean(X @ hi)
+
+
+def test_fan_matches_linprog_on_every_tau():
+    rng = np.random.default_rng(23)
+    X, y = _fixture(rng, n=60, p=3, heavy=True)
+    thetas = qr_fit_fan(X, y)
+    for tau, beta in zip(TAU_GRID, thetas):
+        oracle = _linprog_objective(X, y, tau)
+        assert _objective(X, y, beta, tau) <= oracle * (1.0 + 1e-6) + 1e-9, tau
+
+
+def test_single_tau_fit_is_a_row_of_the_fan():
+    rng = np.random.default_rng(29)
+    X, y = _fixture(rng, n=90, p=4)
+    thetas = qr_fit_fan(X, y)
+    for k in (0, 17, 49, 80, 98):
+        tau = TAU_GRID[k]
+        ours = _objective(X, y, qr_fit(X, y, tau), tau)
+        fan = _objective(X, y, thetas[k], tau)
+        assert abs(ours - fan) <= 1e-10 * fan, tau
+
+
+def test_reversed_taus_reverse_the_fan():
+    rng = np.random.default_rng(31)
+    X, y = _fixture(rng, n=70, p=3, heavy=True)
+    forward = qr_fit_fan(X, y)
+    backward = qr_fit_fan(X, y, TAU_GRID[::-1])
+    np.testing.assert_allclose(backward[::-1], forward, rtol=1e-9, atol=1e-9)
+
+
+def test_iteration_cap_names_the_open_taus():
+    rng = np.random.default_rng(37)
+    X, y = _fixture(rng, n=60, p=3)
+    with pytest.raises(SolverFailureError) as info:
+        qr_fit_fan(X, y, [0.05, 0.5, 0.95], max_iter=2)
+    assert "after 2 iterations" in str(info.value)
+    assert "0.05, 0.5, 0.95" in str(info.value)
+
+
+def test_collinear_design_raises_from_the_fan():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((40, 3))
+    X[:, 2] = 2.0 * X[:, 1] - X[:, 0]
+    y = rng.standard_normal(40)
+    with pytest.raises(DegenerateDesignError):
+        qr_fit_fan(X, y)
