@@ -1,15 +1,16 @@
-"""Timing comparison of the jit compiled kernels against the numpy fallbacks,
-plus the time of one quantile regression fan.
+"""Best-of-N timings of the numpy kernels and of one quantile regression fan.
 
-Run from the repository root after installing the package::
+Run from the repository root::
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
-Sizes mirror a realistic backtest day: a 3660 member pool of 4 variables
-for the domination counts, two years of hourly fans for the pinball batch,
-and the 101 point bid grid for the profit pools.  The fan is the 99 tau
-quantile regression of one (variable, hour) on a 365 day window with the 21
-price regressors.
+Sizes mirror backtest days.  The domination counts run on pool +
+observation of 4 variables at 1,261 points (the 1,260 member pool of the
+``paper_ensembles`` benchmark workload) and at 3,661 points (the paper's
+20 splits x 183 days).  The pinball batch scores two years of hourly fans,
+the profit pools price 3,660 members on the 101 point bid grid, and the fan
+is the 99 tau quantile regression of one (variable, hour) on a 365 day
+window with the 21 price regressors.
 """
 
 import time
@@ -20,7 +21,7 @@ from splitcast import _kernels as K
 from splitcast.quantreg import qr_fit_fan
 
 
-def _best_of(fn, repeats=5):
+def _best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -29,46 +30,34 @@ def _best_of(fn, repeats=5):
     return best
 
 
-def _bench(name, numba_fn, numpy_fn, args, repeats=5):
-    if numba_fn is not None:
-        numba_fn(*args)  # trigger compilation outside the timed region
-        t_nb = _best_of(lambda: numba_fn(*args), repeats)
-    else:
-        t_nb = float("nan")
-    t_np = _best_of(lambda: numpy_fn(*args), repeats)
-    ratio = t_np / t_nb if t_nb == t_nb else float("nan")
-    print(f"{name:18s}  numba {t_nb * 1e3:9.3f} ms   numpy {t_np * 1e3:9.3f} ms   "
-          f"speedup x{ratio:.1f}")
-    return t_nb, t_np
+def _report(name, size, fn, repeats=7):
+    t = _best_of(fn, repeats)
+    print(f"{name:15s} {size:28s} {t * 1e3:9.3f} ms")
 
 
 def main():
     rng = np.random.default_rng(0)
-    print(f"numba available: {K.HAS_NUMBA}, active path: "
-          f"{'numba' if K.USE_NUMBA else 'numpy'}")
-
-    points = rng.normal(size=(3661, 4))
-    _bench("preranks", K.preranks_numba, K.preranks_numpy,
-           (np.ascontiguousarray(points),))
+    for m1 in (1261, 3661):
+        points = rng.normal(size=(m1, 4))
+        _report("preranks", f"{m1} x 4 points", lambda: K.preranks(points))
 
     fans = np.sort(rng.normal(size=(730 * 24, 99)), axis=1)
     ys = rng.normal(size=730 * 24)
     taus = np.round(np.arange(1, 100) / 100.0, 2)
-    _bench("crps_fan_batch", K.crps_fan_batch_numba, K.crps_fan_batch_numpy,
-           (fans, ys, taus))
+    _report("crps_fan_batch", f"{730 * 24} fans x 99 taus",
+            lambda: K.crps_fan_batch(fans, ys, taus))
 
     da = rng.normal(40.0, 15.0, size=3660)
     idp = rng.normal(40.0, 18.0, size=3660)
     w = np.abs(rng.normal(8.0, 3.0, size=3660))
     q_grid = np.round(np.arange(101) / 100.0, 2)
-    _bench("profit_pools", K.profit_pools_numba, K.profit_pools_numpy,
-           (da, idp, w, 8.0, q_grid, 10.0))
+    _report("profit_pools", "3660 members x 101 q",
+            lambda: K.profit_pools(da, idp, w, 8.0, q_grid, 10.0))
 
     X = rng.normal(size=(365, 21))
     X[:, 0] = 1.0
     y = X @ rng.normal(size=21) + 5.0 * rng.standard_t(3, size=365)
-    t_qr = _best_of(lambda: qr_fit_fan(X, y), repeats=3)
-    print(f"{'qr_fit_fan':18s}  one 99 tau fan, n=365, p=21: {t_qr * 1e3:9.3f} ms")
+    _report("qr_fit_fan", "99 taus, n=365, p=21", lambda: qr_fit_fan(X, y), repeats=3)
 
 
 if __name__ == "__main__":

@@ -44,11 +44,9 @@ from .scores import (
     KupiecResult,
     ReliabilityReport,
     coverage_report,
-    crps_from_ensemble,
     crps_from_fan,
     kupiec,
     multivariate_rank,
-    multivariate_reliability,
     picp,
     reliability_index,
     univariate_rank,

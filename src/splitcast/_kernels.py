@@ -1,84 +1,58 @@
-"""Hot numeric kernels with numba and pure numpy implementations.
+"""Hot numeric kernels in numpy.
 
-Every kernel exists twice: a loop version compiled with ``numba.njit`` and a
-vectorized numpy version.  The active implementation is chosen at import
-time: numba when it is importable, numpy otherwise or when the environment
-variable ``SPLITCAST_NO_NUMBA`` is set to a non empty value (handy for
-debugging and for the benchmark in ``benchmarks/bench_kernels.py``).
-
-The two paths must agree; ``tests/test_kernels.py`` checks that.
+``preranks`` counts componentwise dominations for the multivariate rank
+histogram, ``crps_fan_batch`` scores quantile fans and ``profit_pools``
+prices every ensemble member at every bid fraction.  Each is one numpy
+function; ``benchmarks/bench_kernels.py`` times them at backtest sizes.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
+# the package has one numpy kernel path; the flag stays for result records
+USE_NUMBA = False
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not os.environ.get("SPLITCAST_NO_NUMBA")
+# pre-rank blocks: at most this many query rows, and about this many cells
+_PRERANK_ROWS = 128
+_PRERANK_CELLS = 4_000_000
 
 
 # ----------------------------------------------------------------- pre-ranks
 
-def _preranks_impl(points):
-    m1, k = points.shape
-    counts = np.zeros(m1, dtype=np.int64)
-    for j in range(m1):
-        c = 0
-        for i in range(m1):
-            ok = True
-            for d in range(k):
-                if points[i, d] > points[j, d]:
-                    ok = False
-                    break
-            if ok:
-                c += 1
-        counts[j] = c
-    return counts
-
-
-def preranks_numpy(points):
+def preranks(points):
     """Componentwise domination counts for each row of ``points``.
 
     ``counts[j]`` is the number of rows i (including j itself) with
-    ``points[i, d] <= points[j, d]`` for every component d.  Memory is kept
-    bounded by processing rows in chunks.
+    ``points[i, d] <= points[j, d]`` for every component d.  ``points``
+    must hold no NaN.
+
+    Rows are sorted by component 0 and taken in blocks of query rows.  A
+    block compares only rows up to the last one whose component 0 is at
+    most the block's largest (no query of the block dominates a later row),
+    and rows before the block need no component 0 comparison at all.  The
+    block's boolean matrix starts from component 0 and ANDs each further
+    component into it in place, so no ``(M, M, K)`` array is ever built.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    m1, k = points.shape
+    points = np.asarray(points, dtype=np.float64)
+    m1 = points.shape[0]
+    order = np.argsort(points[:, 0], kind="stable")
+    first, *rest = np.ascontiguousarray(points[order].T)
     counts = np.empty(m1, dtype=np.int64)
-    chunk = max(1, int(4_000_000 // max(m1 * k, 1)))
-    for start in range(0, m1, chunk):
-        blk = points[start:start + chunk]
-        le = (points[:, None, :] <= blk[None, :, :]).all(axis=2)
-        counts[start:start + blk.shape[0]] = le.sum(axis=0)
+    chunk = max(1, min(_PRERANK_ROWS, _PRERANK_CELLS // max(m1, 1)))
+    for s in range(0, m1, chunk):
+        e = min(s + chunk, m1)
+        r = int(np.searchsorted(first, first[e - 1], side="right"))
+        le = np.empty((e - s, r), dtype=bool)
+        le[:, :s] = True
+        np.less_equal(first[None, s:r], first[s:e, None], out=le[:, s:r])
+        for col in rest:
+            le &= col[None, :r] <= col[s:e, None]
+        counts[order[s:e]] = np.count_nonzero(le, axis=1)
     return counts
 
 
 # ------------------------------------------------------- pinball score batch
 
-def _crps_fan_batch_impl(fans, ys, taus):
-    n, m = fans.shape
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        acc = 0.0
-        for j in range(m):
-            diff = ys[i] - fans[i, j]
-            if diff < 0.0:
-                acc += (taus[j] - 1.0) * diff
-            else:
-                acc += taus[j] * diff
-        out[i] = acc / m
-    return out
-
-
-def crps_fan_batch_numpy(fans, ys, taus):
+def crps_fan_batch(fans, ys, taus):
     """Mean pinball score of each quantile fan against its observation."""
     fans = np.asarray(fans, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -89,23 +63,7 @@ def crps_fan_batch_numpy(fans, ys, taus):
 
 # ------------------------------------------------------------- profit pools
 
-def _profit_pools_impl(da, idp, w, w_hat, q_grid, c_om):
-    nq = q_grid.shape[0]
-    m = da.shape[0]
-    pools = np.empty((nq, m), dtype=np.float64)
-    for j in range(m):
-        if w[j] <= 0.0:
-            for i in range(nq):
-                pools[i, j] = 0.0
-        else:
-            ratio = w_hat / w[j]
-            for i in range(nq):
-                qw = q_grid[i] * ratio
-                pools[i, j] = (qw * da[j] + (1.0 - qw) * idp[j]) - c_om
-    return pools
-
-
-def profit_pools_numpy(da, idp, w, w_hat, q_grid, c_om):
+def profit_pools(da, idp, w, w_hat, q_grid, c_om):
     """Per MWh profit of every ensemble member at every bid fraction q.
 
     Members with non positive wind are set to exactly zero profit for all q.
@@ -121,22 +79,3 @@ def profit_pools_numpy(da, idp, w, w_hat, q_grid, c_om):
     pools = (qw * da[None, :] + (1.0 - qw) * idp[None, :]) - c_om
     pools[:, ~pos] = 0.0
     return pools
-
-
-if HAS_NUMBA:
-    preranks_numba = njit(cache=True)(_preranks_impl)
-    crps_fan_batch_numba = njit(cache=True)(_crps_fan_batch_impl)
-    profit_pools_numba = njit(cache=True)(_profit_pools_impl)
-else:  # pragma: no cover
-    preranks_numba = None
-    crps_fan_batch_numba = None
-    profit_pools_numba = None
-
-if USE_NUMBA:
-    preranks = preranks_numba
-    crps_fan_batch = crps_fan_batch_numba
-    profit_pools = profit_pools_numba
-else:
-    preranks = preranks_numpy
-    crps_fan_batch = crps_fan_batch_numpy
-    profit_pools = profit_pools_numpy

@@ -89,8 +89,14 @@ def _grid_tail_index(level):
     return int(round(pos)) - 1
 
 
-def _process_day(data, cfg, day_idx):
-    """All forecasts, scores inputs and decisions for one target day."""
+def _process_day(data, cfg, day_idx, keep_ensembles=False):
+    """All forecasts, scores inputs and decisions for one target day.
+
+    With ``keep_ensembles`` the result also holds the day's ensembles under
+    ``"ensembles"`` (method label -> hour -> ForecastEnsemble), for writing
+    members out.  The backtest leaves them out, so no members are kept
+    across days or sent back from the workers.
+    """
     t0 = day_idx - cfg.calibration_window_days
     window = np.arange(t0, day_idx, dtype=np.intp)
     all_days = np.append(window, day_idx)
@@ -212,6 +218,8 @@ def _process_day(data, cfg, day_idx):
             "w": out["realized"]["W"].copy(),
             "w_hat": w_hat.copy(),
         }
+    if keep_ensembles:
+        out["ensembles"] = ens_by_method
     return out
 
 

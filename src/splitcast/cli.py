@@ -22,9 +22,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .backtest import _process_day, _stream, _STREAM_MS_CORR, _STREAM_MS_UNCORR, evaluation_day_indices, run_backtest
+from .backtest import _process_day, run_backtest
 from .config import config_from_raw, read_config
-from .ensembles import historical_ensembles_for_day, ms_ensembles_for_day
 from .errors import ConfigError, SplitcastError
 from .features import KINDS, MarketData
 from .panel import SYNTH_SERIES, SyntheticConfig, generate_synthetic_panel, load_panel, validate_panel, write_panel
@@ -44,6 +43,21 @@ def _schema_from_args(pairs):
 
 def _fmt(x):
     return format(float(x), ".6g")
+
+
+def _iso_date(text, source):
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {text!r} is not a YYYY-MM-DD date ({exc})") from exc
+
+
+def _panel_day(panel, text, source):
+    date = _iso_date(text, source)
+    try:
+        return panel.day_index(date)
+    except KeyError as exc:
+        raise ConfigError(f"{source}: {text} is not a day of the panel") from exc
 
 
 # --------------------------------------------------------------------------
@@ -107,7 +121,7 @@ def _apply_dgp_overrides(cfg, pairs):
 
 
 def _cmd_synth(args):
-    cfg = SyntheticConfig(days=args.days, start_date=dt.date.fromisoformat(args.start_date))
+    cfg = SyntheticConfig(days=args.days, start_date=_iso_date(args.start_date, "--start-date"))
     cfg = _apply_dgp_overrides(cfg, args.set)
     panel = generate_synthetic_panel(cfg, seed=args.seed)
     write_panel(panel, args.out)
@@ -148,8 +162,8 @@ def _forecast_config(args):
 
 
 def _forecast_days(data, cfg, start, end):
-    first = data.panel.day_index(dt.date.fromisoformat(start))
-    last = data.panel.day_index(dt.date.fromisoformat(end))
+    first = _panel_day(data.panel, start, "--start")
+    last = _panel_day(data.panel, end, "--end")
     if last < first:
         raise ConfigError("end date precedes start date")
     if first < cfg.calibration_window_days + 8:
@@ -194,7 +208,7 @@ def _cmd_forecast(args):
     with open(fan_path, "w", newline="") as fh:
         fh.write(header + "\n")
         for day_idx in day_indices:
-            r = _process_day(data, cfg, day_idx)
+            r = _process_day(data, cfg, day_idx, keep_ensembles=args.members)
             variables = sorted({v for (m, v) in r["fans"] if m == method})
             for variable in variables:
                 fan = r["fans"][(method, variable)]
@@ -202,29 +216,10 @@ def _cmd_forecast(args):
                     cells = ",".join(_fmt(v) for v in fan[h])
                     fh.write(f"{r['date']},{h + 1},{variable},{cells}\n")
             if args.members and args.method in ("ms", "hist"):
-                ens_by_hour = _rebuild_ensembles(data, cfg, day_idx, args)
                 member_path = os.path.join(cfg.output_dir, f"members_{r['date']}.csv")
-                _write_members_file(member_path, ens_by_hour)
+                _write_members_file(member_path, r["ensembles"][method])
     print(f"wrote {fan_path}")
     return 0
-
-
-def _rebuild_ensembles(data, cfg, day_idx, args):
-    # identical stream derivation as the per day engine, so dumped members
-    # equal what the scores were computed from
-    window = np.arange(day_idx - cfg.calibration_window_days, day_idx, dtype=np.intp)
-    hours = range(1, 25)
-    if args.method == "hist":
-        return historical_ensembles_for_day(data, cfg.variables, window, day_idx,
-                                            hours, cfg.inner_window)
-    if args.mode == "corr":
-        rng = _stream(cfg.master_seed, _STREAM_MS_CORR, day_idx)
-        return ms_ensembles_for_day(data, cfg.variables, window, day_idx, hours,
-                                    cfg.n_splits, cfg.split_ratio, rng, mode="corr")
-    rngs = [_stream(cfg.master_seed, _STREAM_MS_UNCORR, day_idx, vi)
-            for vi in range(len(cfg.variables))]
-    return ms_ensembles_for_day(data, cfg.variables, window, day_idx, hours,
-                                cfg.n_splits, cfg.split_ratio, rngs, mode="uncorr")
 
 
 # --------------------------------------------------------------------------
@@ -235,13 +230,20 @@ def _read_fans(path):
     fans = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["date", "hour", "variable"] or len(header) != 102:
             raise ConfigError(f"{path} is not a fans file")
         for row in reader:
-            date, hour, variable = row[0], int(row[1]), row[2]
+            try:
+                date, hour, variable = row[0], int(row[1]), row[2]
+                values = [float(v) for v in row[3:]]
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"{path} line {reader.line_num}: {exc}") from exc
+            if not 1 <= hour <= 24 or len(values) != 99:
+                raise ConfigError(f"{path} line {reader.line_num}: need an hour in 1..24 "
+                                  f"and 99 fan values")
             grid = fans.setdefault((date, variable), np.full((24, 99), np.nan))
-            grid[hour - 1] = [float(v) for v in row[3:]]
+            grid[hour - 1] = values
     return fans
 
 
@@ -249,7 +251,10 @@ def _cmd_evaluate(args):
     fans = _read_fans(args.fans)
     panel = load_panel(args.input, _schema_from_args(args.schema) or None)
     data = MarketData.from_panel(panel)
-    levels = tuple(float(v) for v in args.levels.split(","))
+    try:
+        levels = tuple(float(v) for v in args.levels.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--levels expects comma separated numbers, got {args.levels!r}") from exc
     dates = sorted({d for (d, _) in fans})
     variables = sorted({v for (_, v) in fans})
     os.makedirs(args.out, exist_ok=True)
@@ -257,7 +262,7 @@ def _cmd_evaluate(args):
     def realized_grid(variable):
         rows = []
         for date in dates:
-            day_idx = data.panel.day_index(dt.date.fromisoformat(date))
+            day_idx = _panel_day(data.panel, date, args.fans)
             if variable == "SP":
                 rows.append(data.derived.SP[day_idx])
             elif variable == "RL":
@@ -444,7 +449,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SplitcastError as exc:
+    except (SplitcastError, OSError, UnicodeDecodeError) as exc:
+        # bad options, missing or unreadable files: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -129,13 +129,6 @@ def crps_fan_matrix(fans, ys, taus=TAU_GRID):
     return _kernels.crps_fan_batch(fans, ys, np.ascontiguousarray(taus, dtype=np.float64))
 
 
-def crps_from_ensemble(ens, variable, y, taus=TAU_GRID):
-    """CRPS of an ensemble through its 99 interpolated percentiles."""
-    from .ensembles import ensemble_fan
-
-    return crps_from_fan(ensemble_fan(ens, variable, taus), y)
-
-
 # --------------------------------------------------------------------------
 # rank histograms
 
@@ -157,14 +150,16 @@ def multivariate_rank(members, y0, rng):
     at random, is normalized to [0, 1].
     """
     members = np.asarray(members, dtype=np.float64)
-    if members.ndim != 2 or members.shape[0] == 0:
+    if members.ndim != 2 or 0 in members.shape:
         raise EmptyEnsembleError("multivariate rank needs a non empty (M, K) member array")
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (members.shape[1],):
         raise MisalignedError(
             f"observation shape {y0.shape} does not match {members.shape[1]} variables")
     m = members.shape[0]
-    points = np.ascontiguousarray(np.vstack([y0[None, :], members]))
+    points = np.vstack([y0[None, :], members])
+    if np.isnan(points).any():
+        raise ValueError("multivariate rank is undefined for NaN members or observation")
     counts = _kernels.preranks(points)
     rho0 = counts[0]
     s = int(np.count_nonzero(counts < rho0))
@@ -200,23 +195,3 @@ def reliability_index(ranks, m_bins=10, mode="univariate"):
         deltas[h] = np.abs(counts * m_bins - n).sum() / (n * m_bins)
     return ReliabilityReport(mode=mode, m_bins=int(m_bins),
                              delta_by_hour=deltas, delta=float(deltas.mean()))
-
-
-def multivariate_reliability(cells, rng, m_bins=10):
-    """Reliability of joint ensembles via the multivariate rank histogram.
-
-    ``cells[t][h]`` is an ``(ensemble, observation)`` pair where the
-    ensemble is a ForecastEnsemble or a plain (M, K) array.
-    """
-    n = len(cells)
-    if n == 0:
-        raise EmptyEnsembleError("no cells supplied")
-    n_hours = len(cells[0])
-    ranks = np.empty((n, n_hours))
-    for t, row in enumerate(cells):
-        if len(row) != n_hours:
-            raise MisalignedError("ragged cell grid")
-        for h, (ens, y0) in enumerate(row):
-            members = ens.members if hasattr(ens, "members") else ens
-            ranks[t, h] = multivariate_rank(members, y0, rng)
-    return reliability_index(ranks, m_bins=m_bins, mode="multivariate")

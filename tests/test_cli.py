@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from splitcast.cli import main
+from splitcast.ensembles import historical_ensembles_for_day, ms_ensembles_for_day
 from splitcast.features import MarketData
 from splitcast.panel import load_panel
 from splitcast.quantreg import TAU_GRID, QuantileFan
@@ -134,6 +135,56 @@ def test_forecast_skips_ranks_without_changing_outputs(panel_csv, tmp_path, monk
         assert (tmp_path / "off" / name).read_bytes() == (tmp_path / "on" / name).read_bytes(), name
 
 
+def _members_rebuilt(data, cfg, day_idx, method):
+    """A day's ensembles built apart from the forecast, on the engine's streams."""
+    from splitcast.backtest import _STREAM_MS_CORR, _STREAM_MS_UNCORR, _stream
+
+    window = np.arange(day_idx - cfg.calibration_window_days, day_idx, dtype=np.intp)
+    hours = range(1, 25)
+    if method == "hist":
+        return historical_ensembles_for_day(data, cfg.variables, window, day_idx,
+                                            hours, cfg.inner_window)
+    if method == "ms_corr":
+        rng = _stream(cfg.master_seed, _STREAM_MS_CORR, day_idx)
+    else:
+        rng = [_stream(cfg.master_seed, _STREAM_MS_UNCORR, day_idx, vi)
+               for vi in range(len(cfg.variables))]
+    return ms_ensembles_for_day(data, cfg.variables, window, day_idx, hours,
+                                cfg.n_splits, cfg.split_ratio, rng, mode=method[3:])
+
+
+@pytest.mark.parametrize("method", ["ms_corr", "ms_uncorr", "hist"])
+def test_forecast_members_built_once_per_day(panel_csv, tmp_path, monkeypatch, method):
+    """--members writes the ensembles the fans came from, built once per day."""
+    import splitcast.cli as cli
+    import splitcast.ensembles as ensembles
+
+    calls = []
+    for name in ("ms_ensembles_for_day", "historical_ensembles_for_day"):
+        build = getattr(ensembles, name)
+        counted = lambda *a, _b=build, _n=name, **kw: calls.append(_n) or _b(*a, **kw)
+        # count calls through every module that imported the builder
+        for module in [m for k, m in sys.modules.items() if k.startswith("splitcast")]:
+            if getattr(module, name, None) is build:
+                monkeypatch.setattr(module, name, counted)
+    panel = load_panel(str(panel_csv))
+    method_args = ["--method", "hist"] if method == "hist" else ["--method", "ms", "--mode", method[3:]]
+    args = ["forecast", *method_args, "--input", str(panel_csv),
+            "--start", panel.dates[150].isoformat(), "--end", panel.dates[151].isoformat(),
+            "--splits", "4", "--window", "100", "--members", "--out", str(tmp_path / "out"),
+            *BASE_SET]
+    assert main(args) == 0
+    kind = "historical" if method == "hist" else "ms"
+    assert calls == [f"{kind}_ensembles_for_day"] * 2  # one build per forecast day
+
+    cfg = cli._forecast_config(cli.build_parser().parse_args(args))
+    data = MarketData.from_panel(panel)
+    for d in (150, 151):
+        name = f"members_{panel.dates[d].isoformat()}.csv"
+        cli._write_members_file(tmp_path / name, _members_rebuilt(data, cfg, d, method))
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
 def test_forecast_rejects_bad_ranges(panel_csv, tmp_path, capsys):
     panel = load_panel(str(panel_csv))
     early = panel.dates[20].isoformat()
@@ -144,6 +195,55 @@ def test_forecast_rejects_bad_ranges(panel_csv, tmp_path, capsys):
     assert main(args + ["--start", late, "--end", panel.dates[149].isoformat()]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_bad_dates_exit_2_on_one_line(panel_csv, tmp_path, capsys):
+    panel = load_panel(str(panel_csv))
+    args = ["forecast", "--method", "ms", "--input", str(panel_csv),
+            "--out", str(tmp_path), "--splits", "4", "--window", "100", *BASE_SET]
+    end = panel.dates[151].isoformat()
+    assert main(args + ["--start", "2021-13-01", "--end", end]) == 2
+    assert "--start: '2021-13-01' is not a YYYY-MM-DD date" in _one_line_error(capsys)
+    assert main(args + ["--start", "2035-01-01", "--end", "2035-01-02"]) == 2
+    assert "not a day of the panel" in _one_line_error(capsys)
+    assert main(["synth", "--days", "30", "--start-date", "2020-02-30",
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert "--start-date" in _one_line_error(capsys)
+
+
+def test_unreadable_files_exit_2_on_one_line(fan_dir, panel_csv, tmp_path, capsys):
+    fans = str(fan_dir / "fans.csv")
+    out = str(tmp_path / "scores")
+    missing = str(tmp_path / "missing.csv")
+    assert main(["evaluate", "--fans", missing, "--input", str(panel_csv), "--out", out]) == 2
+    assert "missing.csv" in _one_line_error(capsys)
+    assert main(["evaluate", "--fans", fans, "--input", missing, "--out", out]) == 2
+    assert "missing.csv" in _one_line_error(capsys)
+    assert main(["validate", str(tmp_path)]) == 2  # a directory, not a file
+    _one_line_error(capsys)
+
+    lines = (fan_dir / "fans.csv").read_text().splitlines()
+    for bad_row, why in ((lines[1].replace(",", ",x", 1), "date"),
+                         (",".join(lines[1].split(",")[:50]), "short row"),
+                         (lines[1].replace(",1,", ",25,", 1), "hour")):
+        bad = tmp_path / "bad_fans.csv"
+        bad.write_text("\n".join([lines[0], bad_row]) + "\n")
+        assert main(["evaluate", "--fans", str(bad), "--input", str(panel_csv),
+                     "--out", out]) == 2, why
+        _one_line_error(capsys)
+    (tmp_path / "binary.csv").write_bytes(bytes(range(128, 256)))
+    assert main(["evaluate", "--fans", str(tmp_path / "binary.csv"),
+                 "--input", str(panel_csv), "--out", out]) == 2
+    _one_line_error(capsys)
+    assert main(["evaluate", "--fans", fans, "--input", str(panel_csv), "--out", out,
+                 "--levels", "0.8,ninety"]) == 2
+    assert "--levels" in _one_line_error(capsys)
 
 
 def test_evaluate_scores_stored_fans(fan_dir, panel_csv, tmp_path, capsys):

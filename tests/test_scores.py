@@ -21,7 +21,6 @@ from splitcast.scores import (
     crps_from_fan,
     kupiec,
     multivariate_rank,
-    multivariate_reliability,
     picp,
     reliability_index,
     univariate_rank,
@@ -240,13 +239,33 @@ def test_reliability_per_hour_average(rng):
     assert report.delta == pytest.approx(report.delta_by_hour.mean())
 
 
+def _multivariate_reliability(cells, rng, m_bins):
+    """The backtest's per-cell path: one rank per (day, hour), then the index."""
+    ranks = np.array([[multivariate_rank(members, y0, rng) for members, y0 in row]
+                      for row in cells])
+    return reliability_index(ranks, m_bins=m_bins, mode="multivariate")
+
+
 def test_multivariate_reliability_grid(rng):
     members = rng.standard_normal((30, 2))
     cells = [[(members, rng.standard_normal(2)) for _ in range(3)] for _ in range(40)]
-    report = multivariate_reliability(cells, rng, m_bins=5)
+    report = _multivariate_reliability(cells, rng, m_bins=5)
     assert report.mode == "multivariate"
     assert report.delta_by_hour.shape == (3,)
-    with pytest.raises(MisalignedError):
-        multivariate_reliability([cells[0], cells[1][:2]], rng)
+    # an observation far outside every member lands in one end bin
+    outside = [[(members, np.full(2, 10.0)) for _ in range(3)] for _ in range(20)]
+    by_hour = _multivariate_reliability(outside, rng, m_bins=5).delta_by_hour
+    assert np.all(by_hour == 2.0 * (1.0 - 1.0 / 5))
+
+
+def test_multivariate_rank_rejects_nan(rng):
+    members = rng.standard_normal((12, 3))
+    with pytest.raises(ValueError, match="NaN"):
+        multivariate_rank(members, np.array([0.0, np.nan, 0.0]), rng)
+    members[4, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        multivariate_rank(members, np.zeros(3), rng)
+    members[4, 1] = np.inf  # infinities order like any other value
+    assert multivariate_rank(members, np.full(3, 1e300), rng) == 1.0
     with pytest.raises(EmptyEnsembleError):
-        multivariate_reliability([], rng)
+        multivariate_rank(np.zeros((5, 0)), np.zeros(0), rng)
