@@ -13,30 +13,16 @@ from .panel import (
     validate_panel,
     write_panel,
 )
-from .features import KINDS, MarketData, ModelSpec, design_rows, regressors, row_length, target, targets
-from .models import CoefficientSet, ols_fit, point_forecast
-from .quantreg import (
-    PredictionInterval,
-    QuantileFan,
-    TAU_GRID,
-    pinball,
-    qr_fan,
-    qr_fit,
-    qr_fit_fan,
-    qr_interval,
-)
+from .features import KINDS, MarketData, ModelSpec, design_rows, row_length, targets
+from .models import ols_fit
+from .quantreg import QuantileFan, TAU_GRID, pinball, qr_fan, qr_fit, qr_fit_fan
 from .ensembles import (
     ForecastEnsemble,
     SplitPlan,
     derived_ensemble,
-    ensemble_fan,
-    ensemble_interval,
-    ensemble_quantile,
-    ensemble_to_csv,
-    historical_ensemble,
+    historical_ensembles_for_day,
     interpolated_quantile,
-    map_ensemble,
-    multiple_split_ensemble,
+    ms_ensembles_for_day,
     random_split,
 )
 from .scores import (
@@ -57,7 +43,6 @@ from .trading import (
     choose_q,
     evaluate_strategy,
     naive_decision,
-    profit_ensemble,
     profit_per_mwh,
     profit_pools,
     realized_profit,

@@ -30,9 +30,9 @@ from .ensembles import (
     ms_ensembles_for_day,
 )
 from .errors import ConfigError
-from .features import KINDS, MarketData, ModelSpec, design_rows, targets
-from .models import ols_fit
-from .quantreg import TAU_GRID, qr_fan, qr_fit_fan
+from .features import KINDS, MarketData, ModelSpec, design_rows, series, targets
+from .models import expert_design, ols_fit
+from .quantreg import TAU_GRID, qr_fan, qr_fit_fan, tail_column
 from .scores import coverage_report, crps_fan_matrix, multivariate_rank, reliability_index, univariate_rank
 from .trading import (
     Q_GRID_DEFAULT,
@@ -73,22 +73,6 @@ def _qr_design_kind(variable):
     return "DA" if variable == "SP" else variable
 
 
-def _realized(data, variable, day_idx):
-    if variable == "SP":
-        return data.derived.SP[day_idx]
-    if variable == "RL":
-        return data.derived.RL[day_idx]
-    return data.panel.hourly[variable][day_idx]
-
-
-def _grid_tail_index(level):
-    """Fan column index of the lower tail, or None when off the 1% grid."""
-    pos = (1.0 - level) / 2.0 * 100.0
-    if abs(pos - round(pos)) > 1e-9 or not 1 <= round(pos) <= 49:
-        return None
-    return int(round(pos)) - 1
-
-
 def _process_day(data, cfg, day_idx, keep_ensembles=False):
     """All forecasts, scores inputs and decisions for one target day.
 
@@ -105,7 +89,7 @@ def _process_day(data, cfg, day_idx, keep_ensembles=False):
     out = {
         "day_idx": int(day_idx),
         "date": data.panel.dates[day_idx].isoformat(),
-        "realized": {v: _realized(data, v, day_idx).copy() for v in eval_vars},
+        "realized": {v: series(data, v)[day_idx].copy() for v in eval_vars},
         "point": {},
         "fans": {},
         "intervals": {},
@@ -121,11 +105,8 @@ def _process_day(data, cfg, day_idx, keep_ensembles=False):
         for kind in point_kinds:
             values = np.empty(24)
             for h in hours:
-                spec = ModelSpec(kind, h)
-                X, _ = design_rows(spec, data, all_days)
-                y = targets(spec, data, all_days)
-                coeffs = ols_fit(X[:-1], y[:-1])
-                values[h - 1] = X[-1] @ coeffs.beta
+                X, y = expert_design(ModelSpec(kind, h), data, all_days)
+                values[h - 1] = X[-1] @ ols_fit(X[:-1], y[:-1])
             out["point"][kind] = values
 
     if "qr" in cfg.methods:
@@ -140,7 +121,7 @@ def _process_day(data, cfg, day_idx, keep_ensembles=False):
                 fan_matrix[h - 1] = fan.values
             out["fans"][("qr", variable)] = fan_matrix
             for level in cfg.interval_levels:
-                i = _grid_tail_index(level)
+                i = tail_column(level)
                 if i is None:
                     continue  # tails off the percentile grid: QR cannot serve this level
                 out["intervals"][("qr", variable, level)] = np.stack(
@@ -412,7 +393,7 @@ def run_backtest(cfg, panel=None):
         for r in results:
             for kind in KINDS:
                 for h in range(24):
-                    realized = _realized(data, kind, r["day_idx"])[h]
+                    realized = series(data, kind)[r["day_idx"], h]
                     rows.append((r["date"], str(h + 1), kind, r["point"][kind][h], realized))
         files["point_forecasts"] = os.path.join(cfg.output_dir, "point_forecasts.csv")
         _write_csv(files["point_forecasts"],

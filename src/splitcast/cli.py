@@ -25,9 +25,9 @@ import numpy as np
 from .backtest import _process_day, run_backtest
 from .config import config_from_raw, read_config
 from .errors import ConfigError, SplitcastError
-from .features import KINDS, MarketData
+from .features import KINDS, MarketData, series
 from .panel import SYNTH_SERIES, SyntheticConfig, generate_synthetic_panel, load_panel, validate_panel, write_panel
-from .quantreg import TAU_GRID
+from .quantreg import TAU_GRID, tail_column
 from .scores import coverage_report, crps_fan_matrix
 
 
@@ -177,10 +177,8 @@ def _write_members_file(path, ens_by_hour):
     with open(path, "w", newline="") as fh:
         fh.write("hour,member," + ",".join(variables) + "\n")
         for hour in sorted(ens_by_hour):
-            members = ens_by_hour[hour].members
-            for m in range(members.shape[0]):
-                cells = ",".join(repr(float(v)) for v in members[m])
-                fh.write(f"{hour},{m},{cells}\n")
+            for m, row in enumerate(ens_by_hour[hour].members.tolist()):
+                fh.write(f"{hour},{m},{','.join(map(repr, row))}\n")
 
 
 def _cmd_forecast(args):
@@ -259,18 +257,7 @@ def _cmd_evaluate(args):
     variables = sorted({v for (_, v) in fans})
     os.makedirs(args.out, exist_ok=True)
 
-    def realized_grid(variable):
-        rows = []
-        for date in dates:
-            day_idx = _panel_day(data.panel, date, args.fans)
-            if variable == "SP":
-                rows.append(data.derived.SP[day_idx])
-            elif variable == "RL":
-                rows.append(data.derived.RL[day_idx])
-            else:
-                rows.append(data.panel.hourly[variable][day_idx])
-        return np.stack(rows)
-
+    day_indices = [_panel_day(data.panel, date, args.fans) for date in dates]
     cov_path = os.path.join(args.out, "coverage.csv")
     crps_path = os.path.join(args.out, "crps.csv")
     noted = set()
@@ -281,15 +268,14 @@ def _cmd_evaluate(args):
             stack = np.stack([fans[(d, variable)] for d in dates])  # (n, 24, 99)
             if np.isnan(stack).any():
                 raise ConfigError(f"fans for {variable} have missing day/hour rows")
-            realized = realized_grid(variable)
+            realized = series(data, variable)[day_indices]
             for level in levels:
-                pos = (1.0 - level) / 2.0 * 100.0
-                if abs(pos - round(pos)) > 1e-9 or not 1 <= round(pos) <= 49:
+                i = tail_column(level)
+                if i is None:
                     if level not in noted:
                         noted.add(level)
                         print(f"note: level {level:g} needs off grid tails, skipped")
                     continue
-                i = int(round(pos)) - 1
                 report = coverage_report(stack[:, :, i], stack[:, :, 98 - i], realized, level)
                 for h in range(24):
                     cov.write(f"stored,{variable},{level:g},{h + 1},{_fmt(report.picp_by_hour[h])},"

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyEnsembleError, UnsupportedAlphaError
-from .features import KINDS, ModelSpec, design_rows, targets
-from .models import ols_fit
-from .quantreg import PredictionInterval, QuantileFan, TAU_GRID
+from .errors import EmptyEnsembleError, TooFewRowsError
+from .features import KINDS, ModelSpec, row_length
+from .models import expert_design, ols_fit
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,30 @@ def _check_variables(variables):
     return variables
 
 
-def _fit_errors(X, y, fit_pos, eval_pos):
-    """Fit on some rows, return forecast errors y - yhat on other rows."""
-    coeffs = ols_fit(X[fit_pos], y[fit_pos])
-    return y[eval_pos] - X[eval_pos] @ coeffs.beta
+def _check_fit_rows(n_rows, variables, hours, what):
+    """Every sub-fit has ``n_rows`` rows: raise before the first one when that
+    is short of 2 per regressor for some (variable, hour)."""
+    p = max((row_length(v, h) for v in variables for h in hours), default=0)
+    if n_rows < 2 * p:
+        raise TooFewRowsError(
+            f"{what} of {n_rows} rows for {p} regressors, need at least {2 * p}")
+
+
+def _ensembles_by_hour(data, variables, sample_days, target_day, hours, column, meta):
+    """``{hour: ForecastEnsemble}`` whose members of variable ``v`` are
+    ``column(v, X, y)``, on the design of (v, hour) over the sample and the
+    target day (its last row), validated once."""
+    all_days = np.append(sample_days, target_day)
+    meta = dict(meta, window=(data.panel.dates[int(sample_days[0])].isoformat(),
+                              data.panel.dates[int(sample_days[-1])].isoformat()))
+    out = {}
+    for hour in hours:
+        members = np.column_stack([
+            column(v, *expert_design(ModelSpec(v, hour), data, all_days)) for v in variables])
+        out[hour] = ForecastEnsemble(
+            variables=variables, members=members,
+            target_date=data.panel.dates[int(target_day)], hour=int(hour), meta=dict(meta))
+    return out
 
 
 def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
@@ -128,54 +147,33 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
         raise ValueError("need at least one split")
     if mode not in ("corr", "uncorr"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "uncorr" and len(rng) != len(variables):
+        raise ValueError("uncorr mode needs one rng stream per variable")
+    n_estim = round(ratio * sample_days.size)
+    _check_fit_rows(n_estim, variables, hours, "split estimation side")
+
+    def positions(stream):
+        """(estimation, calibration) row positions in the sample of each split."""
+        plans = [random_split(sample_days, ratio, stream) for _ in range(n_splits)]
+        return [(np.searchsorted(sample_days, p.estimation_days),
+                 np.searchsorted(sample_days, p.calibration_days)) for p in plans]
 
     if mode == "corr":
-        shared = [random_split(sample_days, ratio, rng) for _ in range(n_splits)]
+        shared = positions(rng)
         plans = {v: shared for v in variables}
     else:
-        if len(rng) != len(variables):
-            raise ValueError("uncorr mode needs one rng stream per variable")
-        plans = {v: [random_split(sample_days, ratio, stream) for _ in range(n_splits)]
-                 for v, stream in zip(variables, rng)}
+        plans = {v: positions(stream) for v, stream in zip(variables, rng)}
 
-    all_days = np.append(sample_days, target_day)
-    out = {}
-    for hour in hours:
-        columns = []
-        for v in variables:
-            spec = ModelSpec(v, hour)
-            X, _ = design_rows(spec, data, all_days)
-            y = targets(spec, data, all_days)
-            chunks = []
-            for plan in plans[v]:
-                fit_pos = np.searchsorted(sample_days, plan.estimation_days)
-                calib_pos = np.searchsorted(sample_days, plan.calibration_days)
-                coeffs = ols_fit(X[fit_pos], y[fit_pos])
-                errors = y[calib_pos] - X[calib_pos] @ coeffs.beta
-                point = X[-1] @ coeffs.beta
-                chunks.append(point + errors)
-            columns.append(np.concatenate(chunks))
-        members = np.column_stack(columns)
-        meta = {
-            "method": "ms",
-            "mode": mode,
-            "n_splits": int(n_splits),
-            "ratio": float(ratio),
-            "calibration_size": int(sample_days.size - round(ratio * sample_days.size)),
-            "window": (data.panel.dates[int(sample_days[0])].isoformat(),
-                       data.panel.dates[int(sample_days[-1])].isoformat()),
-        }
-        out[hour] = ForecastEnsemble(
-            variables=variables, members=members,
-            target_date=data.panel.dates[int(target_day)], hour=int(hour), meta=meta)
-    return out
+    def column(v, X, y):
+        chunks = []
+        for fit_pos, calib_pos in plans[v]:
+            beta = ols_fit(X[fit_pos], y[fit_pos])
+            chunks.append(X[-1] @ beta + (y[calib_pos] - X[calib_pos] @ beta))
+        return np.concatenate(chunks)
 
-
-def multiple_split_ensemble(data, variables, sample_days, target_day, hour,
-                            n_splits, ratio, rng, mode="corr"):
-    """Multiple split ensemble for a single (day, hour) target."""
-    return ms_ensembles_for_day(data, variables, sample_days, target_day, [hour],
-                                n_splits, ratio, rng, mode)[hour]
+    meta = {"method": "ms", "mode": mode, "n_splits": int(n_splits), "ratio": float(ratio),
+            "calibration_size": int(sample_days.size - n_estim)}
+    return _ensembles_by_hour(data, variables, sample_days, target_day, hours, column, meta)
 
 
 def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
@@ -193,62 +191,21 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
     inner = n // 2 if inner_window is None else int(inner_window)
     if not 0 < inner < n:
         raise ValueError(f"inner window {inner} must be inside the {n} training days")
+    _check_fit_rows(inner, variables, hours, "inner window")
 
-    all_days = np.append(train_days, target_day)
-    out = {}
-    for hour in hours:
-        columns = []
-        for v in variables:
-            spec = ModelSpec(v, hour)
-            X, _ = design_rows(spec, data, all_days)
-            y = targets(spec, data, all_days)
-            errors = np.empty(n - inner)
-            for j, pos in enumerate(range(inner, n)):
-                fit_pos = np.arange(pos - inner, pos)
-                coeffs = ols_fit(X[fit_pos], y[fit_pos])
-                errors[j] = y[pos] - X[pos] @ coeffs.beta
-            last = ols_fit(X[n - inner:n], y[n - inner:n])
-            point = X[-1] @ last.beta
-            columns.append(point + errors)
-        members = np.column_stack(columns)
-        meta = {
-            "method": "hist",
-            "inner_window": int(inner),
-            "window": (data.panel.dates[int(train_days[0])].isoformat(),
-                       data.panel.dates[int(train_days[-1])].isoformat()),
-        }
-        out[hour] = ForecastEnsemble(
-            variables=variables, members=members,
-            target_date=data.panel.dates[int(target_day)], hour=int(hour), meta=meta)
-    return out
+    def column(v, X, y):
+        errors = np.empty(n - inner)
+        for j, pos in enumerate(range(inner, n)):
+            beta = ols_fit(X[pos - inner:pos], y[pos - inner:pos])
+            errors[j] = y[pos] - X[pos] @ beta
+        return X[-1] @ ols_fit(X[n - inner:n], y[n - inner:n]) + errors
 
-
-def historical_ensemble(data, variables, train_days, target_day, hour, inner_window=None):
-    """Historical simulation ensemble for a single (day, hour) target."""
-    return historical_ensembles_for_day(data, variables, train_days, target_day,
-                                        [hour], inner_window)[hour]
+    meta = {"method": "hist", "inner_window": int(inner)}
+    return _ensembles_by_hour(data, variables, train_days, target_day, hours, column, meta)
 
 
 # --------------------------------------------------------------------------
 # transformations and summaries
-
-
-def map_ensemble(ens, fn, out_variables):
-    """Apply a member wise function, e.g. the spread of prices.
-
-    ``fn`` receives a dict {variable: value} per member and returns a
-    scalar or one value per output variable.
-    """
-    out_variables = tuple(out_variables)
-    rows = np.empty((ens.n_members, len(out_variables)))
-    for j in range(ens.n_members):
-        member = {v: float(ens.members[j, k]) for k, v in enumerate(ens.variables)}
-        result = fn(member)
-        rows[j] = result if np.ndim(result) else (result,)
-    meta = dict(ens.meta)
-    meta["derived_from"] = ens.variables
-    return ForecastEnsemble(variables=out_variables, members=rows,
-                            target_date=ens.target_date, hour=ens.hour, meta=meta)
 
 
 def derived_ensemble(ens, name):
@@ -298,36 +255,3 @@ def interpolated_quantiles(values, taus):
     i = np.minimum(pos.astype(np.intp), n - 2)
     frac = pos - i
     return v[i] + frac * (v[i + 1] - v[i])
-
-
-def ensemble_quantile(ens, variable, tau):
-    """Interpolated quantile of one variable's member values."""
-    return interpolated_quantile(ens.column(variable), tau)
-
-
-def ensemble_interval(ens, variable, alpha):
-    """Central interval from member quantiles; any alpha in (0, 1) works."""
-    if not 0.0 < alpha < 1.0:
-        raise UnsupportedAlphaError(f"nominal level {alpha} outside (0, 1)")
-    lo = (1.0 - alpha) / 2.0
-    values = ens.column(variable)
-    return PredictionInterval(lower=interpolated_quantile(values, lo),
-                              upper=interpolated_quantile(values, 1.0 - lo),
-                              nominal=alpha)
-
-
-def ensemble_fan(ens, variable, taus=TAU_GRID):
-    """The 99 interpolated percentiles of one variable as a QuantileFan."""
-    values = interpolated_quantiles(ens.column(variable), taus)
-    return QuantileFan(taus=np.asarray(taus, dtype=np.float64).copy(), values=values)
-
-
-def ensemble_to_csv(ens, path):
-    """One row per member, one column per variable, meta as # comments."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# target={ens.target_date.isoformat()} hour={ens.hour}\n")
-        for key in sorted(ens.meta):
-            fh.write(f"# {key}={ens.meta[key]}\n")
-        fh.write(",".join(ens.variables) + "\n")
-        for row in ens.members:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

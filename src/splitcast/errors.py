@@ -66,10 +66,6 @@ class SolverFailureError(SplitcastError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class UnsupportedAlphaError(SplitcastError):
-    """Interval level whose tail quantiles are not on the percentile grid."""
-
-
 # ------------------------------------------------------------- ensemble layer
 
 class EmptyEnsembleError(SplitcastError):

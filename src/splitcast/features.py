@@ -50,12 +50,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class RegressorRow:
-    values: np.ndarray
-    labels: tuple
-
-
-@dataclass(frozen=True)
 class MarketData:
     """Normalized panel bundled with everything the regressors read."""
 
@@ -89,7 +83,8 @@ class MarketData:
         return self.panel.n_days
 
 
-def _series(data, name):
+def series(data, name):
+    """Realized (days, 24) series of a variable, derived ones included."""
     if name == "RL":
         return data.derived.RL
     if name == "SP":
@@ -208,7 +203,7 @@ def design_rows(spec, data, ts):
         else:
             cols.append(_starred(data, kind)[ts - 1, c])
             labels.append(f"{kind}*[t-1]")
-            own = _series(data, kind)
+            own = series(data, kind)
             for p in range(2, 8):
                 cols.append(own[ts - p, c])
                 labels.append(f"{kind}[t-{p}]")
@@ -223,17 +218,7 @@ def design_rows(spec, data, ts):
     return X, tuple(labels)
 
 
-def regressors(spec, data, t):
-    """Single regressor row for target day index ``t``."""
-    X, labels = design_rows(spec, data, np.array([t]))
-    return RegressorRow(values=X[0], labels=labels)
-
-
 def targets(spec, data, ts):
     """Realized values of the spec's variable at its hour for days ``ts``."""
     ts = _check_days(ts, data.n_days)
-    return _series(data, spec.kind)[ts, spec.hour - 1]
-
-
-def target(spec, data, t):
-    return float(targets(spec, data, np.array([t]))[0])
+    return series(data, spec.kind)[ts, spec.hour - 1]

@@ -1,24 +1,9 @@
 """Ordinary least squares fitting of the expert models."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
-from .features import RegressorRow
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Fitted coefficients plus the spec and sample window they came from."""
-
-    beta: np.ndarray
-    spec: object = None
-    window: tuple = None
-    labels: tuple = None
-
-    def __post_init__(self):
-        self.beta.flags.writeable = False
+from .features import design_rows, targets
 
 
 def check_design(X, y=None):
@@ -44,20 +29,21 @@ def check_design(X, y=None):
     return X
 
 
-def ols_fit(X, y, spec=None, window=None, labels=None):
-    """Least squares fit; minimum norm solution when the design is singular.
+def expert_design(spec, data, days):
+    """Design rows and targets of ``spec`` for ``days``, whose last entry is the
+    target day.  The sample before it is validated here, once, so the fits on
+    its subsets go straight to :func:`ols_fit`."""
+    X, _ = design_rows(spec, data, days)
+    y = targets(spec, data, days)
+    check_design(X[:-1], y[:-1])
+    return X, y
 
+
+def ols_fit(X, y):
+    """Least squares coefficients; the minimum norm solution when the design is
+    singular, e.g. a split whose estimation days miss a weekday.
+
+    Unchecked: validate the sample once with :func:`check_design`.
     Deterministic: refitting identical inputs is bit identical.
     """
-    X, y = check_design(X, y)
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return CoefficientSet(beta=beta, spec=spec, window=window, labels=labels)
-
-
-def point_forecast(coeffs, row):
-    """Inner product of a coefficient set with one regressor row."""
-    values = row.values if isinstance(row, RegressorRow) else np.asarray(row, dtype=np.float64)
-    if values.shape != coeffs.beta.shape:
-        raise ShapeMismatchError(
-            f"row has {values.shape} values, coefficients have {coeffs.beta.shape}")
-    return float(values @ coeffs.beta)
+    return np.linalg.lstsq(X, y, rcond=None)[0]

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDesignError, ShapeMismatchError, SolverFailureError,
-                     UnsupportedAlphaError)
-from .features import RegressorRow
+from .errors import DegenerateDesignError, ShapeMismatchError, SolverFailureError
 from .models import check_design
 
 TAU_GRID = np.round(np.arange(1, 100) / 100.0, 2)
@@ -147,19 +145,12 @@ class QuantileFan:
         self.values.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class PredictionInterval:
-    lower: float
-    upper: float
-    nominal: float
-
-
 def qr_fan(thetas, row, taus=TAU_GRID):
     """Evaluate per tau coefficients on one row, sorting away any crossing."""
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.shape[0] != len(taus):
         raise ValueError("one coefficient vector per tau required")
-    values = row.values if isinstance(row, RegressorRow) else np.asarray(row, dtype=np.float64)
+    values = np.asarray(row, dtype=np.float64)
     if thetas.shape[1] != values.shape[0]:
         raise ShapeMismatchError(
             f"row has {values.shape[0]} values, coefficients have {thetas.shape[1]}")
@@ -167,22 +158,11 @@ def qr_fan(thetas, row, taus=TAU_GRID):
                        values=np.sort(thetas @ values))
 
 
-def fan_interval(fan, alpha):
-    """Central interval at nominal level ``alpha`` read off a fan.
-
-    ``alpha`` must put both tail quantiles on the 1% grid, e.g. 0.80, 0.90,
-    0.98; otherwise :class:`UnsupportedAlphaError` is raised.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise UnsupportedAlphaError(f"nominal level {alpha} outside (0, 1)")
-    lo_tau = (1.0 - alpha) / 2.0
-    pos = lo_tau * 100.0
+def tail_column(level):
+    """Fan column of the lower tail of the central interval at nominal ``level``
+    (the upper tail is column ``98 - i``), or None when the tails are off the
+    1% grid, e.g. at 0.95."""
+    pos = (1.0 - level) / 2.0 * 100.0
     if abs(pos - round(pos)) > 1e-9 or not 1 <= round(pos) <= 49:
-        raise UnsupportedAlphaError(f"tails of alpha={alpha} are off the percentile grid")
-    i = int(round(pos)) - 1
-    return PredictionInterval(lower=float(fan.values[i]), upper=float(fan.values[98 - i]),
-                              nominal=alpha)
-
-
-# kept under its contract name as well
-qr_interval = fan_interval
+        return None
+    return int(round(pos)) - 1

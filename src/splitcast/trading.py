@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyEnsembleError, MisalignedError, NoTradesError
-from .ensembles import ForecastEnsemble, interpolated_quantile
+from .ensembles import interpolated_quantile
 
 C_OM_DEFAULT = 10.0
 Q_GRID_DEFAULT = np.round(np.arange(101) / 100.0, 2)
@@ -61,15 +61,6 @@ def profit_pools(ens, w_hat, q_grid=Q_GRID_DEFAULT, c_om=C_OM_DEFAULT):
     w = np.ascontiguousarray(ens.column("W"))
     return _kernels.profit_pools(da, idp, w, float(w_hat),
                                  np.ascontiguousarray(q_grid, dtype=np.float64), float(c_om))
-
-
-def profit_ensemble(ens, w_hat, q, c_om=C_OM_DEFAULT):
-    """Profit distribution at one bid fraction as a 1-D ensemble."""
-    pool = profit_pools(ens, w_hat, np.array([float(q)]), c_om)[0]
-    meta = dict(ens.meta)
-    meta.update(q=float(q), w_hat=float(w_hat), c_om=float(c_om))
-    return ForecastEnsemble(variables=("profit",), members=pool[:, None],
-                            target_date=ens.target_date, hour=ens.hour, meta=meta)
 
 
 @dataclass(frozen=True)

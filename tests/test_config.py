@@ -2,11 +2,14 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from splitcast.backtest import run_backtest
+from splitcast.backtest import _STREAM_MS_CORR, _stream, run_backtest
 from splitcast.config import ExperimentConfig
+from splitcast.ensembles import random_split
 from splitcast.errors import ConfigError
+from splitcast.panel import SyntheticConfig, generate_synthetic_panel
 
 
 def test_default_config_needs_84_day_window():
@@ -45,3 +48,27 @@ def test_one_day_at_the_minimum_window_finishes(panel_small, tmp_path):
     result = run_backtest(cfg, panel=panel_small)
     assert result.n_days == 1
     assert {("hist", "DA"), ("ms_corr", "DA"), ("ms_uncorr", "RL")} <= set(result.crps)
+
+
+def test_split_missing_a_weekday_finishes(tmp_path):
+    """At the minimum window a split's estimation days can miss a weekday, which
+    leaves that dummy column all zero: the fit takes the minimum norm solution
+    and the run finishes.  master_seed 101 draws such a split on this day."""
+    panel = generate_synthetic_panel(SyntheticConfig(days=110), seed=3)
+    cfg = ExperimentConfig(output_dir=str(tmp_path), evaluation_days=1,
+                           evaluation_start=panel.dates[96], master_seed=101,
+                           methods=("ms",), ms_modes=("corr",), variables=("DA", "ID", "W"),
+                           derived=(), mv_variables=(), trading=False)
+    cfg = replace(cfg, calibration_window_days=cfg.min_calibration_window())
+    assert cfg.calibration_window_days == 83
+    # replay the day's split stream: some estimation side misses a weekday
+    rng = _stream(cfg.master_seed, _STREAM_MS_CORR, 96)
+    weekdays = panel.weekdays()
+    plans = [random_split(np.arange(13, 96), cfg.split_ratio, rng) for _ in range(cfg.n_splits)]
+    assert any(np.unique(weekdays[p.estimation_days]).size < 7 for p in plans)
+
+    result = run_backtest(cfg, panel=panel)
+    assert result.n_days == 1
+    assert set(result.crps) == {("ms_corr", v) for v in ("DA", "ID", "W")}
+    for entry in result.crps.values():
+        assert np.all(np.isfinite(entry["per_hour"])) and np.isfinite(entry["overall"])

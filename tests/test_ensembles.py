@@ -4,25 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splitcast.ensembles
 from splitcast.ensembles import (
     ForecastEnsemble,
     derived_ensemble,
-    ensemble_fan,
-    ensemble_interval,
-    ensemble_quantile,
-    ensemble_to_csv,
-    historical_ensemble,
     historical_ensembles_for_day,
     interpolated_quantile,
     interpolated_quantiles,
-    map_ensemble,
     ms_ensembles_for_day,
-    multiple_split_ensemble,
     random_split,
 )
-from splitcast.errors import EmptyEnsembleError
+from splitcast.errors import EmptyEnsembleError, TooFewRowsError
 from splitcast.features import ModelSpec, design_rows, targets
 from splitcast.models import ols_fit
+from splitcast.quantreg import TAU_GRID
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,10 +63,10 @@ def test_ms_pool_size_and_meta(data_small):
 
 def test_ms_deterministic(data_small):
     sample = np.arange(20, 120)
-    a = multiple_split_ensemble(data_small, ("DA",), sample, 120, 6, 4, 0.5,
-                                np.random.default_rng(9))
-    b = multiple_split_ensemble(data_small, ("DA",), sample, 120, 6, 4, 0.5,
-                                np.random.default_rng(9))
+    a = ms_ensembles_for_day(data_small, ("DA",), sample, 120, [6], 4, 0.5,
+                             np.random.default_rng(9))[6]
+    b = ms_ensembles_for_day(data_small, ("DA",), sample, 120, [6], 4, 0.5,
+                             np.random.default_rng(9))[6]
     np.testing.assert_array_equal(a.members, b.members)
 
 
@@ -79,7 +74,7 @@ def test_ms_members_recenter_on_target_point(data_small):
     """Each split chunk is the target point forecast plus calibration errors."""
     sample = np.arange(20, 120)
     rng = np.random.default_rng(21)
-    ens = multiple_split_ensemble(data_small, ("DA",), sample, 120, 12, 1, 0.5, rng)
+    ens = ms_ensembles_for_day(data_small, ("DA",), sample, 120, [12], 1, 0.5, rng)[12]
     # replay the single split with the same stream
     plan = random_split(sample, 0.5, np.random.default_rng(21))
     spec = ModelSpec("DA", 12)
@@ -87,8 +82,8 @@ def test_ms_members_recenter_on_target_point(data_small):
     y = targets(spec, data_small, np.append(sample, 120))
     fit_pos = np.searchsorted(sample, plan.estimation_days)
     cal_pos = np.searchsorted(sample, plan.calibration_days)
-    coeffs = ols_fit(X[fit_pos], y[fit_pos])
-    expected = X[-1] @ coeffs.beta + (y[cal_pos] - X[cal_pos] @ coeffs.beta)
+    beta = ols_fit(X[fit_pos], y[fit_pos])
+    expected = X[-1] @ beta + (y[cal_pos] - X[cal_pos] @ beta)
     np.testing.assert_array_equal(ens.members[:, 0], expected)
 
 
@@ -140,29 +135,61 @@ def test_corr_preserves_cross_correlation(data_small):
 
 def test_historical_member_count_and_windows(data_small):
     train = np.arange(20, 110)  # 90 days, inner window defaults to 45
-    ens = historical_ensemble(data_small, ("DA", "ID"), train, 110, 12)
+    ens = historical_ensembles_for_day(data_small, ("DA", "ID"), train, 110, [12])[12]
     assert ens.members.shape == (45, 2)
     assert ens.meta["inner_window"] == 45
-    ens = historical_ensemble(data_small, ("W",), train, 110, 12, inner_window=25)
+    ens = historical_ensembles_for_day(data_small, ("W",), train, 110, [12], inner_window=25)[12]
     assert ens.members.shape == (65, 1)
     with pytest.raises(ValueError):
-        historical_ensemble(data_small, ("W",), train, 110, 12, inner_window=90)
+        historical_ensembles_for_day(data_small, ("W",), train, 110, [12], inner_window=90)
 
 
 def test_historical_point_centering(data_small):
     """Members are the last window's point forecast plus walked errors."""
     train = np.arange(30, 60)
-    ens = historical_ensemble(data_small, ("W",), train, 60, 5, inner_window=15)
+    ens = historical_ensembles_for_day(data_small, ("W",), train, 60, [5], inner_window=15)[5]
     spec = ModelSpec("W", 5)
     days = np.append(train, 60)
     X, _ = design_rows(spec, data_small, days)
     y = targets(spec, data_small, days)
     errors = []
     for pos in range(15, 30):
-        coeffs = ols_fit(X[pos - 15:pos], y[pos - 15:pos])
-        errors.append(y[pos] - X[pos] @ coeffs.beta)
-    point = X[-1] @ ols_fit(X[15:30], y[15:30]).beta
+        beta = ols_fit(X[pos - 15:pos], y[pos - 15:pos])
+        errors.append(y[pos] - X[pos] @ beta)
+    point = X[-1] @ ols_fit(X[15:30], y[15:30])
     np.testing.assert_array_equal(ens.members[:, 0], point + np.array(errors))
+
+
+@pytest.fixture
+def no_fits(monkeypatch):
+    """The builders' least squares fits, counted instead of run."""
+    calls = []
+    monkeypatch.setattr(splitcast.ensembles, "ols_fit", lambda X, y: calls.append(X.shape))
+    return calls
+
+
+def test_ms_row_budget_checked_before_any_fit(data_small, no_fits):
+    # 60 sample days: round(0.5 * 60) = 30 estimation rows, DA needs 2 * 21 = 42
+    sample = np.arange(20, 80)
+    with pytest.raises(TooFewRowsError, match="30 rows for 21 regressors, need at least 42"):
+        ms_ensembles_for_day(data_small, ("W", "DA"), sample, 80, (1, 12), 3, 0.5,
+                             np.random.default_rng(1))
+    # uncorr mode too: 16 days give 8 estimation rows, W needs 10 at hour 12
+    with pytest.raises(TooFewRowsError, match="8 rows for 5 regressors"):
+        ms_ensembles_for_day(data_small, ("W",), sample[:16], 36, (12,), 3, 0.5,
+                             [np.random.default_rng(1)], mode="uncorr")
+    assert no_fits == []
+
+
+def test_hist_row_budget_checked_before_any_fit(data_small, no_fits):
+    train = np.arange(20, 110)
+    with pytest.raises(TooFewRowsError, match="40 rows for 21 regressors, need at least 42"):
+        historical_ensembles_for_day(data_small, ("W", "ID"), train, 110, (12,),
+                                     inner_window=40)
+    # W at the edge hour has 4 regressors, so 8 rows pass there but not at hour 12
+    with pytest.raises(TooFewRowsError, match="8 rows for 5 regressors"):
+        historical_ensembles_for_day(data_small, ("W",), train, 110, (1, 12), inner_window=8)
+    assert no_fits == []
 
 
 # --------------------------------------------------------------------------
@@ -240,11 +267,20 @@ def test_container_validation(rng):
         ens.column("SP")
 
 
+def _map_members(ens, fn, out_variables):
+    """Member by member oracle: ``fn`` gets {variable: value} per member."""
+    rows = np.empty((ens.n_members, len(out_variables)))
+    for j in range(ens.n_members):
+        result = fn({v: float(ens.members[j, k]) for k, v in enumerate(ens.variables)})
+        rows[j] = result if np.ndim(result) else (result,)
+    return rows
+
+
 def test_map_matches_vectorized_derivation(rng):
     ens = _toy_ensemble(rng)
-    mapped = map_ensemble(ens, lambda m: m["DA"] - m["ID"], ("SP",))
+    mapped = _map_members(ens, lambda m: m["DA"] - m["ID"], ("SP",))
     direct = derived_ensemble(ens, "SP")
-    np.testing.assert_array_equal(mapped.members, direct.members)
+    np.testing.assert_array_equal(mapped, direct.members)
     assert direct.variables == ("SP",)
     assert direct.meta["derived_from"] == ("DA", "ID", "W")
     with pytest.raises(KeyError):
@@ -254,29 +290,16 @@ def test_map_matches_vectorized_derivation(rng):
 
 
 def test_ensemble_summaries(rng):
+    """The summaries the backtest reads off a member column: the 99 percentile
+    fan and the interval bounds at any level, all from one interpolation."""
     ens = _toy_ensemble(rng)
-    v = np.sort(ens.column("DA"))
-    assert ensemble_quantile(ens, "DA", 0.0) == v[0]
-    assert ensemble_quantile(ens, "DA", 1.0) == v[-1]
-    iv = ensemble_interval(ens, "DA", 0.95)  # any alpha works on ensembles
-    assert iv.lower == interpolated_quantile(v, 0.025)
-    assert iv.upper == interpolated_quantile(v, 0.975)
-    assert iv.lower < iv.upper
-    fan = ensemble_fan(ens, "DA")
-    assert fan.values.shape == (99,)
-    assert np.all(np.diff(fan.values) >= 0.0)
-
-
-def test_ensemble_to_csv(tmp_path, rng):
-    ens = _toy_ensemble(rng)
-    path = tmp_path / "members.csv"
-    ensemble_to_csv(ens, path)
-    lines = path.read_text().splitlines()
-    meta_lines = [l for l in lines if l.startswith("#")]
-    assert any("method=toy" in l for l in meta_lines)
-    header = lines[len(meta_lines)]
-    assert header == "DA,ID,W"
-    assert len(lines) == len(meta_lines) + 1 + ens.n_members
-    back = np.array([[float(x) for x in l.split(",")]
-                     for l in lines[len(meta_lines) + 1:]])
-    np.testing.assert_array_equal(back, ens.members)
+    v = ens.column("DA")
+    fan = interpolated_quantiles(v, TAU_GRID)
+    assert fan.shape == (99,)
+    assert np.all(np.diff(fan) >= 0.0)
+    np.testing.assert_array_equal(fan, [interpolated_quantile(v, t) for t in TAU_GRID])
+    lo, hi = interpolated_quantiles(v, np.array([0.025, 0.975]))  # any level works
+    assert (lo, hi) == (interpolated_quantile(v, 0.025), interpolated_quantile(v, 0.975))
+    assert lo < hi
+    ends = interpolated_quantiles(v, np.array([0.0, 1.0]))
+    assert (ends[0], ends[1]) == (v.min(), v.max())

@@ -12,9 +12,8 @@ from splitcast.features import (
     MarketData,
     ModelSpec,
     design_rows,
-    regressors,
     row_length,
-    target,
+    series,
     targets,
 )
 
@@ -99,11 +98,16 @@ def test_information_set_whitelist(data_small):
                 assert ALLOWED_LABEL.match(label), f"{kind} h{hour}: {label!r}"
 
 
+def _row(kind, hour, data, t):
+    """{label: value} of the single design row of day ``t``."""
+    X, labels = design_rows(ModelSpec(kind, hour), data, [t])
+    return dict(zip(labels, X[0]))
+
+
 def test_values_match_sources(data_small):
     t = 30
     panel = data_small.panel
-    row = regressors(ModelSpec("DA", 12), data_small, t)
-    vals = dict(zip(row.labels, row.values))
+    vals = _row("DA", 12, data_small, t)
     assert vals["DA[t-1]"] == panel.hourly["DA"][t - 1, 11]
     assert vals["DA[t-3]"] == panel.hourly["DA"][t - 3, 11]
     assert vals["C[t-1]"] == panel.daily["C"][t - 1]
@@ -119,15 +123,12 @@ def test_starred_regressors_respect_cut(data_small):
     """Before the cut the previous day lag is realized, after it stands in."""
     t = 40
     panel = data_small.panel
-    early = regressors(ModelSpec("ID", 5), data_small, t)  # column 4 < 10
-    vals = dict(zip(early.labels, early.values))
+    vals = _row("ID", 5, data_small, t)  # column 4 < 10
     assert vals["ID*[t-1]"] == panel.hourly["ID"][t - 1, 4]
-    late = regressors(ModelSpec("ID", 18), data_small, t)  # column 17 >= 10
-    vals = dict(zip(late.labels, late.values))
+    vals = _row("ID", 18, data_small, t)  # column 17 >= 10
     assert vals["ID*[t-1]"] == panel.hourly["DA"][t - 1, 17]
     assert vals["ID*[t-1]"] != panel.hourly["ID"][t - 1, 17]
-    late_w = regressors(ModelSpec("W", 18), data_small, t)
-    vals = dict(zip(late_w.labels, late_w.values))
+    vals = _row("W", 18, data_small, t)
     assert vals["W*[t-1]"] == panel.hourly["FW"][t - 1, 17]
 
 
@@ -148,7 +149,10 @@ def test_targets_read_series(data_small):
     np.testing.assert_array_equal(
         targets(ModelSpec("RL", 7), data_small, ts),
         data_small.derived.RL[ts, 6])
-    assert target(ModelSpec("SP", 1), data_small, 12) == data_small.derived.SP[12, 0]
+    assert targets(ModelSpec("SP", 1), data_small, [12])[0] == data_small.derived.SP[12, 0]
+    assert series(data_small, "SP") is data_small.derived.SP
+    assert series(data_small, "RL") is data_small.derived.RL
+    assert series(data_small, "ID") is data_small.panel.hourly["ID"]
 
 
 def test_model_spec_validation():

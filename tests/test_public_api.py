@@ -1,0 +1,58 @@
+"""The package surface other code binds by name.
+
+``pipebench/tracer.py`` rebinds a list of package functions by module and
+attribute name for its per-layer timings, and ``pipebench/run.py`` records
+``_kernels.USE_NUMBA``.  A prune that drops one of them breaks ``--trace 1``,
+so this file checks them against the tracer's own list.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+import splitcast
+from splitcast import _kernels
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "pipebench" / "tracer.py"
+
+PRUNED = (
+    # quantreg
+    "fan_interval", "qr_interval", "PredictionInterval",
+    # ensembles
+    "map_ensemble", "multiple_split_ensemble", "historical_ensemble", "ensemble_to_csv",
+    "ensemble_quantile", "ensemble_interval", "ensemble_fan",
+    # trading
+    "profit_ensemble",
+    # features and models
+    "regressors", "target", "RegressorRow", "point_forecast", "CoefficientSet",
+)
+
+
+def _tracer_layers():
+    spec = importlib.util.spec_from_file_location("pipebench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def test_every_traced_layer_resolves():
+    layers = _tracer_layers()
+    assert layers
+    for layer, (modname, attr) in layers.items():
+        target = importlib.import_module(modname)
+        for part in attr.split("."):
+            assert hasattr(target, part), f"{layer}: {modname}.{attr} is gone"
+            target = getattr(target, part)
+        assert callable(target), layer
+
+
+def test_numba_flag_is_recorded():
+    assert isinstance(_kernels.USE_NUMBA, bool)
+
+
+def test_pruned_names_stay_gone():
+    modules = [splitcast] + [importlib.import_module(f"splitcast.{name}") for name in
+                             ("ensembles", "features", "models", "quantreg", "trading")]
+    for name in PRUNED:
+        for module in modules:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

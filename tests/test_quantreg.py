@@ -14,16 +14,15 @@ from splitcast.errors import (
     DegenerateDesignError,
     ShapeMismatchError,
     SolverFailureError,
-    UnsupportedAlphaError,
 )
 from splitcast.quantreg import (
     TAU_GRID,
     QuantileFan,
-    fan_interval,
     pinball,
     qr_fan,
     qr_fit,
     qr_fit_fan,
+    tail_column,
 )
 
 
@@ -141,16 +140,15 @@ def test_fan_evaluation_errors():
         qr_fan(thetas, np.zeros(4))
 
 
-def test_fan_interval_grid_levels():
-    fan = QuantileFan(taus=TAU_GRID.copy(), values=np.arange(99.0))
-    iv = fan_interval(fan, 0.8)
-    assert (iv.lower, iv.upper) == (9.0, 89.0)  # p10 and p90
-    iv = fan_interval(fan, 0.98)
-    assert (iv.lower, iv.upper) == (0.0, 98.0)
-    with pytest.raises(UnsupportedAlphaError):
-        fan_interval(fan, 0.95)  # tails 2.5% are off the 1% grid
-    with pytest.raises(UnsupportedAlphaError):
-        fan_interval(fan, 1.0)
+def test_tail_column_grid_levels():
+    fan = np.arange(99.0)
+    i = tail_column(0.8)
+    assert (fan[i], fan[98 - i]) == (9.0, 89.0)  # p10 and p90
+    assert tail_column(0.9) == 4
+    assert tail_column(0.98) == 0
+    assert tail_column(0.95) is None  # tails 2.5% are off the 1% grid
+    assert tail_column(1.0) is None
+    assert tail_column(0.0) is None
 
 
 def test_extreme_tau_stability():

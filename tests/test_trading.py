@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from splitcast.ensembles import ForecastEnsemble, interpolated_quantile
 from splitcast.errors import EmptyEnsembleError, MisalignedError, NoTradesError
 from splitcast.trading import (
-    C_OM_DEFAULT,
     Q_GRID_DEFAULT,
     STRATEGIES,
     TradeDecision,
@@ -18,7 +17,6 @@ from splitcast.trading import (
     evaluate_strategy,
     naive_decision,
     plant_profit,
-    profit_ensemble,
     profit_per_mwh,
     profit_pools,
     realized_profit,
@@ -100,17 +98,6 @@ def test_profit_pools_zero_wind_members_exact(rng):
     dead = np.arange(12) % 3 == 0
     assert np.all(pools[:, dead] == 0.0)
     assert np.all(pools[:, ~dead] != 0.0)
-
-
-def test_profit_ensemble_wraps_single_pool_row(rng):
-    ens = _joint(rng, m=25)
-    out = profit_ensemble(ens, 8.0, q=0.37)
-    assert out.variables == ("profit",)
-    assert out.members.shape == (25, 1)
-    want = profit_pools(ens, 8.0, np.array([0.37]))[0]
-    assert np.array_equal(out.column("profit"), want)
-    assert out.meta["q"] == 0.37 and out.meta["w_hat"] == 8.0
-    assert out.meta["c_om"] == C_OM_DEFAULT
 
 
 def test_choose_q_epi_matches_median_oracle(rng):
