@@ -10,7 +10,11 @@ observation of 4 variables at 1,261 points (the 1,260 member pool of the
 20 splits x 183 days).  The pinball batch scores two years of hourly fans,
 the profit pools price 3,660 members on the 101 point bid grid, and the fan
 is the 99 tau quantile regression of one (variable, hour) on a 365 day
-window with the 21 price regressors.
+window with the 21 price regressors.  The historical simulation set is the
+184 least squares fits of one (variable, hour) on a default day: 183 inner
+windows of 182 days and the final window, in a 365 day sample with 21
+regressors, fitted one by one with ``ols_fit`` and batched with
+``ols_fits``.
 """
 
 import time
@@ -18,6 +22,7 @@ import time
 import numpy as np
 
 from splitcast import _kernels as K
+from splitcast.models import ols_fit, ols_fits
 from splitcast.quantreg import qr_fit_fan
 
 
@@ -58,6 +63,13 @@ def main():
     X[:, 0] = 1.0
     y = X @ rng.normal(size=21) + 5.0 * rng.standard_t(3, size=365)
     _report("qr_fit_fan", "99 taus, n=365, p=21", lambda: qr_fit_fan(X, y), repeats=3)
+
+    inner = 182
+    starts = np.arange(365 - inner + 1)[:, None]
+    windows = (np.arange(365) >= starts) & (np.arange(365) < starts + inner)
+    _report("hist ols_fit", "184 windows, n=365, p=21",
+            lambda: [ols_fit(X[j:j + inner], y[j:j + inner]) for j in range(starts.size)])
+    _report("hist ols_fits", "184 windows, n=365, p=21", lambda: ols_fits(X, y, windows))
 
 
 if __name__ == "__main__":

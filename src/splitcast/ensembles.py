@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyEnsembleError, TooFewRowsError
 from .features import KINDS, ModelSpec, row_length
-from .models import expert_design, ols_fit
+from .models import expert_design, ols_fits
 
 
 @dataclass(frozen=True)
@@ -116,19 +116,21 @@ def _check_fit_rows(n_rows, variables, hours, what):
 
 
 def _ensembles_by_hour(data, variables, sample_days, target_day, hours, column, meta):
-    """``{hour: ForecastEnsemble}`` whose members of variable ``v`` are
-    ``column(v, X, y)``, on the design of (v, hour) over the sample and the
-    target day (its last row), validated once."""
+    """``{hour: ForecastEnsemble}`` whose members of variable ``v`` and the
+    count of its fits sent to ``ols_fit`` are ``column(v, X, y)``, on the
+    design of (v, hour) over the sample and the target day (its last row),
+    validated once.  ``meta["ols_fallbacks"]`` sums the counts of the hour."""
     all_days = np.append(sample_days, target_day)
     meta = dict(meta, window=(data.panel.dates[int(sample_days[0])].isoformat(),
                               data.panel.dates[int(sample_days[-1])].isoformat()))
     out = {}
     for hour in hours:
-        members = np.column_stack([
-            column(v, *expert_design(ModelSpec(v, hour), data, all_days)) for v in variables])
+        columns, fallbacks = zip(*(
+            column(v, *expert_design(ModelSpec(v, hour), data, all_days)) for v in variables))
         out[hour] = ForecastEnsemble(
-            variables=variables, members=members,
-            target_date=data.panel.dates[int(target_day)], hour=int(hour), meta=dict(meta))
+            variables=variables, members=np.column_stack(columns),
+            target_date=data.panel.dates[int(target_day)], hour=int(hour),
+            meta=dict(meta, ols_fallbacks=sum(fallbacks)))
     return out
 
 
@@ -152,24 +154,26 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
     n_estim = round(ratio * sample_days.size)
     _check_fit_rows(n_estim, variables, hours, "split estimation side")
 
-    def positions(stream):
-        """(estimation, calibration) row positions in the sample of each split."""
-        plans = [random_split(sample_days, ratio, stream) for _ in range(n_splits)]
-        return [(np.searchsorted(sample_days, p.estimation_days),
-                 np.searchsorted(sample_days, p.calibration_days)) for p in plans]
+    def masks(stream):
+        """Estimation masks over the sample, (splits, days), and the sorted
+        calibration row positions of each split, (splits, calibration days)."""
+        fit = np.zeros((n_splits, sample_days.size), dtype=bool)
+        for i in range(n_splits):
+            plan = random_split(sample_days, ratio, stream)
+            fit[i, np.searchsorted(sample_days, plan.estimation_days)] = True
+        return fit, np.nonzero(~fit)[1].reshape(n_splits, -1)
 
     if mode == "corr":
-        shared = positions(rng)
+        shared = masks(rng)
         plans = {v: shared for v in variables}
     else:
-        plans = {v: positions(stream) for v, stream in zip(variables, rng)}
+        plans = {v: masks(stream) for v, stream in zip(variables, rng)}
 
     def column(v, X, y):
-        chunks = []
-        for fit_pos, calib_pos in plans[v]:
-            beta = ols_fit(X[fit_pos], y[fit_pos])
-            chunks.append(X[-1] @ beta + (y[calib_pos] - X[calib_pos] @ beta))
-        return np.concatenate(chunks)
+        fit, calib = plans[v]
+        betas, fallbacks = ols_fits(X[:-1], y[:-1], fit)
+        errors = np.take_along_axis(y[:-1] - betas @ X[:-1].T, calib, axis=1)
+        return ((betas @ X[-1])[:, None] + errors).ravel(), fallbacks
 
     meta = {"method": "ms", "mode": mode, "n_splits": int(n_splits), "ratio": float(ratio),
             "calibration_size": int(sample_days.size - n_estim)}
@@ -193,12 +197,14 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
         raise ValueError(f"inner window {inner} must be inside the {n} training days")
     _check_fit_rows(inner, variables, hours, "inner window")
 
+    # window j covers sample rows j .. j + inner - 1; the last one gives the point forecast
+    starts = np.arange(n - inner + 1)[:, None]
+    windows = (np.arange(n) >= starts) & (np.arange(n) < starts + inner)
+
     def column(v, X, y):
-        errors = np.empty(n - inner)
-        for j, pos in enumerate(range(inner, n)):
-            beta = ols_fit(X[pos - inner:pos], y[pos - inner:pos])
-            errors[j] = y[pos] - X[pos] @ beta
-        return X[-1] @ ols_fit(X[n - inner:n], y[n - inner:n]) + errors
+        betas, fallbacks = ols_fits(X[:n], y[:n], windows)
+        errors = y[inner:n] - np.einsum("ij,ij->i", X[inner:n], betas[:-1])
+        return X[-1] @ betas[-1] + errors, fallbacks
 
     meta = {"method": "hist", "inner_window": int(inner)}
     return _ensembles_by_hour(data, variables, train_days, target_day, hours, column, meta)

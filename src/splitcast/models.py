@@ -1,9 +1,20 @@
-"""Ordinary least squares fitting of the expert models."""
+"""Ordinary least squares fitting of the expert models.
+
+The ensembles refit one small design on many row subsets: a window per
+historical simulation step, an estimation side per random split.
+:func:`ols_fits` batches those refits through the normal equations, with a
+guard that sends each ill-conditioned one to :func:`ols_fit`.
+"""
 
 import numpy as np
 
 from .errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
 from .features import design_rows, targets
+
+_FIT_CELLS = 8192  # floats per block in its (fits, n) and (fits, p, p) arrays: bounds peak memory
+# smallest Cholesky pivot of a unit diagonal Gram matrix that stays batched; a
+# pivot is 1 - R^2 of its column on the columns before it, within the fit's rows
+_MIN_PIVOT = 1e-6
 
 
 def check_design(X, y=None):
@@ -47,3 +58,75 @@ def ols_fit(X, y):
     Deterministic: refitting identical inputs is bit identical.
     """
     return np.linalg.lstsq(X, y, rcond=None)[0]
+
+
+def packed_products(X):
+    """Column products of ``X`` packed one column per pair i <= j, and the
+    (p, p) index array that unpacks a row of them into a symmetric matrix:
+    ``(w @ XX)[..., unpack]`` is the Gram matrix of the rows weighted by ``w``."""
+    n, p = X.shape
+    XX = np.empty((n, p * (p + 1) // 2))
+    k = 0
+    for i in range(p):  # slice by slice: no gathered (n, pairs) temporaries
+        np.multiply(X[:, i:i + 1], X[:, i:], out=XX[:, k:k + p - i])
+        k += p - i
+    iu = np.triu_indices(p)
+    unpack = np.empty((p, p), dtype=np.intp)
+    unpack[iu] = unpack.T[iu] = np.arange(iu[0].size)
+    return XX, unpack
+
+
+def ols_fits(X, y, masks):
+    """Least squares coefficients of ``y`` on ``X`` over the rows each 0/1 row
+    of ``masks`` selects: ``(coefficients of shape (len(masks), p), number of
+    fits sent to ols_fit)``.
+
+    Each fit solves its normal equations, scaled to a unit diagonal, in one
+    batched solve per block of fits.  A column that is zero on all of a fit's
+    rows gets a unit pivot and a zero right hand side, so its coefficient is
+    0: the minimum norm answer of :func:`ols_fit`.  A fit whose Cholesky
+    factor fails or has a pivot below ``_MIN_PIVOT`` is refitted by
+    :func:`ols_fit` on its rows.
+
+    Unchecked, like :func:`ols_fit`.
+    """
+    p = X.shape[1]
+    XX, unpack = packed_products(X)
+    Xy = X * y[:, None]
+    out = np.empty((len(masks), p))
+    fallbacks = 0
+    block = max(1, _FIT_CELLS // (len(X) + p * p))
+    for start in range(0, len(masks), block):
+        m = np.asarray(masks[start:start + block], dtype=np.float64)
+        gram = (m @ XX)[:, unpack]
+        diag = gram.reshape(len(m), p * p)[:, ::p + 1]
+        scale = np.sqrt(diag)
+        scale[scale == 0.0] = 1.0
+        gram /= scale[:, :, None]
+        gram /= scale[:, None, :]
+        diag[...] = 1.0  # the unit pivot of a dead column; 1 up to rounding elsewhere
+        bad = np.flatnonzero(~_well_conditioned(gram))
+        gram[bad] = np.eye(p)  # a solvable stand-in: ols_fit redoes these fits
+        rhs = (m @ Xy) / scale  # zero on a dead column: its products are exact zeros
+        coef = out[start:start + len(m)]
+        coef[...] = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0] / scale
+        for i in bad:
+            rows = m[i] != 0.0
+            coef[i] = ols_fit(X[rows], y[rows])
+        fallbacks += bad.size
+    return out, fallbacks
+
+
+def _well_conditioned(gram):
+    """Per matrix of the stack: its Cholesky factor exists and has no pivot
+    below ``_MIN_PIVOT``."""
+    try:
+        pivots = np.einsum("bii->bi", np.linalg.cholesky(gram)) ** 2
+    except np.linalg.LinAlgError:  # some matrix is not positive definite: find which
+        pivots = np.zeros(gram.shape[:2])
+        for i, g in enumerate(gram):
+            try:
+                pivots[i] = np.diag(np.linalg.cholesky(g)) ** 2
+            except np.linalg.LinAlgError:
+                pass
+    return pivots.min(axis=1) >= _MIN_PIVOT

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDesignError, ShapeMismatchError, SolverFailureError
-from .models import check_design
+from .models import check_design, packed_products
 
 TAU_GRID = np.round(np.arange(1, 100) / 100.0, 2)
 TAU_GRID.flags.writeable = False
@@ -111,10 +111,10 @@ def qr_fit_fan(X, y, taus=TAU_GRID, max_iter=MAX_ITER, tol=DUALITY_TOL):
     r = -y - X @ theta
     pad = 1e-5 * (np.abs(r) < 1e-5)
     start = (theta, np.maximum(r, 0.0) + pad, np.maximum(-r, 0.0) + pad)
-    iu = np.triu_indices(X.shape[1])
-    XX = X[:, iu[0]] * X[:, iu[1]]  # packed: one column per pair i <= j
-    unpack = np.empty((X.shape[1],) * 2, dtype=np.intp)
-    unpack[iu] = unpack.T[iu] = np.arange(iu[0].size)
+    XX, unpack = packed_products(X)
+    # column major: how the products with XX round depends on its layout, and
+    # this layout keeps the fans' bits
+    XX = np.asfortranarray(XX)
     try:
         thetas = np.concatenate([_fit_block(X, XX, unpack, y, taus[i:i + _TAU_BLOCK], start,
                                             max_iter, tol)

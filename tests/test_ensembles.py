@@ -1,10 +1,13 @@
 """Split bookkeeping, ensemble construction, quantile interpolation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import splitcast.ensembles
+import splitcast.models
 from splitcast.ensembles import (
     ForecastEnsemble,
     derived_ensemble,
@@ -15,7 +18,7 @@ from splitcast.ensembles import (
     random_split,
 )
 from splitcast.errors import EmptyEnsembleError, TooFewRowsError
-from splitcast.features import ModelSpec, design_rows, targets
+from splitcast.features import MarketData, ModelSpec, design_rows, targets
 from splitcast.models import ols_fit
 from splitcast.quantreg import TAU_GRID
 
@@ -74,17 +77,23 @@ def test_ms_members_recenter_on_target_point(data_small):
     """Each split chunk is the target point forecast plus calibration errors."""
     sample = np.arange(20, 120)
     rng = np.random.default_rng(21)
-    ens = ms_ensembles_for_day(data_small, ("DA",), sample, 120, [12], 1, 0.5, rng)[12]
-    # replay the single split with the same stream
-    plan = random_split(sample, 0.5, np.random.default_rng(21))
+    ens = ms_ensembles_for_day(data_small, ("DA",), sample, 120, [12], 3, 0.5, rng)[12]
+    # replay the splits, in order, with the same stream
+    stream = np.random.default_rng(21)
     spec = ModelSpec("DA", 12)
     X, _ = design_rows(spec, data_small, np.append(sample, 120))
     y = targets(spec, data_small, np.append(sample, 120))
-    fit_pos = np.searchsorted(sample, plan.estimation_days)
-    cal_pos = np.searchsorted(sample, plan.calibration_days)
-    beta = ols_fit(X[fit_pos], y[fit_pos])
-    expected = X[-1] @ beta + (y[cal_pos] - X[cal_pos] @ beta)
-    np.testing.assert_array_equal(ens.members[:, 0], expected)
+    chunks = []
+    for _ in range(3):
+        plan = random_split(sample, 0.5, stream)
+        fit_pos = np.searchsorted(sample, plan.estimation_days)
+        cal_pos = np.searchsorted(sample, plan.calibration_days)
+        beta = ols_fit(X[fit_pos], y[fit_pos])
+        chunks.append(X[-1] @ beta + (y[cal_pos] - X[cal_pos] @ beta))
+    expected = np.concatenate(chunks)
+    # batched normal equations against the lstsq replay
+    np.testing.assert_allclose(ens.members[:, 0], expected, rtol=1e-9)
+    assert ens.meta["ols_fallbacks"] == 0
 
 
 def test_corr_mode_shares_plans_across_variables(data_small):
@@ -157,14 +166,61 @@ def test_historical_point_centering(data_small):
         beta = ols_fit(X[pos - 15:pos], y[pos - 15:pos])
         errors.append(y[pos] - X[pos] @ beta)
     point = X[-1] @ ols_fit(X[15:30], y[15:30])
-    np.testing.assert_array_equal(ens.members[:, 0], point + np.array(errors))
+    # batched normal equations against the lstsq replay
+    np.testing.assert_allclose(ens.members[:, 0], point + np.array(errors), rtol=1e-9)
+    assert ens.meta["ols_fallbacks"] == 0
+
+
+def test_fits_do_not_depend_on_the_other_requests(data_small):
+    """One (variable, hour) gets bit identical members alone or among others."""
+    train = np.arange(20, 110)
+    joint = historical_ensembles_for_day(data_small, ("W", "DA", "L"), train, 110, (1, 12, 24))
+    alone = historical_ensembles_for_day(data_small, ("DA",), train, 110, (12,))
+    np.testing.assert_array_equal(joint[12].column("DA"), alone[12].column("DA"))
+    joint = ms_ensembles_for_day(data_small, ("DA", "W"), train, 110, (3, 12), 4, 0.5,
+                                 [np.random.default_rng(5), np.random.default_rng(6)],
+                                 mode="uncorr")
+    alone = ms_ensembles_for_day(data_small, ("DA",), train, 110, (12,), 4, 0.5,
+                                 [np.random.default_rng(5)], mode="uncorr")
+    np.testing.assert_array_equal(joint[12].column("DA"), alone[12].column("DA"))
+
+
+def _near_copy_of_neighbour_forecast(panel, hour, rng):
+    """The panel with FW at ``hour - 1`` a near copy of FW at ``hour``, so the
+    W design of ``hour`` has two nearly collinear columns."""
+    fw = panel.hourly["FW"].copy()
+    fw[:, hour - 2] = fw[:, hour - 1] * (1.0 + 1e-9 * rng.standard_normal(fw.shape[0]))
+    return dataclasses.replace(panel, hourly=dict(panel.hourly, FW=fw))
+
+
+def test_near_collinear_design_counts_fallbacks(panel_small):
+    """Every fit of a near collinear (variable, hour) goes back to ols_fit and
+    is counted in its ensemble's meta; the other hours stay batched."""
+    data = MarketData.from_panel(
+        _near_copy_of_neighbour_forecast(panel_small, 12, np.random.default_rng(3)))
+    train = np.arange(20, 110)
+    hist = historical_ensembles_for_day(data, ("DA", "W"), train, 110, (6, 12))
+    assert hist[12].meta["ols_fallbacks"] == 45 + 1  # every window and the point fit
+    assert hist[6].meta["ols_fallbacks"] == 0
+    ms = ms_ensembles_for_day(data, ("W",), train, 110, (12,), 5, 0.5, np.random.default_rng(2))
+    assert ms[12].meta["ols_fallbacks"] == 5
+    # the fallback fits are the replay's lstsq fits; evaluating their large,
+    # nearly cancelling coefficients in another order costs digits
+    spec = ModelSpec("W", 12)
+    days = np.append(train, 110)
+    X, _ = design_rows(spec, data, days)
+    y = targets(spec, data, days)
+    point = X[-1] @ ols_fit(X[45:90], y[45:90])
+    errors = [y[pos] - X[pos] @ ols_fit(X[pos - 45:pos], y[pos - 45:pos]) for pos in range(45, 90)]
+    np.testing.assert_allclose(hist[12].column("W"), point + np.array(errors), rtol=1e-7)
 
 
 @pytest.fixture
 def no_fits(monkeypatch):
-    """The builders' least squares fits, counted instead of run."""
+    """The builders' least squares fits, batched or single, counted instead of run."""
     calls = []
-    monkeypatch.setattr(splitcast.ensembles, "ols_fit", lambda X, y: calls.append(X.shape))
+    monkeypatch.setattr(splitcast.ensembles, "ols_fits", lambda X, y, masks: calls.append(X.shape))
+    monkeypatch.setattr(splitcast.models, "ols_fit", lambda X, y: calls.append(X.shape))
     return calls
 
 

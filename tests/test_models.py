@@ -1,13 +1,15 @@
-"""OLS fitting against a normal equations oracle."""
+"""OLS fitting against a normal equations oracle, batched fits against lstsq."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import splitcast.models
 from splitcast.errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
 from splitcast.backtest import _process_day
 from splitcast.config import ExperimentConfig
 from splitcast.features import ModelSpec, design_rows, targets
-from splitcast.models import check_design, expert_design, ols_fit
+from splitcast.models import check_design, expert_design, ols_fit, ols_fits
 
 
 def _well_conditioned(rng, n=60, p=5):
@@ -70,6 +72,86 @@ def test_singular_design_takes_minimum_norm(rng):
     assert abs(beta[3]) <= 1e-12
     keep = [0, 1, 2, 4]
     np.testing.assert_allclose(beta[keep], ols_fit(X[:, keep], y), rtol=1e-10, atol=1e-12)
+
+
+def _weekday_design(rng, n, extra, repeats):
+    """7 weekday dummies (no intercept, as in the price models) and ``extra``
+    normal columns; the first ``repeats`` rows reappear at the end."""
+    dow = np.arange(n) % 7
+    scales = 10.0 ** rng.integers(-2, 3, size=extra)
+    X = np.column_stack([(dow == d).astype(np.float64) for d in range(7)]
+                        + [rng.standard_normal(n) * s for s in scales])
+    X[n - repeats:] = X[:repeats]
+    y = X @ rng.standard_normal(X.shape[1]) + rng.standard_normal(n)
+    return X, y, X[:, :7].argmax(axis=1)
+
+
+def _random_masks(rng, dow, count, size, dead_weekday):
+    """``count`` 0/1 rows with ``size`` ones each, drawn off one weekday if given."""
+    pool = np.flatnonzero(dow != dead_weekday) if dead_weekday is not None else np.arange(dow.size)
+    masks = np.zeros((count, dow.size), dtype=bool)
+    for m in masks:
+        m[rng.choice(pool, size=size, replace=False)] = True
+    return masks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 90),
+       st.sampled_from([None, 0, 3, 6]), st.integers(0, 10))
+def test_ols_fits_match_lstsq_per_mask(seed, extra, count, dead_weekday, repeats):
+    """Every batched fit equals lstsq on its rows; a weekday missing from a
+    fit's rows leaves a dead dummy whose coefficient is exactly 0."""
+    rng = np.random.default_rng(seed)
+    n = 80
+    X, y, dow = _weekday_design(rng, n, extra, repeats)
+    size = 2 * X.shape[1] + int(rng.integers(0, 20))
+    masks = _random_masks(rng, dow, count, size, dead_weekday)
+    coef, fallbacks = ols_fits(X, y, masks)
+    assert coef.shape == (count, X.shape[1])
+    assert fallbacks == 0
+    for m, c in zip(masks, coef):
+        oracle = np.linalg.lstsq(X[m], y[m], rcond=None)[0]
+        np.testing.assert_allclose(c, oracle, rtol=1e-9, atol=1e-9 * np.abs(oracle).max())
+        dead = ~X[m].any(axis=0)
+        assert dead_weekday is None or dead[dead_weekday]
+        assert np.all(c[dead] == 0.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(1e-12, 1e-5))
+def test_near_collinear_fits_take_ols_fit(seed, count, eps):
+    """A column that nearly copies another trips the guard: each fit is then
+    ols_fit on its rows, bit for bit, and counted as a fallback."""
+    rng = np.random.default_rng(seed)
+    X, y, dow = _weekday_design(rng, 80, 3, 0)
+    X[:, 8] = X[:, 7] * (1.0 + eps * rng.standard_normal(80))
+    masks = _random_masks(rng, dow, count, 40, None)
+    coef, fallbacks = ols_fits(X, y, masks)
+    assert fallbacks == count
+    for m, c in zip(masks, coef):
+        np.testing.assert_array_equal(c, ols_fit(X[m], y[m]))
+
+
+def test_ols_fits_blocks_and_mixed_guard(rng, monkeypatch):
+    """Fits spread over several blocks, one of them singular, come back in
+    mask order; only the singular one is refitted by ols_fit."""
+    monkeypatch.setattr(splitcast.models, "_FIT_CELLS", 3 * (60 + 25))  # 3 fits per block
+    X = _well_conditioned(rng)
+    y = rng.standard_normal(60)
+    masks = np.zeros((8, 60), dtype=bool)
+    for j, m in enumerate(masks):
+        m[4 * j:4 * j + 30] = True
+    X[40:, 4] = X[40:, 3]  # columns 3 and 4 agree on rows 40..59, which the last masks partly cover
+    coef, fallbacks = ols_fits(X, y, masks)
+    assert fallbacks == 0
+    masks[7] = False
+    masks[7, 40:] = True  # columns 3 and 4 equal on every row: singular
+    coef, fallbacks = ols_fits(X, y, masks)
+    assert fallbacks == 1
+    np.testing.assert_array_equal(coef[7], ols_fit(X[40:], y[40:]))
+    for m, c in zip(masks[:7], coef[:7]):
+        np.testing.assert_allclose(c, np.linalg.lstsq(X[m], y[m], rcond=None)[0],
+                                   rtol=1e-9, atol=1e-12)
 
 
 def test_expert_design_validates_the_sample_only(data_small):
