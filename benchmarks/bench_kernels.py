@@ -14,15 +14,20 @@ window with the 21 price regressors.  The historical simulation set is the
 184 least squares fits of one (variable, hour) on a default day: 183 inner
 windows of 182 days and the final window, in a 365 day sample with 21
 regressors, fitted one by one with ``ols_fit`` and batched with
-``ols_fits``.
+``ols_fits``.  The panel load reads a 381 day synthetic panel CSV, written
+by ``write_panel`` with its RES columns, and builds its ``MarketData``.
 """
 
+import os
+import tempfile
 import time
 
 import numpy as np
 
 from splitcast import _kernels as K
+from splitcast.features import MarketData
 from splitcast.models import ols_fit, ols_fits
+from splitcast.panel import SyntheticConfig, generate_synthetic_panel, load_panel, write_panel
 from splitcast.quantreg import qr_fit_fan
 
 
@@ -70,6 +75,12 @@ def main():
     _report("hist ols_fit", "184 windows, n=365, p=21",
             lambda: [ols_fit(X[j:j + inner], y[j:j + inner]) for j in range(starts.size)])
     _report("hist ols_fits", "184 windows, n=365, p=21", lambda: ols_fits(X, y, windows))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        write_panel(generate_synthetic_panel(SyntheticConfig(days=381), seed=1), path)
+        _report("load_panel", "381 days, + from_panel",
+                lambda: MarketData.from_panel(load_panel(path)), repeats=5)
 
 
 if __name__ == "__main__":

@@ -144,6 +144,9 @@ def _process_day(data, cfg, day_idx, keep_ensembles=False):
                 data, cfg.variables, window, day_idx, hours,
                 cfg.n_splits, cfg.split_ratio, rngs, mode="uncorr")
 
+    # the fan, then each interval level's (lo, 1 - lo), from one sort per member column
+    tails = [(1.0 - level) / 2.0 for level in cfg.interval_levels]
+    taus = np.concatenate([TAU_GRID, *([lo, 1.0 - lo] for lo in tails)])
     for mi, (method, by_hour) in enumerate(sorted(ens_by_method.items())):
         mv_idx = [cfg.variables.index(v) for v in cfg.mv_variables]
         mv_rng = _stream(cfg.master_seed, _STREAM_MV_RANK, day_idx, mi) if mv_idx else None
@@ -156,13 +159,12 @@ def _process_day(data, cfg, day_idx, keep_ensembles=False):
             singles = {v: ens.column(v) for v in cfg.variables}
             for name in cfg.derived:
                 singles[name] = derived_ensemble(ens, name).members[:, 0]
-            for v, members in singles.items():
-                fans[v][h - 1] = interpolated_quantiles(members, TAU_GRID)
+            quantiles = interpolated_quantiles(np.stack(list(singles.values())), taus)
+            for (v, members), qs in zip(singles.items(), quantiles):
+                fans[v][h - 1] = qs[:99]
                 uranks[v][h - 1] = univariate_rank(members, out["realized"][v][h - 1])
-                for level in cfg.interval_levels:
-                    lo = (1.0 - level) / 2.0
-                    qs = interpolated_quantiles(members, np.array([lo, 1.0 - lo]))
-                    bounds[(v, level)][:, h - 1] = qs
+                for k, level in enumerate(cfg.interval_levels):
+                    bounds[(v, level)][:, h - 1] = qs[99 + 2 * k:101 + 2 * k]
             if mv_idx:
                 y0 = np.array([out["realized"][v][h - 1] for v in cfg.mv_variables])
                 mvranks[h - 1] = multivariate_rank(ens.members[:, mv_idx], y0, mv_rng)

@@ -435,8 +435,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SplitcastError, OSError, UnicodeDecodeError) as exc:
-        # bad options, missing or unreadable files: one line, no traceback
+    except (SplitcastError, OSError, UnicodeDecodeError, csv.Error) as exc:
+        # bad options, missing, unreadable or malformed files: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

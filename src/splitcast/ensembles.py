@@ -229,35 +229,27 @@ def derived_ensemble(ens, name):
 
 
 def interpolated_quantile(values, tau):
-    """Empirical quantile by linear interpolation of the order statistics.
-
-    Position 1 + (n - 1) tau in 1 based indexing; tau may be 0 or 1, which
-    yield the extremes.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau {tau} outside [0, 1]")
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    n = v.size
-    if n < 2:
-        raise EmptyEnsembleError("need at least two values to interpolate")
-    pos = (n - 1) * tau
-    i = int(pos)
-    if i >= n - 1:
-        return float(v[n - 1])
-    frac = pos - i
-    return float(v[i] + frac * (v[i + 1] - v[i]))
+    """:func:`interpolated_quantiles` of one sample at one tau, as a float."""
+    return float(interpolated_quantiles(values, tau))
 
 
 def interpolated_quantiles(values, taus):
-    """Vector version of :func:`interpolated_quantile`, one sort for all taus."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    n = v.size
+    """Empirical quantiles by linear interpolation of the order statistics.
+
+    Each row along the last axis of ``values`` is one sample; the result has
+    the sample's leading axes followed by the axes of ``taus``.  Position
+    1 + (n - 1) tau in 1 based indexing; tau = 0 and tau = 1 yield the
+    extremes exactly.
+    """
+    v = np.sort(np.asarray(values, dtype=np.float64), axis=-1)
+    n = v.shape[-1]
     if n < 2:
         raise EmptyEnsembleError("need at least two values to interpolate")
     taus = np.asarray(taus, dtype=np.float64)
-    if np.any(taus < 0.0) or np.any(taus > 1.0):
-        raise ValueError("taus outside [0, 1]")
+    if not np.all((taus >= 0.0) & (taus <= 1.0)):
+        raise ValueError(f"tau {taus} outside [0, 1]")
     pos = (n - 1) * taus
-    i = np.minimum(pos.astype(np.intp), n - 2)
+    i = pos.astype(np.intp)  # pos <= n - 1, so i indexes the sample
     frac = pos - i
-    return v[i] + frac * (v[i + 1] - v[i])
+    lo, hi = v[..., i], v[..., np.minimum(i + 1, n - 1)]
+    return lo + frac * (hi - lo)

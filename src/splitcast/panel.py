@@ -22,7 +22,9 @@ may be negative; load and generation may not.
 
 import csv
 import datetime as dt
+import functools
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +40,8 @@ from .errors import (
 )
 
 HOURLY_SERIES = ("DA", "ID", "L", "W", "S", "RES", "FL", "FW", "FS", "FRES")
+# the hourly series a panel file carries; RES and FRES are computed from them
+READ_SERIES = ("DA", "ID", "L", "W", "S", "FL", "FW", "FS")
 DAILY_SERIES = ("C", "G")
 GENERATION_SERIES = ("L", "W", "S", "RES", "FL", "FW", "FS", "FRES")
 COMPOSITE_TOL = 1e-9
@@ -171,14 +175,13 @@ def _parse_hour(text):
         value = float(text)
     except ValueError as exc:
         raise UnparseableTimestampError(f"bad hour {text!r}") from exc
-    hour = int(value)
-    if hour != value or not 1 <= hour <= 24:
+    if not (value.is_integer() and 1 <= value <= 24):
         raise NonHourlyResolutionError(f"hour {text!r} not an integer in 1..24")
-    return hour
+    return int(value)
 
 
 def _parse_value(text, where):
-    text = (text or "").strip()
+    text = text.strip()
     if not text:
         return math.nan
     try:
@@ -192,10 +195,11 @@ def load_panel(path, schema=None):
 
     ``schema`` optionally remaps canonical field names (``date``, ``hour``,
     ``DA``, ``ID``, ``L``, ``W``, ``S``, ``FL``, ``FW``, ``FS``, ``C``,
-    ``G``) to the column names used in the file.  Missing rows become
-    flagged missing cells, a doubled (date, hour) row becomes a flagged
-    duplicate; both are resolved by :func:`dst_normalize`.  Fuel gaps
-    (blank ``C``/``G``) are forward filled from the last quoted day.
+    ``G``, ``RES``, ``FRES``) to the column names used in the file.  Fields
+    absent from a short row read as blank.  Missing rows become flagged
+    missing cells, a doubled (date, hour) row becomes a flagged duplicate
+    holding the second reading; both are resolved by :func:`dst_normalize`.
+    Fuel gaps (blank ``C``/``G``) are forward filled from the last quoted day.
     """
     colmap = dict(DEFAULT_SCHEMA)
     if schema:
@@ -205,71 +209,56 @@ def load_panel(path, schema=None):
         colmap.update(schema)
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for fieldname, col in colmap.items():
             if col not in header:
                 raise MissingColumnError(f"column {col!r} (field {fieldname}) not in {path}")
-        has_res = OPTIONAL_SCHEMA["RES"] in header
-        has_fres = OPTIONAL_SCHEMA["FRES"] in header
-
-        cells = {}
-        dup_values = {}
-        fuel_by_day = {}
-        res_given = {}
+        colmap = {**OPTIONAL_SCHEMA, **colmap}
+        index = {col: i for i, col in enumerate(header)}  # a repeated name reads its last column
+        given = [name for name in OPTIONAL_SCHEMA if colmap[name] in index]
+        names = (*READ_SERIES, *DAILY_SERIES, *given)
+        cols = [index[colmap[name]] for name in names]
+        idate, ihour = index[colmap["date"]], index[colmap["hour"]]
+        # a row's key is date ordinal * 24 + hour - 1; each distinct text is parsed once
+        day_key = functools.cache(lambda text: _parse_date(text).toordinal() * 24)
+        hour_key = functools.cache(lambda text: _parse_hour(text) - 1)
+        keys, readings = array("q"), array("d")
         for row in reader:
-            date = _parse_date(row[colmap["date"]])
-            hour = _parse_hour(row[colmap["hour"]])
-            key = (date, hour)
-            values = {
-                name: _parse_value(row[colmap[name]], f"{name}@{date} h{hour}")
-                for name in ("DA", "ID", "L", "W", "S", "FL", "FW", "FS")
-            }
-            if key not in cells:
-                cells[key] = values
-            elif key not in dup_values:
-                dup_values[key] = values
-            else:
-                raise NonHourlyResolutionError(f"cell {date} h{hour} appears more than twice")
-            if has_res:
-                res_given.setdefault(key, _parse_value(row[OPTIONAL_SCHEMA["RES"]], f"res@{key}"))
-            if has_fres:
-                res_given.setdefault((key, "F"),
-                                     _parse_value(row[OPTIONAL_SCHEMA["FRES"]], f"res_fc@{key}"))
-            for name in DAILY_SERIES:
-                value = _parse_value(row[colmap[name]], f"{name}@{date}")
-                if not math.isnan(value):
-                    prev = fuel_by_day.setdefault((date, name), value)
-                    if abs(prev - value) > 0:
-                        raise PanelIntegrityError(f"{name} not constant within {date}")
-
-    if not cells:
+            if not row:
+                continue  # a blank line
+            row += [""] * (len(header) - len(row))
+            keys.append(day_key(row[idate]) + hour_key(row[ihour]))
+            try:
+                readings.extend([float(row[i]) for i in cols])
+            except ValueError:  # a blank reading, or a bad one
+                where = f"{_parse_date(row[idate])} h{_parse_hour(row[ihour])}"
+                readings.extend([_parse_value(row[i], f"{name}@{where}")
+                                 for name, i in zip(names, cols)])
+    if not keys:
         raise PanelIntegrityError(f"{path}: no data rows")
 
-    dates = sorted({d for d, _ in cells})
-    first, last = dates[0], dates[-1]
-    n = (last - first).days + 1
-    all_dates = tuple(first + dt.timedelta(days=i) for i in range(n))
-    if len(dates) != n:
-        missing_days = sorted(set(all_dates) - set(dates))
-        raise PanelIntegrityError(f"whole days absent from file: {missing_days[:3]} ...")
+    keys = np.frombuffer(keys, dtype=np.int64)
+    values = np.frombuffer(readings).reshape(keys.size, len(names))
+    start = int(keys.min()) // 24
+    cells = keys - 24 * start  # day index * 24 + hour index
+    n = int(cells.max()) // 24 + 1
+    absent = np.flatnonzero(np.bincount(cells // 24) == 0)
+    if absent.size:
+        days = [dt.date.fromordinal(start + int(i)) for i in absent[:3]]
+        raise PanelIntegrityError(f"whole days absent from file: {days} ...")
+    dates = tuple(dt.date.fromordinal(start + i) for i in range(n))
+    count = np.bincount(cells)
+    if count.max() > 2:
+        day, hour = divmod(int(np.argmax(count > 2)), 24)
+        raise NonHourlyResolutionError(f"cell {dates[day]} h{hour + 1} appears more than twice")
 
-    hourly = {name: np.full((n, 24), np.nan) for name in ("DA", "ID", "L", "W", "S", "FL", "FW", "FS")}
-    missing = set()
-    duplicates = {}
-    for di, date in enumerate(all_dates):
-        for hour in range(1, 25):
-            key = (date, hour)
-            if key not in cells:
-                missing.add((di, hour - 1))
-                continue
-            values = cells[key]
-            for name, value in values.items():
-                hourly[name][di, hour - 1] = value
-                if math.isnan(value):
-                    missing.add((di, hour - 1))
-            if key in dup_values:
-                duplicates[(di, hour - 1)] = dict(dup_values[key])
+    # the first reading of each cell fills the grid; any later row is its duplicate
+    filled, first = np.unique(cells, return_index=True)
+    grid = np.full((len(names), 24 * n), np.nan)
+    grid[:, filled] = values[first].T
+    hourly = dict(zip(READ_SERIES, grid[:len(READ_SERIES)].reshape(-1, n, 24)))
+    missing = np.flatnonzero(np.isnan(grid[:len(READ_SERIES)]).any(axis=0))
 
     for name in ("L", "W", "S", "FL", "FW", "FS"):
         arr = hourly[name]
@@ -278,37 +267,43 @@ def load_panel(path, schema=None):
 
     hourly["RES"] = hourly["W"] + hourly["S"]
     hourly["FRES"] = hourly["FW"] + hourly["FS"]
-    for (di, hi), extra in duplicates.items():
+    if given:
+        stated = grid[-len(given):]
+        computed = np.stack([hourly[name].ravel() for name in given])
+        bad = np.isfinite(stated) & np.isfinite(computed)
+        bad[bad] = np.abs(stated[bad] - computed[bad]) > COMPOSITE_TOL
+        if bad.any():
+            cell, j = divmod(int(np.argmax(bad.T)), len(given))
+            raise PanelIntegrityError(
+                f"{given[j]} at {dates[cell // 24]} h{cell % 24 + 1} is not wind + solar")
+
+    duplicates = {}
+    later = np.ones(cells.size, dtype=bool)
+    later[first] = False
+    for cell, row in zip(cells[later].tolist(), values[later, :len(READ_SERIES)].tolist()):
+        extra = dict(zip(READ_SERIES, row))
         extra["RES"] = extra["W"] + extra["S"]
         extra["FRES"] = extra["FW"] + extra["FS"]
-    if has_res or has_fres:
-        for di, date in enumerate(all_dates):
-            for hour in range(1, 25):
-                for tag, key2, name in ((None, (date, hour), "RES"),
-                                        ("F", ((date, hour), "F"), "FRES")):
-                    given = res_given.get(key2, math.nan)
-                    computed = hourly[name][di, hour - 1]
-                    if math.isfinite(given) and math.isfinite(computed) \
-                            and abs(given - computed) > COMPOSITE_TOL:
-                        raise PanelIntegrityError(
-                            f"{name} at {date} h{hour} is not wind + solar")
+        duplicates[divmod(cell, 24)] = extra
 
     daily = {}
-    for name in DAILY_SERIES:
+    for j, name in enumerate(DAILY_SERIES, start=len(READ_SERIES)):
+        quoted = ~np.isnan(values[:, j])
+        quote, quote_day = values[quoted, j], cells[quoted] // 24
+        days, first_quote = np.unique(quote_day, return_index=True)
         col = np.full(n, np.nan)
-        for di, date in enumerate(all_dates):
-            if (date, name) in fuel_by_day:
-                col[di] = fuel_by_day[(date, name)]
+        col[days] = quote[first_quote]
+        changed = np.flatnonzero(quote != col[quote_day])
+        if changed.size:
+            raise PanelIntegrityError(f"{name} not constant within {dates[quote_day[changed[0]]]}")
+        if math.isnan(col[0]):
+            raise GapAtBoundaryError(f"{name} missing on first panel day")
         # weekend and holiday gaps carry the last quoted closing price
-        for di in range(n):
-            if math.isnan(col[di]):
-                if di == 0:
-                    raise GapAtBoundaryError(f"{name} missing on first panel day")
-                col[di] = col[di - 1]
-        daily[name] = col
+        daily[name] = col[np.maximum.accumulate(np.where(np.isnan(col), 0, np.arange(n)))]
 
-    return MarketPanel(dates=all_dates, hourly=hourly, daily=daily,
-                       missing_cells=frozenset(missing), duplicate_cells=duplicates)
+    return MarketPanel(dates=dates, hourly=hourly, daily=daily,
+                       missing_cells=frozenset(divmod(c, 24) for c in missing.tolist()),
+                       duplicate_cells=duplicates)
 
 
 def write_panel(panel, path, schema=None):
@@ -318,30 +313,25 @@ def write_panel(panel, path, schema=None):
     with blank values.  Floats are written with shortest round trip
     precision.
     """
-    colmap = dict(DEFAULT_SCHEMA)
-    if schema:
-        colmap.update(schema)
+    colmap = {**DEFAULT_SCHEMA, **OPTIONAL_SCHEMA, **(schema or {})}
 
     def fmt(value):
         return "" if math.isnan(value) else repr(float(value))
 
-    fields = ["date", "hour", "DA", "ID", "L", "W", "S", "FL", "FW", "FS", "C", "G"]
-    header = [colmap[f] for f in fields] + [OPTIONAL_SCHEMA["RES"], OPTIONAL_SCHEMA["FRES"]]
+    header = [colmap[f] for f in ("date", "hour", *READ_SERIES, *DAILY_SERIES, "RES", "FRES")]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for di, date in enumerate(panel.dates):
             for hi in range(24):
                 base = [date.isoformat(), str(hi + 1)]
-                row = base + [fmt(panel.hourly[name][di, hi]) for name in
-                              ("DA", "ID", "L", "W", "S", "FL", "FW", "FS")]
+                row = base + [fmt(panel.hourly[name][di, hi]) for name in READ_SERIES]
                 row += [fmt(panel.daily["C"][di]), fmt(panel.daily["G"][di])]
                 row += [fmt(panel.hourly["RES"][di, hi]), fmt(panel.hourly["FRES"][di, hi])]
                 writer.writerow(row)
                 if (di, hi) in panel.duplicate_cells:
                     extra = panel.duplicate_cells[(di, hi)]
-                    row2 = base + [fmt(extra[name]) for name in
-                                   ("DA", "ID", "L", "W", "S", "FL", "FW", "FS")]
+                    row2 = base + [fmt(extra[name]) for name in READ_SERIES]
                     row2 += [fmt(panel.daily["C"][di]), fmt(panel.daily["G"][di])]
                     row2 += [fmt(extra["RES"]), fmt(extra["FRES"])]
                     writer.writerow(row2)
@@ -362,7 +352,7 @@ def dst_normalize(panel):
     if panel.is_normalized:
         return panel
 
-    hourly = {name: panel.hourly[name].copy() for name in ("DA", "ID", "L", "W", "S", "FL", "FW", "FS")}
+    hourly = {name: panel.hourly[name].copy() for name in READ_SERIES}
     for (di, hi), extra in panel.duplicate_cells.items():
         for name in hourly:
             first = hourly[name][di, hi]
@@ -435,7 +425,7 @@ def validate_panel(panel):
         if not np.all(np.isfinite(panel.daily[name])):
             problems.append(f"non finite fuel series {name}")
     flagged = panel.missing_cells
-    for name in ("DA", "ID", "L", "W", "S", "FL", "FW", "FS"):
+    for name in READ_SERIES:
         nan_cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(np.isnan(panel.hourly[name])))}
         stray = nan_cells - set(flagged)
         if stray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyEnsembleError, MisalignedError, NoTradesError
-from .ensembles import interpolated_quantile
+from .ensembles import interpolated_quantile, interpolated_quantiles
 
 C_OM_DEFAULT = 10.0
 Q_GRID_DEFAULT = np.round(np.arange(101) / 100.0, 2)
@@ -74,20 +74,6 @@ class TradeDecision:
     degenerate_sr: bool = False
 
 
-def _row_quantiles(pools, tau):
-    """Interpolated quantile of every row, same arithmetic as the scalar."""
-    srt = np.sort(pools, axis=1)
-    n = srt.shape[1]
-    if n < 2:
-        raise EmptyEnsembleError("need at least two members per pool")
-    pos = (n - 1) * tau
-    i = int(pos)
-    if i >= n - 1:
-        return srt[:, -1].copy()
-    frac = pos - i
-    return srt[:, i] + frac * (srt[:, i + 1] - srt[:, i])
-
-
 def choose_q(strategy, pools, q_grid=Q_GRID_DEFAULT, var_level=0.05):
     """Pick the bid fraction maximizing the strategy criterion.
 
@@ -102,16 +88,16 @@ def choose_q(strategy, pools, q_grid=Q_GRID_DEFAULT, var_level=0.05):
             f"pool matrix {pools.shape} does not match {q_grid.size} candidate bids")
     degenerate = False
     if strategy == "epi":
-        crit = _row_quantiles(pools, 0.5)
+        crit = interpolated_quantiles(pools, 0.5)
     elif strategy == "var":
-        crit = _row_quantiles(pools, var_level)
+        crit = interpolated_quantiles(pools, var_level)
     elif strategy == "sr":
         if pools.shape[1] < 2:
             raise EmptyEnsembleError("sr needs at least two members")
         stds = pools.std(axis=1, ddof=1)
         if np.all(stds == 0.0):
             degenerate = True
-            crit = _row_quantiles(pools, 0.5)
+            crit = interpolated_quantiles(pools, 0.5)
         else:
             means = pools.mean(axis=1)
             crit = np.where(stds > 0.0, means / np.where(stds > 0.0, stds, 1.0), -np.inf)

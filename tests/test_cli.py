@@ -246,6 +246,30 @@ def test_unreadable_files_exit_2_on_one_line(fan_dir, panel_csv, tmp_path, capsy
     assert "--levels" in _one_line_error(capsys)
 
 
+def test_malformed_rows_exit_2_on_one_line(fan_dir, panel_csv, tmp_path, capsys):
+    lines = panel_csv.read_text().splitlines()
+    huge = "1" * 200_000  # over the csv module's field size limit
+    date = lines[1].split(",")[0]
+    for name, body, why in (("short.csv", [date], "bad hour ''"),
+                            ("huge.csv", [lines[1].replace(",", f",{huge},", 1)], "field larger")):
+        bad = tmp_path / name
+        bad.write_text("\n".join([lines[0], *body, *lines[2:]]) + "\n")
+        assert main(["validate", str(bad)]) == 2
+        assert why in _one_line_error(capsys)
+
+    fans = (fan_dir / "fans.csv").read_text().splitlines()
+    bad = tmp_path / "huge_fans.csv"
+    bad.write_text("\n".join([fans[0], fans[1].replace(",", f",{huge},", 1)]) + "\n")
+    assert main(["evaluate", "--fans", str(bad), "--input", str(panel_csv),
+                 "--out", str(tmp_path / "scores")]) == 2
+    assert "field larger" in _one_line_error(capsys)
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "strategy.csv").write_text(f"strategy,tau\nepi,{huge}\n")
+    assert main(["report", "--backtest-dir", str(bundle)]) == 2
+    assert "field larger" in _one_line_error(capsys)
+
+
 def test_evaluate_scores_stored_fans(fan_dir, panel_csv, tmp_path, capsys):
     out = tmp_path / "scores"
     code = main(["evaluate", "--fans", str(fan_dir / "fans.csv"),

@@ -291,6 +291,23 @@ def test_quantile_validation():
         interpolated_quantile(np.array([1.0]), 0.5)
     with pytest.raises(ValueError):
         interpolated_quantiles(np.arange(5.0), np.array([-0.1]))
+    with pytest.raises(ValueError):
+        interpolated_quantiles(np.arange(5.0), np.array([0.5, np.nan]))
+
+
+def test_quantiles_at_tau_one_and_along_rows():
+    """tau = 1 is the sample maximum exactly, and a 2-D input interpolates
+    every row as its own sample with the 1-D arithmetic."""
+    # in small samples of mixed sign, v[n-2] + (v[n-1] - v[n-2]) often misses v[n-1]
+    draws = np.random.default_rng(11).normal(0.0, 50.0, size=(500, 3))
+    tops = [interpolated_quantiles(row, np.array([0.0, 1.0])) for row in draws]
+    np.testing.assert_array_equal(tops, np.column_stack([draws.min(axis=1), draws.max(axis=1)]))
+    assert [interpolated_quantile(row, 1.0) for row in draws] == list(draws.max(axis=1))
+    taus = np.linspace(0.0, 1.0, 21)
+    np.testing.assert_array_equal(interpolated_quantiles(draws, taus),
+                                  [interpolated_quantiles(row, taus) for row in draws])
+    np.testing.assert_array_equal(interpolated_quantiles(draws, 0.05),
+                                  [interpolated_quantile(row, 0.05) for row in draws])
 
 
 # --------------------------------------------------------------------------

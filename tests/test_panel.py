@@ -4,6 +4,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitcast.errors import (
     GapAtBoundaryError,
@@ -17,6 +18,7 @@ from splitcast.errors import (
 from splitcast.panel import (
     FORECAST_TIME_HOUR,
     HOURLY_SERIES,
+    READ_SERIES,
     SyntheticConfig,
     build_info_set,
     derive_series,
@@ -58,6 +60,11 @@ def test_write_load_round_trip(tmp_path, panel_small):
         np.testing.assert_array_equal(back.hourly[name], panel_small.hourly[name])
     for name in ("C", "G"):
         np.testing.assert_array_equal(back.daily[name], panel_small.daily[name])
+    schema = {"DA": "price", "RES": "renewables"}
+    write_panel(panel_small, path, schema)
+    assert path.read_text().startswith("date,hour,price,")
+    back = load_panel(path, schema)
+    np.testing.assert_array_equal(back.hourly["DA"], panel_small.hourly["DA"])
 
 
 def test_load_with_schema_remap(tmp_path):
@@ -77,10 +84,11 @@ def test_bad_date_and_hour(tmp_path):
                      mutate=lambda ls: ls[:1] + ["yesterday" + ls[1][10:]] + ls[2:])
     with pytest.raises(UnparseableTimestampError):
         load_panel(path)
-    path = _tiny_csv(tmp_path / "t2.csv",
-                     mutate=lambda ls: ls[:1] + [ls[1].replace(",1,", ",25,", 1)] + ls[2:])
-    with pytest.raises(NonHourlyResolutionError):
-        load_panel(path)
+    for hour in ("25", "1.5", "nan", "inf"):
+        path = _tiny_csv(tmp_path / "t2.csv",
+                         mutate=lambda ls: ls[:1] + [ls[1].replace(",1,", f",{hour},", 1)] + ls[2:])
+        with pytest.raises(NonHourlyResolutionError):
+            load_panel(path)
 
 
 def test_duplicate_cell_averages(tmp_path):
@@ -166,6 +174,11 @@ def test_res_column_checked_against_parts(tmp_path, panel_small):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(PanelIntegrityError, match="wind \\+ solar"):
         load_panel(path)
+    # a remapped RES column is the one checked
+    text[0] = text[0].replace(",res,", ",renewables,")
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(PanelIntegrityError, match="RES at .* h1 is not wind \\+ solar"):
+        load_panel(path, {"RES": "renewables"})
 
 
 def test_fuel_gap_forward_filled(tmp_path):
@@ -208,6 +221,109 @@ def test_fuel_not_constant_within_day(tmp_path):
 
     with pytest.raises(PanelIntegrityError, match="not constant"):
         load_panel(_tiny_csv(tmp_path / "t.csv", mutate=twist))
+
+
+def _with_field(line, i, text):
+    parts = line.split(",")
+    parts[i] = text
+    return ",".join(parts)
+
+
+def test_short_rows_read_blank(tmp_path):
+    """Fields absent from a short row read as blank: an absent hour or date
+    is an unparseable timestamp, absent readings make a missing cell."""
+    with pytest.raises(UnparseableTimestampError, match="bad hour ''"):
+        load_panel(_tiny_csv(tmp_path / "t.csv",
+                             mutate=lambda ls: ls[:1] + ["2021-03-01"] + ls[2:]))
+
+    def date_last_and_cut(lines):
+        moved = [",".join(line.split(",")[1:] + line.split(",")[:1]) for line in lines]
+        return moved[:5] + [moved[5].rsplit(",", 1)[0]] + moved[6:]
+
+    with pytest.raises(UnparseableTimestampError, match="bad date ''"):
+        load_panel(_tiny_csv(tmp_path / "t2.csv", mutate=date_last_and_cut))
+
+    lines = _tiny_csv(tmp_path / "t3.csv").read_text().splitlines()
+    cut = ",".join(lines[30].split(",")[:3])  # day 2, 06:00, up to its DA reading
+    path = _tiny_csv(tmp_path / "t3.csv", mutate=lambda ls: ls[:30] + [cut] + ls[31:])
+    panel = load_panel(path)
+    assert panel.missing_cells == {(1, 5)}
+    assert panel.hourly["DA"][1, 5] == float(cut.split(",")[2])
+    assert np.isnan(panel.hourly["ID"][1, 5])
+    assert panel.daily["C"][1] == 70.0
+
+
+def test_bad_reading_names_its_cell(tmp_path):
+    for col, where in ((2, "DA@2021-03-01 h1"), (11, "G@2021-03-01 h1")):
+        path = _tiny_csv(tmp_path / "t.csv",
+                         mutate=lambda ls: ls[:1] + [_with_field(ls[1], col, "x1")] + ls[2:])
+        with pytest.raises(PanelIntegrityError, match=f"'x1' for {where}$"):
+            load_panel(path)
+
+
+@pytest.fixture(scope="module")
+def panel_file(tmp_path_factory):
+    panel = generate_synthetic_panel(SyntheticConfig(days=15), seed=4)
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
+    write_panel(panel, path)
+    return panel, path.read_text().splitlines()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_loader_places_mutated_rows(panel_file, tmp_path_factory, data):
+    """Drop rows, double rows with one changed reading, blank one reading and
+    blank one day's fuel in a written panel: every untouched cell reads as the
+    source, the flagged cells are exactly the mutated ones, a duplicate holds
+    the second reading, and the blank fuel day carries the previous quote."""
+    source, lines = panel_file
+    n_cells = 24 * source.n_days
+    mutations = data.draw(st.lists(
+        st.tuples(st.integers(0, n_cells - 1), st.sampled_from(["drop", "double", "blank"]),
+                  st.sampled_from(READ_SERIES), st.floats(0.0, 100.0)),
+        max_size=8, unique_by=lambda m: m[0]))
+    fuel_day = data.draw(st.integers(1, source.n_days - 1) | st.none())
+    by_cell = {cell: (kind, name, value) for cell, kind, name, value in mutations}
+
+    rows = [lines[0]]
+    for cell, line in enumerate(lines[1:n_cells + 1]):
+        if cell // 24 == fuel_day:
+            line = _with_field(_with_field(line, 10, ""), 11, "")
+        kind, name, value = by_cell.get(cell, (None, None, None))
+        col = 2 + READ_SERIES.index(name) if name else None
+        if kind == "drop":
+            continue
+        rows.append(_with_field(line, col, "") if kind == "blank" else line)
+        if kind == "double":
+            rows.append(_with_field(line, col, repr(value)))
+    path = tmp_path_factory.mktemp("mutated") / "panel.csv"
+    path.write_text("\n".join(rows) + "\n")
+    panel = load_panel(path)
+
+    assert panel.dates == source.dates
+    assert panel.missing_cells == {divmod(c, 24) for c, (k, _, _) in by_cell.items()
+                                   if k in ("drop", "blank")}
+    doubled = {c: m for c, m in by_cell.items() if m[0] == "double"}
+    assert set(panel.duplicate_cells) == {divmod(c, 24) for c in doubled}
+    for cell, (_, name, value) in doubled.items():
+        second = {s: source.hourly[s].flat[cell] for s in READ_SERIES}
+        second[name] = value
+        second["RES"] = second["W"] + second["S"]
+        second["FRES"] = second["FW"] + second["FS"]
+        assert panel.duplicate_cells[divmod(cell, 24)] == second
+    for s in READ_SERIES:
+        want = source.hourly[s].ravel().copy()
+        for cell, (kind, name, _) in by_cell.items():
+            if kind == "drop" or (kind == "blank" and name == s):
+                want[cell] = np.nan
+        np.testing.assert_array_equal(panel.hourly[s].ravel(), want)
+    np.testing.assert_array_equal(panel.hourly["RES"], panel.hourly["W"] + panel.hourly["S"])
+    np.testing.assert_array_equal(panel.hourly["FRES"], panel.hourly["FW"] + panel.hourly["FS"])
+    for name in ("C", "G"):
+        want = source.daily[name].copy()
+        if fuel_day is not None:
+            want[fuel_day] = want[fuel_day - 1]
+        np.testing.assert_array_equal(panel.daily[name], want)
 
 
 def test_validate_panel_clean(panel_small):
