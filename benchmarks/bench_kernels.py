@@ -1,4 +1,4 @@
-"""Best-of-N timings of the numpy kernels and of one quantile regression fan.
+"""Best-of-N timings of the numpy kernels and of quantile regression fans.
 
 Run from the repository root::
 
@@ -10,12 +10,14 @@ observation of 4 variables at 1,261 points (the 1,260 member pool of the
 20 splits x 183 days).  The pinball batch scores two years of hourly fans,
 the profit pools price 3,660 members on the 101 point bid grid, and the fan
 is the 99 tau quantile regression of one (variable, hour) on a 365 day
-window with the 21 price regressors.  The historical simulation set is the
-184 least squares fits of one (variable, hour) on a default day: 183 inner
-windows of 182 days and the final window, in a 365 day sample with 21
-regressors, fitted one by one with ``ols_fit`` and batched with
-``ols_fits``.  The panel load reads a 381 day synthetic panel CSV, written
-by ``write_panel`` with its RES columns, and builds its ``MarketData``.
+window with the 21 price regressors, alone and in a stack of 24 such
+designs (one day's 24 hours, solved in one call) with its time per fan.
+The historical simulation set is the 184 least squares fits of one
+(variable, hour) on a default day: 183 inner windows of 182 days and the
+final window, in a 365 day sample with 21 regressors, fitted one by one
+with ``ols_fit`` and batched with ``ols_fits``.  The panel load reads a
+381 day synthetic panel CSV, written by ``write_panel`` with its RES
+columns, and builds its ``MarketData``.
 """
 
 import os
@@ -40,9 +42,10 @@ def _best_of(fn, repeats):
     return best
 
 
-def _report(name, size, fn, repeats=7):
+def _report(name, size, fn, repeats=7, fans=None):
     t = _best_of(fn, repeats)
-    print(f"{name:15s} {size:28s} {t * 1e3:9.3f} ms")
+    per_fan = "" if fans is None else f"  {t * 1e3 / fans:7.3f} ms per fan"
+    print(f"{name:15s} {size:28s} {t * 1e3:9.3f} ms{per_fan}")
 
 
 def main():
@@ -67,7 +70,12 @@ def main():
     X = rng.normal(size=(365, 21))
     X[:, 0] = 1.0
     y = X @ rng.normal(size=21) + 5.0 * rng.standard_t(3, size=365)
-    _report("qr_fit_fan", "99 taus, n=365, p=21", lambda: qr_fit_fan(X, y), repeats=3)
+    _report("qr_fit_fan", "99 taus, n=365, p=21", lambda: qr_fit_fan(X, y), repeats=3, fans=1)
+    Xs = rng.normal(size=(24, 365, 21))
+    Xs[:, :, 0] = 1.0
+    ys = np.einsum("fnp,fp->fn", Xs, rng.normal(size=(24, 21))) + 5.0 * rng.standard_t(3, (24, 365))
+    _report("qr_fit_fan", "24 x 99 taus, n=365, p=21", lambda: qr_fit_fan(Xs, ys), repeats=3,
+            fans=24)
 
     inner = 182
     starts = np.arange(365 - inner + 1)[:, None]

@@ -111,14 +111,22 @@ def _process_day(data, cfg, day_idx, keep_ensembles=False):
 
     if "qr" in cfg.methods:
         for variable in cfg.qr_variables:
-            fan_matrix = np.empty((24, 99))
+            # one stack of hours per regressor count: the edge hours of W have one fewer
+            by_p = {}
             for h in hours:
-                design_spec = ModelSpec(_qr_design_kind(variable), h)
-                X, _ = design_rows(design_spec, data, all_days)
-                y = targets(ModelSpec(variable, h), data, all_days)
-                thetas = qr_fit_fan(X[:-1], y[:-1])
-                fan = qr_fan(thetas, X[-1])
-                fan_matrix[h - 1] = fan.values
+                X, _ = design_rows(ModelSpec(_qr_design_kind(variable), h), data, all_days)
+                by_p.setdefault(X.shape[1], []).append((h, X))
+            fan_matrix = np.empty((24, 99))
+            for group in by_p.values():
+                hs = [h for h, _ in group]
+                # stacked transposed, (hours, p, days): the solver works on these
+                # rows and reads the window's view of them without a copy
+                XT = np.array([X.T for _, X in group])
+                group.clear()
+                y = np.stack([targets(ModelSpec(variable, h), data, all_days) for h in hs])
+                thetas = qr_fit_fan(XT[:, :, :-1].transpose(0, 2, 1), y[:, :-1])
+                for h, th, row in zip(hs, thetas, XT[:, :, -1]):
+                    fan_matrix[h - 1] = qr_fan(th, row).values
             out["fans"][("qr", variable)] = fan_matrix
             for level in cfg.interval_levels:
                 i = tail_column(level)

@@ -16,6 +16,7 @@ variable; explicit flags override file values.
 import argparse
 import csv
 import datetime as dt
+import math
 import os
 import sys
 from dataclasses import replace
@@ -321,16 +322,42 @@ def _cmd_backtest(args):
 # report
 
 
-def _read_csv_dicts(path):
+_STRATEGY_COLUMNS = ("strategy", "tau", "avg_profit", "profit_per_trade", "trade_frequency", "var5")
+_DECISION_COLUMNS = ("strategy", "tau", "q")
+
+
+def _read_csv_dicts(path, columns):
+    """The rows of a bundle CSV, each with a value in every one of ``columns``."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{path} has no column {', '.join(missing)}")
+    for i, row in enumerate(rows, start=1):
+        if any(row[c] is None for c in columns):
+            raise ConfigError(f"{path} row {i}: too few fields")
+    return rows
+
+
+def _decision_q(path, i, row):
+    try:
+        q = float(row["q"])
+    except ValueError:
+        q = math.nan
+    if not 0.0 <= q <= 1.0:
+        raise ConfigError(f"{path} row {i}: q {row['q']!r} is not a number in [0, 1]")
+    return q
 
 
 def _cmd_report(args):
     out_dir = args.out or args.backtest_dir
     os.makedirs(out_dir, exist_ok=True)
-    strategy_rows = _read_csv_dicts(os.path.join(args.backtest_dir, "strategy.csv"))
-    decision_rows = _read_csv_dicts(os.path.join(args.backtest_dir, "decisions.csv"))
+    strategy_rows = _read_csv_dicts(os.path.join(args.backtest_dir, "strategy.csv"),
+                                    _STRATEGY_COLUMNS)
+    decisions_path = os.path.join(args.backtest_dir, "decisions.csv")
+    decision_rows = _read_csv_dicts(decisions_path, _DECISION_COLUMNS)
+    qs = [_decision_q(decisions_path, i, row) for i, row in enumerate(decision_rows, start=1)]
 
     profit_path = os.path.join(out_dir, "profit_vs_tau.csv")
     var_path = os.path.join(out_dir, "var_vs_tau.csv")
@@ -349,10 +376,9 @@ def _cmd_report(args):
     for row in decision_rows:
         first_tau.setdefault(row["strategy"], row["tau"])
     counts = {}
-    for row in decision_rows:
+    for row, q in zip(decision_rows, qs):
         if row["tau"] != first_tau[row["strategy"]]:
             continue
-        q = float(row["q"])
         bucket = min(int(q * 20.0), 19) if q < 1.0 else 19
         counts.setdefault(row["strategy"], [0] * 20)[bucket] += 1
     hist_path = os.path.join(out_dir, "q_histogram.csv")

@@ -353,6 +353,34 @@ def test_report_tables(traded_backtest, tmp_path):
     assert all(total == 2 * 24 for total in by_strategy.values())
 
 
+def test_report_rejects_a_malformed_bundle_on_one_line(traded_backtest, tmp_path, capsys):
+    strategy = (traded_backtest / "strategy.csv").read_text().splitlines()
+    decisions = (traded_backtest / "decisions.csv").read_text().splitlines()
+    tau = strategy[0].split(",").index("tau")
+    no_tau = [",".join(c for i, c in enumerate(line.split(",")) if i != tau) for line in strategy]
+    q = decisions[0].split(",").index("q")
+
+    def first_q(value):
+        cells = decisions[1].split(",")
+        cells[q] = value
+        return [decisions[0], ",".join(cells), *decisions[2:]]
+
+    cases = [("strategy.csv", no_tau, "no column tau"),
+             ("decisions.csv", first_q("abc"), "row 1: q 'abc'"),
+             ("decisions.csv", first_q("nan"), "row 1: q 'nan'"),
+             ("decisions.csv", first_q("1.5"), "row 1: q '1.5'"),
+             ("decisions.csv", [decisions[0], "2020-01-01,1,epi"], "row 1: too few fields")]
+    for k, (name, lines, why) in enumerate(cases):
+        bundle = tmp_path / f"bundle{k}"
+        bundle.mkdir()
+        for other in ("strategy.csv", "decisions.csv"):
+            (bundle / other).write_text((traded_backtest / other).read_text())
+        (bundle / name).write_text("\n".join(lines) + "\n")
+        assert main(["report", "--backtest-dir", str(bundle), "--out", str(tmp_path / "out")]) == 2
+        err = _one_line_error(capsys)
+        assert name in err and why in err, err
+
+
 def test_module_entry_point():
     out = subprocess.run([sys.executable, "-m", "splitcast", "--help"],
                          capture_output=True, text=True)

@@ -1,15 +1,21 @@
-"""Interior point quantile regression against independent LP solutions.
+"""Quantile regression fans against independent LP solutions.
 
 The oracle is the primal linear program solved by scipy's HiGHS backend:
 minimize tau 1'u + (1 - tau) 1'v subject to X beta + u - v = y.  Our
 solver must reach the same pinball objective.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+import splitcast
 from splitcast.errors import (
     DegenerateDesignError,
     ShapeMismatchError,
@@ -18,6 +24,8 @@ from splitcast.errors import (
 from splitcast.quantreg import (
     TAU_GRID,
     QuantileFan,
+    _Bases,
+    _optimize,
     pinball,
     qr_fan,
     qr_fit,
@@ -205,3 +213,94 @@ def test_collinear_design_raises_from_the_fan():
     y = rng.standard_normal(40)
     with pytest.raises(DegenerateDesignError):
         qr_fit_fan(X, y)
+
+
+def _tie_heavy_stack(seed, fans, n, p):
+    """Designs with weekday dummies, integer regressors, a near collinear pair
+    and repeated rows, and integer targets: many tied residuals and flat faces."""
+    rng = np.random.default_rng(seed)
+    X = np.empty((fans, n, p))
+    y = np.empty((fans, n))
+    for f in range(fans):
+        while True:
+            dow = np.arange(n) % 7
+            cols = [(dow == d).astype(float) for d in range(min(p - 1, 3))]
+            cols.append(rng.integers(-3, 4, n).astype(float))
+            while len(cols) < p:
+                cols.append(cols[-1] + 1e-3 * rng.integers(-2, 3, n))
+            Xf = np.column_stack(cols)
+            rep = rng.integers(0, n, n // 3)
+            Xf[:n // 3] = Xf[rep]
+            if np.linalg.matrix_rank(Xf) == p:
+                break
+        X[f] = Xf
+        y[f] = rng.integers(-4, 5, n)
+        y[f, :n // 3] = y[f, rep]
+    return X, y
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**31), st.integers(1, 3), st.integers(14, 40), st.integers(2, 5))
+def test_tie_heavy_stacks_match_linprog(seed, fans, n, p):
+    X, y = _tie_heavy_stack(seed, fans, max(n, 3 * p), p)
+    taus = TAU_GRID[::14]
+    thetas = qr_fit_fan(X, y, taus)
+    assert thetas.shape == (fans, taus.size, p)
+    for Xf, yf, fan in zip(X, y, thetas):
+        for tau, beta in zip(taus, fan):
+            oracle = _linprog_objective(Xf, yf, tau)
+            assert _objective(Xf, yf, beta, tau) <= oracle + 1e-9 * max(oracle, 1.0), tau
+
+
+def test_a_fan_is_the_same_alone_and_in_a_stack():
+    rng = np.random.default_rng(41)
+    fixtures = [_fixture(rng, n=90, p=4, heavy=k % 2 == 1) for k in range(5)]
+    X = np.stack([Xf for Xf, _ in fixtures])
+    y = np.stack([yf for _, yf in fixtures])
+    stacked = qr_fit_fan(X, y)
+    assert stacked.shape == (5, 99, 4)
+    for f in range(5):
+        np.testing.assert_array_equal(qr_fit_fan(X[f], y[f]), stacked[f])
+    np.testing.assert_array_equal(qr_fit_fan(X[1:3], y[1:3]), stacked[1:3])
+
+
+def test_start_pivots_reach_the_optimum_from_any_basis():
+    # a random start basis is far from optimal: the fix-up pivots run past
+    # the switch to Bland's rule
+    rng = np.random.default_rng(43)
+    X, y = _fixture(rng, n=60, p=4, heavy=True)
+    for _ in range(3):
+        h = rng.choice(60, size=4, replace=False)
+        bases = _Bases(np.ascontiguousarray(X.T[None]), y[None], h[None])
+        assert _optimize(bases, 0.3, 1000)
+        beta = np.linalg.solve(X[bases.h[0]], y[bases.h[0]])
+        oracle = _linprog_objective(X, y, 0.3)
+        assert _objective(X, y, beta, 0.3) <= oracle + 1e-9 * oracle
+
+
+_THREADS_SCRIPT = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from splitcast.features import MarketData, ModelSpec, design_rows, targets
+    from splitcast.panel import SyntheticConfig, generate_synthetic_panel
+    from splitcast.quantreg import qr_fit_fan
+
+    data = MarketData.from_panel(generate_synthetic_panel(SyntheticConfig(days=375), seed=11))
+    days = np.arange(data.n_days - 366, data.n_days - 1)
+    X = np.stack([design_rows(ModelSpec("DA", h), data, days)[0] for h in range(1, 25)])
+    y = np.stack([targets(ModelSpec("DA", h), data, days) for h in range(1, 25)])
+    print(hashlib.sha256(qr_fit_fan(X, y).tobytes()).hexdigest())
+""")
+
+
+def test_da_fans_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(splitcast.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
