@@ -49,4 +49,4 @@ from .trading import (
     stopping_rule,
 )
 from .config import ExperimentConfig, load_config
-from .backtest import BacktestResult, leakage_check, run_backtest
+from .backtest import BacktestResult, forecast_day, leakage_check, run_backtest

@@ -14,7 +14,6 @@ Report files (CSV plus a text summary) are written with 6 significant
 digits in a fixed order, making a rerun with the same seed byte identical.
 """
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -73,31 +72,24 @@ def _qr_design_kind(variable):
     return "DA" if variable == "SP" else variable
 
 
-def _process_day(data, cfg, day_idx, keep_ensembles=False):
-    """All forecasts, scores inputs and decisions for one target day.
+def forecast_day(data, cfg, day_idx):
+    """Every forecast of one target day, from the information set of its day
+    ahead auction.
 
-    With ``keep_ensembles`` the result also holds the day's ensembles under
-    ``"ensembles"`` (method label -> hour -> ForecastEnsemble), for writing
-    members out.  The backtest leaves them out, so no members are kept
-    across days or sent back from the workers.
+    Returns a dict of ``point`` (kind -> 24 values), ``fans`` ((method, variable) -> (24, 99)),
+    ``intervals`` ((method, variable, level) -> (2, 24) lower and upper bounds),
+    ``uranks`` ((method, variable) -> 24 univariate ranks), ``mvranks``
+    (method -> 24 multivariate ranks), ``decisions`` ((strategy, tau) -> 24
+    TradeDecisions) and ``ensembles`` (method -> hour -> ForecastEnsemble).
+    The ranks and the ``limited`` decision read the day's realized values;
+    nothing else does.
     """
     t0 = day_idx - cfg.calibration_window_days
     window = np.arange(t0, day_idx, dtype=np.intp)
     all_days = np.append(window, day_idx)
     hours = range(1, 25)
-    eval_vars = tuple(cfg.variables) + tuple(cfg.derived)
-    out = {
-        "day_idx": int(day_idx),
-        "date": data.panel.dates[day_idx].isoformat(),
-        "realized": {v: series(data, v)[day_idx].copy() for v in eval_vars},
-        "point": {},
-        "fans": {},
-        "intervals": {},
-        "uranks": {},
-        "mvranks": {},
-        "decisions": {},
-        "trading_inputs": None,
-    }
+    realized = {v: series(data, v)[day_idx] for v in (*cfg.variables, *cfg.derived)}
+    out = {"point": {}, "fans": {}, "intervals": {}, "uranks": {}, "mvranks": {}, "decisions": {}}
 
     need_point = "point" in cfg.methods or cfg.trading
     point_kinds = KINDS if "point" in cfg.methods else ("W",)
@@ -170,11 +162,11 @@ def _process_day(data, cfg, day_idx, keep_ensembles=False):
             quantiles = interpolated_quantiles(np.stack(list(singles.values())), taus)
             for (v, members), qs in zip(singles.items(), quantiles):
                 fans[v][h - 1] = qs[:99]
-                uranks[v][h - 1] = univariate_rank(members, out["realized"][v][h - 1])
+                uranks[v][h - 1] = univariate_rank(members, realized[v][h - 1])
                 for k, level in enumerate(cfg.interval_levels):
                     bounds[(v, level)][:, h - 1] = qs[99 + 2 * k:101 + 2 * k]
             if mv_idx:
-                y0 = np.array([out["realized"][v][h - 1] for v in cfg.mv_variables])
+                y0 = np.array([realized[v][h - 1] for v in cfg.mv_variables])
                 mvranks[h - 1] = multivariate_rank(ens.members[:, mv_idx], y0, mv_rng)
         for v in fans:
             out["fans"][(method, v)] = fans[v]
@@ -201,16 +193,9 @@ def _process_day(data, cfg, day_idx, keep_ensembles=False):
                     decisions.setdefault((strategy, tau), []).append(dec)
             decisions.setdefault(("naive", None), []).append(naive_decision("naive"))
             decisions.setdefault(("limited", None), []).append(
-                naive_decision("limited", out["realized"]["DA"][h - 1]))
+                naive_decision("limited", realized["DA"][h - 1]))
         out["decisions"] = decisions
-        out["trading_inputs"] = {
-            "da": out["realized"]["DA"].copy(),
-            "id": out["realized"]["ID"].copy(),
-            "w": out["realized"]["W"].copy(),
-            "w_hat": w_hat.copy(),
-        }
-    if keep_ensembles:
-        out["ensembles"] = ens_by_method
+    out["ensembles"] = ens_by_method
     return out
 
 
@@ -227,13 +212,20 @@ def _init_worker(data, cfg):
     _worker_inputs = (data, cfg)
 
 
-def _day_task(day_idx):
-    return _process_day(*_worker_inputs, day_idx)
+def _day_task(day_idx, data=None, cfg=None):
+    """A day's forecasts without its ensembles (in a pool worker, on the
+    initializer's inputs), so that members never leave the process that
+    built them and at most one day's members are held at a time."""
+    if data is None:
+        data, cfg = _worker_inputs
+    result = forecast_day(data, cfg, day_idx)
+    del result["ensembles"]
+    return result
 
 
 def _run_days(data, cfg, day_indices):
     if cfg.workers <= 1 or len(day_indices) < 2:
-        return [_process_day(data, cfg, d) for d in day_indices]
+        return [_day_task(d, data, cfg) for d in day_indices]
     with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
                              initargs=(data, cfg)) as pool:
         chunk = max(1, len(day_indices) // (4 * cfg.workers))
@@ -244,24 +236,54 @@ def _run_days(data, cfg, day_indices):
 # aggregation and reports
 
 
-def _fmt(x):
+def format_cell(x):
+    """A report cell: text as is, None empty, booleans 0/1, numbers to 6
+    significant digits."""
+    if isinstance(x, str):
+        return x
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".6g")
+    return format(float(x), ".6g")
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """A report CSV: the header line, then each row's cells through :func:`format_cell`."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+            fh.write(",".join(map(format_cell, row)) + "\n")
+
+
+COVERAGE_HEADER = ("method", "variable", "level", "hour", "picp", "kupiec_lr", "kupiec_reject")
+CRPS_HEADER = ("method", "variable", "hour", "crps")
+
+
+def score_fans(method, variable, fans, bounds, realized):
+    """Coverage and CRPS of one method's fans of one variable over some days.
+
+    ``fans`` is (days, 24, 99), ``bounds`` maps each interval level to its
+    (lower, upper) bounds, (days, 24) each, and ``realized`` is (days, 24).
+    Returns the coverage reports by level, the CRPS entry (``per_hour`` and
+    ``overall``), and the rows of ``coverage.csv`` and of ``crps.csv``.
+    """
+    coverage, coverage_rows = {}, []
+    for level, (lower, upper) in bounds.items():
+        report = coverage_report(lower, upper, realized, level)
+        coverage[level] = report
+        for h in range(24):
+            coverage_rows.append((method, variable, level, str(h + 1), report.picp_by_hour[h],
+                                  report.lr_by_hour[h], report.reject_by_hour[h]))
+        coverage_rows.append((method, variable, level, "all", report.picp, float("nan"), ""))
+    scores = crps_fan_matrix(fans.reshape(-1, 99), realized.reshape(-1))
+    per_hour = scores.reshape(len(fans), 24).mean(axis=0)
+    overall = float(scores.mean())
+    crps_rows = [(method, variable, str(h + 1), per_hour[h]) for h in range(24)]
+    crps_rows.append((method, variable, "all", overall))
+    return coverage, {"per_hour": per_hour, "overall": overall}, coverage_rows, crps_rows
 
 
 @dataclass
@@ -303,17 +325,6 @@ def run_backtest(cfg, panel=None):
 
     started = time.monotonic()
     cfg.validate()
-    for name in cfg.derived:
-        parents = ("DA", "ID") if name == "SP" else ("L", "RES")
-        for parent in parents:
-            if parent not in cfg.variables:
-                raise ConfigError(f"derived {name} needs variable {parent} in the ensemble set")
-    if cfg.trading:
-        if cfg.trading_method == "ms" and ("ms" not in cfg.methods or "corr" not in cfg.ms_modes):
-            raise ConfigError("trading_method ms needs method ms with mode corr")
-        if cfg.trading_method == "hist" and "hist" not in cfg.methods:
-            raise ConfigError("trading_method hist needs method hist")
-
     if panel is None:
         if not cfg.input_path:
             raise ConfigError("no panel given and no input_path configured")
@@ -321,59 +332,33 @@ def run_backtest(cfg, panel=None):
     data = MarketData.from_panel(panel)
     day_indices = evaluation_day_indices(data.panel, cfg)
     results = _run_days(data, cfg, day_indices)
+    dates = [data.panel.dates[d].isoformat() for d in day_indices]
+
+    def observed(name):
+        return series(data, name)[day_indices]
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     files = {}
     eval_vars = tuple(cfg.variables) + tuple(cfg.derived)
-    labels = method_labels(cfg)
-    n_days = len(results)
 
-    # coverage
-    coverage = {}
-    rows = []
-    for method in labels:
-        supported = cfg.qr_variables if method == "qr" else eval_vars
-        for variable in supported:
-            for level in cfg.interval_levels:
-                key = (method, variable, level)
-                if key not in results[0]["intervals"]:
-                    continue
-                lower = np.stack([r["intervals"][key][0] for r in results])
-                upper = np.stack([r["intervals"][key][1] for r in results])
-                realized = np.stack([r["realized"][variable] for r in results])
-                report = coverage_report(lower, upper, realized, level)
-                coverage[key] = report
-                for h in range(24):
-                    rows.append((method, variable, level, h + 1,
-                                 report.picp_by_hour[h], report.lr_by_hour[h],
-                                 bool(report.reject_by_hour[h])))
-                rows.append((method, variable, level, "all",
-                             report.picp, float("nan"), ""))
+    # coverage and crps
+    coverage, crps, coverage_rows, crps_rows = {}, {}, [], []
+    intervals = [r["intervals"] for r in results]
+    for method in method_labels(cfg):
+        for variable in cfg.qr_variables if method == "qr" else eval_vars:
+            bounds = {level: np.stack([i[(method, variable, level)] for i in intervals], axis=1)
+                      for level in cfg.interval_levels
+                      if (method, variable, level) in intervals[0]}
+            fans = np.stack([r["fans"][(method, variable)] for r in results])
+            reports, crps[(method, variable)], cov_rows, fan_rows = score_fans(
+                method, variable, fans, bounds, observed(variable))
+            coverage.update(((method, variable, level), rep) for level, rep in reports.items())
+            coverage_rows += cov_rows
+            crps_rows += fan_rows
     files["coverage"] = os.path.join(cfg.output_dir, "coverage.csv")
-    _write_csv(files["coverage"],
-               ["method", "variable", "level", "hour", "picp", "kupiec_lr", "kupiec_reject"],
-               [(m, v, _fmt(l), str(h), p, lr, r if isinstance(r, str) else _fmt(r))
-                for (m, v, l, h, p, lr, r) in rows])
-
-    # crps
-    crps = {}
-    rows = []
-    for method in labels:
-        supported = cfg.qr_variables if method == "qr" else eval_vars
-        for variable in supported:
-            key = (method, variable)
-            if key not in results[0]["fans"]:
-                continue
-            fans = np.stack([r["fans"][key] for r in results])  # (n, 24, 99)
-            realized = np.stack([r["realized"][variable] for r in results])
-            scores = crps_fan_matrix(fans.reshape(-1, 99), realized.reshape(-1))
-            per_hour = scores.reshape(n_days, 24).mean(axis=0)
-            crps[key] = {"per_hour": per_hour, "overall": float(scores.mean())}
-            for h in range(24):
-                rows.append((method, variable, str(h + 1), per_hour[h]))
-            rows.append((method, variable, "all", float(scores.mean())))
+    write_csv(files["coverage"], COVERAGE_HEADER, coverage_rows)
     files["crps"] = os.path.join(cfg.output_dir, "crps.csv")
-    _write_csv(files["crps"], ["method", "variable", "hour", "crps"], rows)
+    write_csv(files["crps"], CRPS_HEADER, crps_rows)
 
     # reliability
     reliability = {}
@@ -395,62 +380,57 @@ def run_backtest(cfg, panel=None):
                 rows.append((method, "ALL", str(h + 1), report.delta_by_hour[h]))
             rows.append((method, "ALL", "all", report.delta))
     files["reliability"] = os.path.join(cfg.output_dir, "reliability.csv")
-    _write_csv(files["reliability"], ["method", "variable", "hour", "delta"], rows)
+    write_csv(files["reliability"], ["method", "variable", "hour", "delta"], rows)
 
     # point forecasts
     if "point" in cfg.methods:
-        rows = []
-        for r in results:
-            for kind in KINDS:
-                for h in range(24):
-                    realized = series(data, kind)[r["day_idx"], h]
-                    rows.append((r["date"], str(h + 1), kind, r["point"][kind][h], realized))
+        realized = {kind: observed(kind) for kind in KINDS}
+        rows = [(date, str(h + 1), kind, r["point"][kind][h], realized[kind][i, h])
+                for i, (date, r) in enumerate(zip(dates, results))
+                for kind in KINDS for h in range(24)]
         files["point_forecasts"] = os.path.join(cfg.output_dir, "point_forecasts.csv")
-        _write_csv(files["point_forecasts"],
-                   ["date", "hour", "kind", "forecast", "realized"], rows)
+        write_csv(files["point_forecasts"],
+                  ["date", "hour", "kind", "forecast", "realized"], rows)
 
     # trading
     strategy_tables = {}
     if cfg.trading:
-        da = np.concatenate([r["trading_inputs"]["da"] for r in results])
-        idp = np.concatenate([r["trading_inputs"]["id"] for r in results])
-        w = np.concatenate([r["trading_inputs"]["w"] for r in results])
-        w_hat = np.concatenate([r["trading_inputs"]["w_hat"] for r in results])
+        da, idp, w = (observed(v).reshape(-1) for v in ("DA", "ID", "W"))
+        w_hat = np.concatenate([r["point"]["W"] for r in results])
         decision_keys = list(results[0]["decisions"].keys())
         outcomes = {}
         for key in decision_keys:
             stream = [dec for r in results for dec in r["decisions"][key]]
-            outcomes[key] = (stream, evaluate_strategy(stream, da, idp, w, w_hat, cfg.c_om))
-        naive_outcome = outcomes[("naive", None)][1]
+            outcomes[key] = evaluate_strategy(stream, da, idp, w, w_hat, cfg.c_om)
+        naive_outcome = outcomes[("naive", None)]
         rows = []
         dec_rows = []
         for key in decision_keys:
-            stream, outcome = outcomes[key]
+            outcome = outcomes[key]
             strategy, tau = key
             rows.append((
-                strategy, "" if tau is None else _fmt(tau),
+                strategy, tau,
                 outcome.trade_frequency, outcome.avg_profit, outcome.profit_per_trade,
                 outcome.var5,
                 relative_pct(outcome.avg_profit, naive_outcome.avg_profit),
                 relative_pct(outcome.profit_per_trade, naive_outcome.profit_per_trade),
             ))
             flat = 0
-            for r in results:
+            for date, r in zip(dates, results):
                 for h in range(24):
                     dec = r["decisions"][key][h]
-                    dec_rows.append((r["date"], str(h + 1), strategy,
-                                     "" if tau is None else _fmt(tau),
+                    dec_rows.append((date, str(h + 1), strategy, tau,
                                      dec.q, dec.curtail, outcome.profits[flat]))
                     flat += 1
             strategy_tables[key] = outcome
         files["strategy"] = os.path.join(cfg.output_dir, "strategy.csv")
-        _write_csv(files["strategy"],
-                   ["strategy", "tau", "trade_frequency", "avg_profit", "profit_per_trade",
-                    "var5", "rel_avg_profit_pct", "rel_profit_per_trade_pct"],
-                   rows)
+        write_csv(files["strategy"],
+                  ["strategy", "tau", "trade_frequency", "avg_profit", "profit_per_trade",
+                   "var5", "rel_avg_profit_pct", "rel_profit_per_trade_pct"],
+                  rows)
         files["decisions"] = os.path.join(cfg.output_dir, "decisions.csv")
-        _write_csv(files["decisions"],
-                   ["date", "hour", "strategy", "tau", "q", "curtail", "profit"], dec_rows)
+        write_csv(files["decisions"],
+                  ["date", "hour", "strategy", "tau", "q", "curtail", "profit"], dec_rows)
 
     # config echo and summary
     files["run_config"] = os.path.join(cfg.output_dir, "run_config.cfg")
@@ -460,23 +440,22 @@ def run_backtest(cfg, panel=None):
             fh.write(line + "\n")
 
     files["summary"] = os.path.join(cfg.output_dir, "summary.txt")
-    _write_summary(files["summary"], cfg, results, coverage, crps, reliability,
+    _write_summary(files["summary"], cfg, dates, coverage, crps, reliability,
                    strategy_tables)
 
     elapsed = time.monotonic() - started
     return BacktestResult(output_dir=cfg.output_dir, files=files, coverage=coverage,
                           crps=crps, reliability=reliability, strategy=strategy_tables,
-                          elapsed_seconds=elapsed, n_days=n_days)
+                          elapsed_seconds=elapsed, n_days=len(results))
 
 
-def _write_summary(path, cfg, results, coverage, crps, reliability, strategy_tables):
+def _write_summary(path, cfg, dates, coverage, crps, reliability, strategy_tables):
     eval_vars = tuple(cfg.variables) + tuple(cfg.derived)
     labels = method_labels(cfg)
     lines = []
-    lines.append(f"evaluation days: {len(results)}  "
-                 f"({results[0]['date']} .. {results[-1]['date']})")
+    lines.append(f"evaluation days: {len(dates)}  ({dates[0]} .. {dates[-1]})")
     lines.append(f"calibration window: {cfg.calibration_window_days} days, "
-                 f"splits: {cfg.n_splits}, ratio: {_fmt(cfg.split_ratio)}")
+                 f"splits: {cfg.n_splits}, ratio: {format_cell(cfg.split_ratio)}")
     lines.append("")
     width = 10
 
@@ -492,10 +471,10 @@ def _write_summary(path, cfg, results, coverage, crps, reliability, strategy_tab
             cells = [f"{level * 100:.0f}%"]
             for variable in supported:
                 report = coverage.get((method, variable, level))
-                cells.append("-" if report is None else _fmt(report.picp * 100.0))
+                cells.append("-" if report is None else format_cell(report.picp * 100.0))
             lines.append(row(cells))
         lines.append(row(["kupiec%"] + [
-            _fmt(100.0 * np.mean([coverage[(method, v, level)].pass_rate
+            format_cell(100.0 * np.mean([coverage[(method, v, level)].pass_rate
                                   for level in cfg.interval_levels
                                   if (method, v, level) in coverage]))
             for v in supported]))
@@ -507,7 +486,7 @@ def _write_summary(path, cfg, results, coverage, crps, reliability, strategy_tab
         cells = [method]
         for variable in eval_vars:
             entry = crps.get((method, variable))
-            cells.append("-" if entry is None else _fmt(entry["overall"]))
+            cells.append("-" if entry is None else format_cell(entry["overall"]))
         lines.append(row(cells))
     lines.append("")
 
@@ -519,7 +498,7 @@ def _write_summary(path, cfg, results, coverage, crps, reliability, strategy_tab
             cells = [method]
             for variable in (*eval_vars, "ALL"):
                 report = reliability.get((method, variable))
-                cells.append("-" if report is None else _fmt(report.delta))
+                cells.append("-" if report is None else format_cell(report.delta))
             lines.append(row(cells))
         lines.append("")
 
@@ -528,9 +507,9 @@ def _write_summary(path, cfg, results, coverage, crps, reliability, strategy_tab
         lines.append(row(["strategy", "tau", "freq%", "avg", "per_trade", "var5"]))
         for (strategy, tau), outcome in strategy_tables.items():
             lines.append(row([
-                strategy, "-" if tau is None else _fmt(tau),
-                _fmt(outcome.trade_frequency * 100.0), _fmt(outcome.avg_profit),
-                _fmt(outcome.profit_per_trade), _fmt(outcome.var5)]))
+                strategy, "-" if tau is None else format_cell(tau),
+                format_cell(outcome.trade_frequency * 100.0), format_cell(outcome.avg_profit),
+                format_cell(outcome.profit_per_trade), format_cell(outcome.var5)]))
         lines.append("")
 
     with open(path, "w") as fh:
@@ -597,12 +576,9 @@ def leakage_check(panel, cfg, target_date):
     cfg.validate()
     data = MarketData.from_panel(panel)
     day_idx = data.panel.day_index(target_date)
-    clean = _process_day(data, cfg, day_idx)
-    wrecked_panel = corrupt_after_cutoff(data.panel, day_idx)
-    wrecked = _process_day(MarketData.from_panel(wrecked_panel), cfg, day_idx)
-
-    sig_a = _forecast_signature(clean, include_decisions=cfg.trading)
-    sig_b = _forecast_signature(wrecked, include_decisions=cfg.trading)
+    sig_a = _forecast_signature(forecast_day(data, cfg, day_idx), cfg.trading)
+    wrecked = MarketData.from_panel(corrupt_after_cutoff(data.panel, day_idx))
+    sig_b = _forecast_signature(forecast_day(wrecked, cfg, day_idx), cfg.trading)
     diffs = {}
     for key in sig_a:
         a, b = sig_a[key], sig_b[key]

@@ -23,27 +23,35 @@ from dataclasses import replace
 
 import numpy as np
 
-from .backtest import _process_day, run_backtest
+from .backtest import (
+    COVERAGE_HEADER,
+    CRPS_HEADER,
+    forecast_day,
+    format_cell,
+    run_backtest,
+    score_fans,
+    write_csv,
+)
 from .config import config_from_raw, read_config
 from .errors import ConfigError, SplitcastError
 from .features import KINDS, MarketData, series
 from .panel import SYNTH_SERIES, SyntheticConfig, generate_synthetic_panel, load_panel, validate_panel, write_panel
 from .quantreg import TAU_GRID, tail_column
-from .scores import coverage_report, crps_fan_matrix
 
 
-def _schema_from_args(pairs):
-    schema = {}
-    for pair in pairs or []:
+def _key_values(pairs, flag="--set", form="key=value"):
+    """The ``KEY=VALUE`` arguments of a repeated ``flag`` as a dict, stripped."""
+    out = {}
+    for pair in pairs or ():
         if "=" not in pair:
-            raise ConfigError(f"--schema expects FIELD=COLUMN, got {pair!r}")
+            raise ConfigError(f"{flag} expects {form}, got {pair!r}")
         key, value = pair.split("=", 1)
-        schema[key.strip()] = value.strip()
-    return schema
+        out[key.strip()] = value.strip()
+    return out
 
 
-def _fmt(x):
-    return format(float(x), ".6g")
+def _schema(args):
+    return _key_values(args.schema, "--schema", "FIELD=COLUMN") or None
 
 
 def _iso_date(text, source):
@@ -66,7 +74,7 @@ def _panel_day(panel, text, source):
 
 
 def _cmd_validate(args):
-    panel = load_panel(args.input, _schema_from_args(args.schema) or None)
+    panel = load_panel(args.input, _schema(args))
     problems = validate_panel(panel)
     print(f"{panel.n_days} days, {panel.dates[0]} .. {panel.dates[-1]}")
     print(f"missing cells: {len(panel.missing_cells)}, duplicated cells: {len(panel.duplicate_cells)}")
@@ -90,11 +98,7 @@ def _apply_dgp_overrides(cfg, pairs):
              "fsd": dict(cfg.forecast_noise_sd)}
     field_of = {"phi": "phi", "level": "level", "amp": "diurnal_amplitude",
                 "sd": "noise_sd", "fsd": "forecast_noise_sd"}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        key = key.strip()
+    for key, value in _key_values(pairs).items():
         parts = key.split(".")
         try:
             number = float(value)
@@ -134,16 +138,6 @@ def _cmd_synth(args):
 # forecast
 
 
-def _raw_overrides(pairs):
-    raw = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        raw[key.strip()] = value.strip()
-    return raw
-
-
 def _forecast_config(args):
     overrides = {
         "input_path": args.input,
@@ -151,9 +145,7 @@ def _forecast_config(args):
         "n_splits": args.splits,
         "calibration_window_days": args.window,
     }
-    cfg = read_config(args.config, overrides)
-    if args.set:
-        cfg = config_from_raw(_raw_overrides(args.set), cfg)
+    cfg = config_from_raw(_key_values(args.set), read_config(args.config, overrides))
     if args.method == "ms":
         cfg = replace(cfg, methods=("ms",), ms_modes=(args.mode,))
     else:
@@ -194,10 +186,11 @@ def _cmd_forecast(args):
         with open(path, "w", newline="") as fh:
             fh.write("date,hour,kind,forecast\n")
             for day_idx in day_indices:
-                r = _process_day(data, cfg, day_idx)
+                date = data.panel.dates[day_idx].isoformat()
+                point = forecast_day(data, cfg, day_idx)["point"]
                 for kind in KINDS:
                     for h in range(24):
-                        fh.write(f"{r['date']},{h + 1},{kind},{_fmt(r['point'][kind][h])}\n")
+                        fh.write(f"{date},{h + 1},{kind},{format_cell(point[kind][h])}\n")
         print(f"wrote {path}")
         return 0
 
@@ -207,16 +200,15 @@ def _cmd_forecast(args):
     with open(fan_path, "w", newline="") as fh:
         fh.write(header + "\n")
         for day_idx in day_indices:
-            r = _process_day(data, cfg, day_idx, keep_ensembles=args.members)
-            variables = sorted({v for (m, v) in r["fans"] if m == method})
-            for variable in variables:
-                fan = r["fans"][(method, variable)]
-                for h in range(24):
-                    cells = ",".join(_fmt(v) for v in fan[h])
-                    fh.write(f"{r['date']},{h + 1},{variable},{cells}\n")
+            date = data.panel.dates[day_idx].isoformat()
+            r = forecast_day(data, cfg, day_idx)
+            for variable in sorted(v for (m, v) in r["fans"] if m == method):
+                for h, fan in enumerate(r["fans"][(method, variable)], start=1):
+                    fh.write(f"{date},{h},{variable},{','.join(map(format_cell, fan))}\n")
             if args.members and args.method in ("ms", "hist"):
-                member_path = os.path.join(cfg.output_dir, f"members_{r['date']}.csv")
-                _write_members_file(member_path, r["ensembles"][method])
+                _write_members_file(os.path.join(cfg.output_dir, f"members_{date}.csv"),
+                                    r["ensembles"][method])
+            del r  # the day's members: no more than one day's are held
     print(f"wrote {fan_path}")
     return 0
 
@@ -248,45 +240,34 @@ def _read_fans(path):
 
 def _cmd_evaluate(args):
     fans = _read_fans(args.fans)
-    panel = load_panel(args.input, _schema_from_args(args.schema) or None)
-    data = MarketData.from_panel(panel)
+    data = MarketData.from_panel(load_panel(args.input, _schema(args)))
     try:
         levels = tuple(float(v) for v in args.levels.split(","))
     except ValueError as exc:
         raise ConfigError(f"--levels expects comma separated numbers, got {args.levels!r}") from exc
     dates = sorted({d for (d, _) in fans})
-    variables = sorted({v for (_, v) in fans})
-    os.makedirs(args.out, exist_ok=True)
-
     day_indices = [_panel_day(data.panel, date, args.fans) for date in dates]
+    tails = {level: tail_column(level) for level in levels}
+    for level, i in tails.items():
+        if i is None:
+            print(f"note: level {level:g} needs off grid tails, skipped")
+
+    coverage_rows, crps_rows = [], []
+    for variable in sorted({v for (_, v) in fans}):
+        stack = np.stack([fans[(d, variable)] for d in dates])  # (n, 24, 99)
+        if np.isnan(stack).any():
+            raise ConfigError(f"fans for {variable} have missing day/hour rows")
+        bounds = {level: (stack[:, :, i], stack[:, :, 98 - i])
+                  for level, i in tails.items() if i is not None}
+        _, _, cov, crps = score_fans("stored", variable, stack, bounds,
+                                     series(data, variable)[day_indices])
+        coverage_rows += cov
+        crps_rows += crps
+    os.makedirs(args.out, exist_ok=True)
     cov_path = os.path.join(args.out, "coverage.csv")
     crps_path = os.path.join(args.out, "crps.csv")
-    noted = set()
-    with open(cov_path, "w", newline="") as cov, open(crps_path, "w", newline="") as cr:
-        cov.write("method,variable,level,hour,picp,kupiec_lr,kupiec_reject\n")
-        cr.write("method,variable,hour,crps\n")
-        for variable in variables:
-            stack = np.stack([fans[(d, variable)] for d in dates])  # (n, 24, 99)
-            if np.isnan(stack).any():
-                raise ConfigError(f"fans for {variable} have missing day/hour rows")
-            realized = series(data, variable)[day_indices]
-            for level in levels:
-                i = tail_column(level)
-                if i is None:
-                    if level not in noted:
-                        noted.add(level)
-                        print(f"note: level {level:g} needs off grid tails, skipped")
-                    continue
-                report = coverage_report(stack[:, :, i], stack[:, :, 98 - i], realized, level)
-                for h in range(24):
-                    cov.write(f"stored,{variable},{level:g},{h + 1},{_fmt(report.picp_by_hour[h])},"
-                              f"{_fmt(report.lr_by_hour[h])},{int(report.reject_by_hour[h])}\n")
-                cov.write(f"stored,{variable},{level:g},all,{_fmt(report.picp)},nan,\n")
-            scores = crps_fan_matrix(stack.reshape(-1, 99), realized.reshape(-1))
-            per_hour = scores.reshape(len(dates), 24).mean(axis=0)
-            for h in range(24):
-                cr.write(f"stored,{variable},{h + 1},{_fmt(per_hour[h])}\n")
-            cr.write(f"stored,{variable},all,{_fmt(scores.mean())}\n")
+    write_csv(cov_path, COVERAGE_HEADER, coverage_rows)
+    write_csv(crps_path, CRPS_HEADER, crps_rows)
     print(f"wrote {cov_path} and {crps_path}")
     return 0
 
@@ -308,10 +289,7 @@ def _cmd_backtest(args):
     cfg = read_config(args.config, overrides)
     if args.no_trading:
         cfg = replace(cfg, trading=False)
-    if args.set:
-        cfg = config_from_raw(_raw_overrides(args.set), cfg)
-    cfg.validate()
-    result = run_backtest(cfg)
+    result = run_backtest(config_from_raw(_key_values(args.set), cfg))
     print(f"{result.n_days} evaluation days in {result.elapsed_seconds:.1f}s")
     for name in sorted(result.files):
         print(f"  {result.files[name]}")
@@ -386,7 +364,7 @@ def _cmd_report(args):
         fh.write("strategy,q_low,q_high,count\n")
         for strategy in sorted(counts):
             for b, count in enumerate(counts[strategy]):
-                fh.write(f"{strategy},{_fmt(b / 20.0)},{_fmt((b + 1) / 20.0)},{count}\n")
+                fh.write(f"{strategy},{format_cell(b / 20.0)},{format_cell((b + 1) / 20.0)},{count}\n")
     print(f"wrote {profit_path}, {var_path}, {hist_path}")
     return 0
 

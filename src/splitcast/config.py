@@ -15,7 +15,7 @@ from .features import KINDS, row_length
 
 ENV_CONFIG = "SPLITCAST_CONFIG"
 
-DERIVED_KINDS = ("SP", "RL")
+DERIVED_PARENTS = {"SP": ("DA", "ID"), "RL": ("L", "RES")}
 METHOD_NAMES = ("point", "qr", "hist", "ms")
 
 
@@ -109,7 +109,7 @@ class ExperimentConfig:
             if v not in KINDS:
                 raise ConfigError(f"unknown variable {v!r}")
         for v in self.derived:
-            if v not in DERIVED_KINDS:
+            if v not in DERIVED_PARENTS:
                 raise ConfigError(f"unknown derived variable {v!r}")
         for v in self.qr_variables:
             if v not in KINDS:
@@ -129,9 +129,21 @@ class ExperimentConfig:
         for tau in self.stopping_taus:
             if not 0.0 < tau <= 1.0:
                 raise ConfigError(f"stopping tau {tau} outside (0, 1]")
-        if self.trading and self.trading_method not in ("ms", "hist"):
-            raise ConfigError("trading_method must be ms or hist")
+        if "hist" in self.methods or "ms" in self.methods:
+            # the ensembles derive SP and RL from their parents' members
+            for name in self.derived:
+                for parent in DERIVED_PARENTS[name]:
+                    if parent not in self.variables:
+                        raise ConfigError(f"derived {name} needs variable {parent} in the "
+                                          f"ensemble set")
         if self.trading:
+            if self.trading_method not in ("ms", "hist"):
+                raise ConfigError("trading_method must be ms or hist")
+            if self.trading_method == "ms" and ("ms" not in self.methods
+                                                or "corr" not in self.ms_modes):
+                raise ConfigError("trading_method ms needs method ms with mode corr")
+            if self.trading_method == "hist" and "hist" not in self.methods:
+                raise ConfigError("trading_method hist needs method hist")
             for needed in ("DA", "ID", "W"):
                 if needed not in self.variables:
                     raise ConfigError(f"trading needs variable {needed} in the ensemble set")

@@ -8,7 +8,8 @@ the next (Koenker and d'Orey 1987).  A fan is found by walking that path:
 
 * an interior point solve at ``_TAU_START``, or at the tau of a one tau
   fit (primal dual, Mehrotra corrector, batched over a stack of designs),
-  gives residuals; a crossover takes as the start basis the rows in order
+  gives residuals (the least squares ones where its weighted Gram matrices
+  are singular); a crossover takes as the start basis the rows in order
   of |residual| that span the design's columns, and fixed tau simplex
   pivots make it optimal;
 * from there each design is walked upwards in tau twice, on (X, y) and on
@@ -80,10 +81,10 @@ def _newton(gram, XT, q, v):
 
 # expected: 0 / 0 in a zero step (fmin skips the nan), z / a at a vanishing bound (q = 0)
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _interior_point(XT, y, theta, tau, max_iter, tol):
+def _interior_point(XT, y, theta, tau):
     """Coefficients at ``tau`` per design of the stack ``XT`` (F, p, n), the
     designs transposed, from the least squares fits ``-theta``; nan where the
-    gap stayed open."""
+    gap stayed open after ``MAX_ITER`` iterations."""
     n = XT.shape[2]
     r = -y - (theta[:, None, :] @ XT)[:, 0]
     pad = 1e-5 * (np.abs(r) < 1e-5)
@@ -93,16 +94,16 @@ def _interior_point(XT, y, theta, tau, max_iter, tol):
     s = 1.0 - a
     rows = np.arange(y.shape[0])
     out = np.full(theta.shape, np.nan)
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         # the gap is the complementarity (feasibility holds by construction): unlike
         # the objective difference it has no cancellation floor; a closed design is frozen
         gap = np.einsum("ij,ij->i", z, a) + np.einsum("ij,ij->i", w, s)
-        done = gap <= tol * (1.0 + np.abs(np.einsum("ij,ij->i", a, y)))
+        done = gap <= DUALITY_TOL * (1.0 + np.abs(np.einsum("ij,ij->i", a, y)))
         if done.any():
             out[rows[done]] = -theta[done]
             rows, XT, y, a, s, z, w, theta, gap = (
                 v[~done] for v in (rows, XT, y, a, s, z, w, theta, gap))
-        if rows.size == 0 or it == max_iter:
+        if rows.size == 0 or it == MAX_ITER:
             return out
         q = 1.0 / (z / a + w / s)
         r = z - w
@@ -128,6 +129,21 @@ def _interior_point(XT, y, theta, tau, max_iter, tol):
             fp, fd = _step(a, da, s, -da), _step(z, dz, w, dw)
         a, s, z, w = a + fp * da, s - fp * da, z + fd * dz, w + fd * dw
         theta = theta + fd * dtheta
+
+
+def _start(XT, y, theta, tau):
+    """:func:`_interior_point` on a block of designs.  Where its weighted Gram
+    matrices are singular, as on full rank but ill conditioned designs, the
+    block is redone one design at a time, and a design that still fails
+    starts from its least squares fit: the crossover and the fixed tau
+    pivots reach the optimum from any basis."""
+    try:
+        return _interior_point(XT, y, theta, tau)
+    except np.linalg.LinAlgError:
+        if len(y) == 1:
+            return -theta
+        return np.concatenate([_start(XT[f:f + 1], y[f:f + 1], theta[f:f + 1], tau)
+                               for f in range(len(y))])
 
 
 def _crossover(X, r):
@@ -329,12 +345,11 @@ def _walk(bases, tau, targets, cap):
     return taken, open_
 
 
-def qr_fit_fan(X, y, taus=TAU_GRID, max_iter=MAX_ITER, tol=DUALITY_TOL):
+def qr_fit_fan(X, y, taus=TAU_GRID):
     """Coefficients per tau: shape (len(taus), p) for a design ``X`` (n, p), and
     (F, len(taus), p) for a stack ``X`` (F, n, p) with targets ``y`` (F, n).
 
-    ``max_iter`` and ``tol`` bound the interior point start.  Raises
-    :class:`DegenerateDesignError` for a rank deficient design and
+    Raises :class:`DegenerateDesignError` for a rank deficient design and
     :class:`SolverFailureError` naming the taus still open at a cap."""
     taus = np.asarray(taus, dtype=np.float64).reshape(-1)
     if not np.all((taus > 0.0) & (taus < 1.0)):
@@ -359,14 +374,11 @@ def qr_fit_fan(X, y, taus=TAU_GRID, max_iter=MAX_ITER, tol=DUALITY_TOL):
     XT = X.transpose(0, 2, 1)
     if XT.strides[2] != XT.itemsize:  # the products want unit stride (p, n) rows
         XT = np.ascontiguousarray(XT)
-    try:
-        beta = np.concatenate([
-            _interior_point(XT[i:i + _IP_BLOCK], y[i:i + _IP_BLOCK], theta[i:i + _IP_BLOCK],
-                            tau_s, max_iter, tol) for i in range(0, F, _IP_BLOCK)])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDesignError("singular weighted design in quantile regression") from exc
+    beta = np.concatenate([
+        _start(XT[i:i + _IP_BLOCK], y[i:i + _IP_BLOCK], theta[i:i + _IP_BLOCK], tau_s)
+        for i in range(0, F, _IP_BLOCK)])
     if np.isnan(beta).any():
-        _fail(f"duality gap open after {max_iter} iterations", taus)
+        _fail(f"duality gap open after {MAX_ITER} iterations", taus)
 
     # the pivots see the targets perturbed, which breaks ties
     xi = (np.arange(n) * 0.6180339887498949) % 1.0 - 0.5
@@ -408,9 +420,9 @@ def qr_fit_fan(X, y, taus=TAU_GRID, max_iter=MAX_ITER, tol=DUALITY_TOL):
     return thetas if stacked else thetas[0]
 
 
-def qr_fit(X, y, tau, max_iter=MAX_ITER, tol=DUALITY_TOL):
+def qr_fit(X, y, tau):
     """Coefficients minimizing the pinball loss at level ``tau``: a fan of one tau."""
-    return qr_fit_fan(X, y, [tau], max_iter, tol)[0]
+    return qr_fit_fan(X, y, [tau])[0]
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,18 @@ import numpy as np
 import pytest
 
 from splitcast.backtest import (
+    _run_days,
     corrupt_after_cutoff,
     ensemble_method_labels,
     evaluation_day_indices,
+    forecast_day,
     leakage_check,
     method_labels,
     run_backtest,
 )
 from splitcast.config import ExperimentConfig
 from splitcast.errors import ConfigError
+from splitcast.features import MarketData
 
 WINDOW = 100
 
@@ -203,6 +206,20 @@ def test_derived_need_their_parents(panel_small, tmp_path):
     cfg = _cfg(tmp_path, variables=("DA", "ID", "W"), derived=("RL",), mv_variables=("DA",))
     with pytest.raises(ConfigError):
         run_backtest(cfg, panel=panel_small)
+
+
+def test_only_forecast_day_returns_ensembles(panel_small, tmp_path):
+    """The backtest's day results leave their members in the process that built them."""
+    cfg = _cfg(tmp_path, methods=("hist", "ms"), qr_variables=())
+    data = MarketData.from_panel(panel_small)
+    day = forecast_day(data, cfg, 130)
+    assert set(day["ensembles"]) == {"hist", "ms_corr", "ms_uncorr"}
+    assert sorted(day["ensembles"]["hist"]) == list(range(1, 25))
+    [kept] = _run_days(data, cfg, [130])
+    assert set(kept) == set(day) - {"ensembles"}
+    for key in ("fans", "intervals", "uranks", "mvranks"):
+        for name, values in day[key].items():
+            np.testing.assert_array_equal(kept[key][name], values)
 
 
 def test_corrupt_after_cutoff_scope(panel_small):

@@ -217,6 +217,17 @@ def test_bad_dates_exit_2_on_one_line(panel_csv, tmp_path, capsys):
     assert "--start-date" in _one_line_error(capsys)
 
 
+def test_forecast_rejects_derived_without_parents_on_one_line(panel_csv, tmp_path, capsys):
+    """The default derived SP needs ID: rejected by validate, not by a KeyError
+    in the ensembles of the first day."""
+    panel = load_panel(str(panel_csv))
+    day = panel.dates[150].isoformat()
+    assert main(["forecast", "--method", "hist", "--input", str(panel_csv),
+                 "--start", day, "--end", day, "--window", "100", "--out", str(tmp_path),
+                 "--set", "variables=DA,L,W", "--set", "mv_variables=DA"]) == 2
+    assert "derived SP needs variable ID" in _one_line_error(capsys)
+
+
 def test_unreadable_files_exit_2_on_one_line(fan_dir, panel_csv, tmp_path, capsys):
     fans = str(fan_dir / "fans.csv")
     out = str(tmp_path / "scores")

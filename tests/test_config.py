@@ -34,6 +34,19 @@ def test_window_bound_follows_methods_and_variables():
         replace(cfg, methods=("hist",), inner_window=41, calibration_window_days=100).validate()
 
 
+def test_validate_checks_derived_parents_and_the_trading_method():
+    with pytest.raises(ConfigError, match="derived RL needs variable L"):
+        ExperimentConfig(variables=("DA", "ID", "W"), derived=("RL",),
+                         mv_variables=("DA",)).validate()
+    # without ensembles nothing is derived
+    ExperimentConfig(variables=("DA", "ID", "W"), derived=("RL",), mv_variables=("DA",),
+                     methods=("point", "qr"), trading=False).validate()
+    with pytest.raises(ConfigError, match="trading_method ms needs method ms with mode corr"):
+        ExperimentConfig(ms_modes=("uncorr",)).validate()
+    with pytest.raises(ConfigError, match="trading_method hist needs method hist"):
+        ExperimentConfig(methods=("point", "ms"), trading_method="hist").validate()
+
+
 def test_short_window_fails_before_day_one(panel_small, tmp_path):
     cfg = ExperimentConfig(output_dir=str(tmp_path / "out"), calibration_window_days=60,
                            evaluation_days=1, methods=("ms",))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import splitcast.models
 from splitcast.errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
-from splitcast.backtest import _process_day
+from splitcast.backtest import forecast_day
 from splitcast.config import ExperimentConfig
 from splitcast.features import ModelSpec, design_rows, targets
 from splitcast.models import check_design, expert_design, ols_fit, ols_fits
@@ -169,7 +169,7 @@ def test_point_forecast_inner_product(data_small):
     """The engine's point forecast is the target row times the window fit."""
     cfg = ExperimentConfig(calibration_window_days=50, methods=("point",), trading=False)
     day = 100
-    point = _process_day(data_small, cfg, day)["point"]
+    point = forecast_day(data_small, cfg, day)["point"]
     assert set(point) == {"L", "W", "RES", "RL", "DA", "ID", "SP"}
     days = np.arange(day - 50, day + 1)
     for kind, hour in (("L", 9), ("W", 1), ("SP", 24)):

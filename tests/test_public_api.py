@@ -56,3 +56,10 @@ def test_pruned_names_stay_gone():
     for name in PRUNED:
         for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_the_day_engine_is_public():
+    from splitcast import backtest
+
+    assert splitcast.forecast_day is backtest.forecast_day
+    assert not hasattr(backtest, "_process_day")

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import splitcast
+from splitcast import quantreg
 from splitcast.errors import (
     DegenerateDesignError,
     ShapeMismatchError,
@@ -197,13 +198,29 @@ def test_reversed_taus_reverse_the_fan():
     np.testing.assert_allclose(backward[::-1], forward, rtol=1e-9, atol=1e-9)
 
 
-def test_iteration_cap_names_the_open_taus():
+def test_iteration_cap_names_the_open_taus(monkeypatch):
     rng = np.random.default_rng(37)
     X, y = _fixture(rng, n=60, p=3)
+    monkeypatch.setattr(quantreg, "MAX_ITER", 2)
     with pytest.raises(SolverFailureError) as info:
-        qr_fit_fan(X, y, [0.05, 0.5, 0.95], max_iter=2)
+        qr_fit_fan(X, y, [0.05, 0.5, 0.95])
     assert "after 2 iterations" in str(info.value)
     assert "0.05, 0.5, 0.95" in str(info.value)
+
+
+@pytest.mark.parametrize("seed", [7, 9, 11, 14])
+def test_ill_conditioned_designs_match_linprog(seed):
+    """Two columns 1e-6 apart: full rank, but the interior point start meets
+    singular weighted Gram matrices on these designs."""
+    rng = np.random.default_rng(seed)
+    n = 21
+    x = rng.standard_normal(n)
+    X = np.column_stack([np.ones(n), x, x + 1e-6 * rng.standard_normal(n)])
+    y = rng.standard_normal(n)
+    taus = TAU_GRID[::7]
+    for tau, beta in zip(taus, qr_fit_fan(X, y, taus)):
+        oracle = _linprog_objective(X, y, tau)
+        assert _objective(X, y, beta, tau) - oracle <= 1e-9 * max(oracle, 1.0), tau
 
 
 def test_collinear_design_raises_from_the_fan():
