@@ -15,22 +15,31 @@ designs (one day's 24 hours, solved in one call) with its time per fan.
 The historical simulation set is the 184 least squares fits of one
 (variable, hour) on a default day: 183 inner windows of 182 days and the
 final window, in a 365 day sample with 21 regressors, fitted one by one
-with ``ols_fit`` and batched with ``ols_fits``.  The panel load reads a
-381 day synthetic panel CSV, written by ``write_panel`` with its RES
-columns, and builds its ``MarketData``.
+with ``ols_fit`` and batched with ``ols_fits``; the stacked set is those
+fits for one variable's 24 hours, at 21 and at 5 regressors, taken in the
+hour blocks that the ensemble builders use, with its time per hour.  The
+trading hour prices 3,660 members and picks the ``epi``, ``var`` and
+``sr`` bids with 5 stopping taus each, as the backtest does for one hour:
+one sort of the pools serves every quantile.  The panel load reads a 381
+day synthetic panel CSV, written by ``write_panel`` with its RES columns,
+and builds its ``MarketData``.
 """
 
 import os
 import tempfile
 import time
 
+import datetime as dt
+
 import numpy as np
 
 from splitcast import _kernels as K
+from splitcast.ensembles import ForecastEnsemble, _hours_per_block
 from splitcast.features import MarketData
 from splitcast.models import ols_fit, ols_fits
 from splitcast.panel import SyntheticConfig, generate_synthetic_panel, load_panel, write_panel
 from splitcast.quantreg import qr_fit_fan
+from splitcast.trading import STRATEGIES, choose_q, profit_pools, stopping_rule
 
 
 def _best_of(fn, repeats):
@@ -42,10 +51,27 @@ def _best_of(fn, repeats):
     return best
 
 
-def _report(name, size, fn, repeats=7, fans=None):
+def _report(name, size, fn, repeats=7, fans=None, unit="fan"):
     t = _best_of(fn, repeats)
-    per_fan = "" if fans is None else f"  {t * 1e3 / fans:7.3f} ms per fan"
+    per_fan = "" if fans is None else f"  {t * 1e3 / fans:7.3f} ms per {unit}"
     print(f"{name:15s} {size:28s} {t * 1e3:9.3f} ms{per_fan}")
+
+
+def _stacked_fits(X, y, masks):
+    """The fits of every hour of ``X`` (hours, n, p), in the ensembles' hour blocks."""
+    size = _hours_per_block(X.shape[1], X.shape[2], len(masks))
+    return [ols_fits(X[s:s + size], y[s:s + size], masks) for s in range(0, len(X), size)]
+
+
+def _trading_hour(ens, w_hat, q_grid, taus):
+    """One hour's bids as the backtest makes them: the pools sorted once."""
+    pools = profit_pools(ens, w_hat, q_grid, 10.0)
+    ordered = np.sort(pools, axis=1)
+    for strategy in STRATEGIES:
+        base = choose_q(strategy, pools, q_grid, 0.05, ordered)
+        j = int(round(base.q * (q_grid.size - 1)))
+        for tau in taus:
+            stopping_rule(base, ordered[j], tau, presorted=True)
 
 
 def main():
@@ -66,6 +92,11 @@ def main():
     q_grid = np.round(np.arange(101) / 100.0, 2)
     _report("profit_pools", "3660 members x 101 q",
             lambda: K.profit_pools(da, idp, w, 8.0, q_grid, 10.0))
+    ens = ForecastEnsemble(variables=("DA", "ID", "W"), members=np.column_stack([da, idp, w]),
+                           target_date=dt.date(2021, 1, 1), hour=12, meta={})
+    taus = (0.05, 0.3, 0.5, 0.7, 0.95)
+    _report("trading hour", "3660 members, 3 x 5 taus",
+            lambda: _trading_hour(ens, 8.0, q_grid, taus))
 
     X = rng.normal(size=(365, 21))
     X[:, 0] = 1.0
@@ -83,6 +114,12 @@ def main():
     _report("hist ols_fit", "184 windows, n=365, p=21",
             lambda: [ols_fit(X[j:j + inner], y[j:j + inner]) for j in range(starts.size)])
     _report("hist ols_fits", "184 windows, n=365, p=21", lambda: ols_fits(X, y, windows))
+    for p in (21, 5):
+        Xs = rng.normal(size=(24, 365, p))
+        Xs[:, :, 0] = 1.0
+        ys = np.einsum("hnp,hp->hn", Xs, rng.normal(size=(24, p))) + rng.normal(size=(24, 365))
+        _report("hist ols_fits", f"24 x 184 windows, n=365, p={p}",
+                lambda: _stacked_fits(Xs, ys, windows), repeats=5, fans=24, unit="hour")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "panel.csv")

@@ -67,7 +67,8 @@ def profit_pools(da, idp, w, w_hat, q_grid, c_om):
     """Per MWh profit of every ensemble member at every bid fraction q.
 
     Members with non positive wind are set to exactly zero profit for all q.
-    Returns an array of shape ``(len(q_grid), len(da))``.
+    Returns an array of shape ``(len(q_grid), len(da))``, computed in it and
+    one more array of that shape.
     """
     da = np.asarray(da, dtype=np.float64)
     idp = np.asarray(idp, dtype=np.float64)
@@ -75,7 +76,11 @@ def profit_pools(da, idp, w, w_hat, q_grid, c_om):
     pos = w > 0.0
     ratio = np.zeros_like(w)
     ratio[pos] = w_hat / w[pos]
-    qw = np.asarray(q_grid, dtype=np.float64)[:, None] * ratio[None, :]
-    pools = (qw * da[None, :] + (1.0 - qw) * idp[None, :]) - c_om
+    qw = np.multiply(np.asarray(q_grid, dtype=np.float64)[:, None], ratio[None, :])
+    pools = np.multiply(qw, da[None, :])
+    np.subtract(1.0, qw, out=qw)
+    qw *= idp[None, :]
+    pools += qw  # q w_hat / w DA + (1 - q w_hat / w) ID
+    pools -= c_om
     pools[:, ~pos] = 0.0
     return pools

@@ -184,12 +184,13 @@ def forecast_day(data, cfg, day_idx):
         decisions = {}
         for h in hours:
             pools = profit_pools(by_hour[h], w_hat[h - 1], q_grid, cfg.c_om)
+            # one sort per hour: every quantile of every strategy and tau reads it
+            ordered = np.sort(pools, axis=1)
             for strategy in cfg.strategies:
-                base = choose_q(strategy, pools, q_grid, cfg.var_level)
+                base = choose_q(strategy, pools, q_grid, cfg.var_level, ordered)
                 j = int(round(base.q * (q_grid.size - 1)))
-                pool_at_q = pools[j]
                 for tau in cfg.stopping_taus:
-                    dec = stopping_rule(base, pool_at_q, tau)
+                    dec = stopping_rule(base, ordered[j], tau, presorted=True)
                     decisions.setdefault((strategy, tau), []).append(dec)
             decisions.setdefault(("naive", None), []).append(naive_decision("naive"))
             decisions.setdefault(("limited", None), []).append(

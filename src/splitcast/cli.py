@@ -32,7 +32,7 @@ from .backtest import (
     score_fans,
     write_csv,
 )
-from .config import config_from_raw, read_config
+from .config import check_level, config_from_raw, read_config
 from .errors import ConfigError, SplitcastError
 from .features import KINDS, MarketData, series
 from .panel import SYNTH_SERIES, SyntheticConfig, generate_synthetic_panel, load_panel, validate_panel, write_panel
@@ -239,12 +239,14 @@ def _read_fans(path):
 
 
 def _cmd_evaluate(args):
-    fans = _read_fans(args.fans)
-    data = MarketData.from_panel(load_panel(args.input, _schema(args)))
     try:
         levels = tuple(float(v) for v in args.levels.split(","))
     except ValueError as exc:
         raise ConfigError(f"--levels expects comma separated numbers, got {args.levels!r}") from exc
+    for level in levels:
+        check_level(level, "interval level")  # the rule of ExperimentConfig.validate
+    fans = _read_fans(args.fans)
+    data = MarketData.from_panel(load_panel(args.input, _schema(args)))
     dates = sorted({d for (d, _) in fans})
     day_indices = [_panel_day(data.panel, date, args.fans) for date in dates]
     tails = {level: tail_column(level) for level in levels}

@@ -7,6 +7,7 @@ trailing).  List values are comma separated.  The environment variable
 """
 
 import datetime as dt
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -45,6 +46,12 @@ def _date(text):
 def _fit_rows(kinds):
     """Rows a least squares fit of any of ``kinds`` needs: 2 per regressor."""
     return max((2 * row_length(k, h) for k in kinds for h in range(1, 25)), default=0)
+
+
+def check_level(value, name):
+    """Raise ConfigError unless ``0 < value < 1``; NaN fails too."""
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} {value} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,10 @@ class ExperimentConfig:
             if m not in ("corr", "uncorr"):
                 raise ConfigError(f"unknown ms mode {m!r}")
         for level in self.interval_levels:
-            if not 0.0 < level < 1.0:
-                raise ConfigError(f"interval level {level} outside (0, 1)")
+            check_level(level, "interval level")
+        check_level(self.var_level, "var_level")
+        if not math.isfinite(self.c_om):
+            raise ConfigError(f"c_om {self.c_om} is not a finite number")
         for tau in self.stopping_taus:
             if not 0.0 < tau <= 1.0:
                 raise ConfigError(f"stopping tau {tau} outside (0, 1]")

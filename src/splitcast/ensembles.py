@@ -28,6 +28,10 @@ from .errors import EmptyEnsembleError, TooFewRowsError
 from .features import KINDS, ModelSpec, row_length
 from .models import expert_design, ols_fits
 
+# floats of one block of hours' packed products, Gram matrices and residuals
+# (about 1 MB); a block holds at least one whole hour
+_BLOCK_FLOATS = 1 << 17
+
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -115,23 +119,49 @@ def _check_fit_rows(n_rows, variables, hours, what):
             f"{what} of {n_rows} rows for {p} regressors, need at least {2 * p}")
 
 
-def _ensembles_by_hour(data, variables, sample_days, target_day, hours, column, meta):
-    """``{hour: ForecastEnsemble}`` whose members of variable ``v`` and the
-    count of its fits sent to ``ols_fit`` are ``column(v, X, y)``, on the
-    design of (v, hour) over the sample and the target day (its last row),
-    validated once.  ``meta["ols_fallbacks"]`` sums the counts of the hour."""
+def _hours_per_block(n, p, n_fits):
+    """Hours of one block of fits at ``n`` sample rows, ``p`` regressors and
+    ``n_fits`` fits per hour: as many as ``_BLOCK_FLOATS`` holds, at least one."""
+    return max(1, _BLOCK_FLOATS // (n * p * (p + 1) // 2 + n_fits * (p * p + n)))
+
+
+def _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_fits, n_members,
+                       members_of, meta):
+    """``{hour: ForecastEnsemble}`` of ``n_members`` members per hour.
+
+    Each variable's hours are taken in blocks that share a row length and
+    fit ``_BLOCK_FLOATS``, each block's designs over the sample and the
+    target day (its last row) built into one (hours, days, p) stack and
+    validated once per hour.  ``members_of(v, X, y)`` gives the members of
+    variable ``v`` at the block's hours, (hours, n_members), and the count
+    of each hour's fits sent to ``ols_fit``; ``meta["ols_fallbacks"]`` sums
+    the counts of an hour."""
     all_days = np.append(sample_days, target_day)
     meta = dict(meta, window=(data.panel.dates[int(sample_days[0])].isoformat(),
                               data.panel.dates[int(sample_days[-1])].isoformat()))
-    out = {}
-    for hour in hours:
-        columns, fallbacks = zip(*(
-            column(v, *expert_design(ModelSpec(v, hour), data, all_days)) for v in variables))
-        out[hour] = ForecastEnsemble(
-            variables=variables, members=np.column_stack(columns),
-            target_date=data.panel.dates[int(target_day)], hour=int(hour),
-            meta=dict(meta, ols_fallbacks=sum(fallbacks)))
-    return out
+    hours = [int(h) for h in hours]
+    members = [np.empty((n_members, len(variables))) for _ in hours]
+    fallbacks = [0] * len(hours)
+    for vi, v in enumerate(variables):
+        by_p = {}
+        for k, hour in enumerate(hours):
+            by_p.setdefault(row_length(v, hour), []).append(k)
+        for p, ks in by_p.items():
+            size = _hours_per_block(sample_days.size, p, n_fits)
+            for start in range(0, len(ks), size):
+                block = ks[start:start + size]
+                X = np.empty((len(block), all_days.size, p))
+                y = np.empty((len(block), all_days.size))
+                for j, k in enumerate(block):
+                    _, y[j] = expert_design(ModelSpec(v, hours[k]), data, all_days, X[j])
+                columns, counts = members_of(v, X, y)
+                for k, column, count in zip(block, columns, counts):
+                    members[k][:, vi] = column
+                    fallbacks[k] += int(count)
+    target_date = data.panel.dates[int(target_day)]
+    return {hour: ForecastEnsemble(variables=variables, members=m, target_date=target_date,
+                                   hour=hour, meta=dict(meta, ols_fallbacks=f))
+            for hour, m, f in zip(hours, members, fallbacks)}
 
 
 def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
@@ -169,15 +199,18 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
     else:
         plans = {v: masks(stream) for v, stream in zip(variables, rng)}
 
-    def column(v, X, y):
+    def members_of(v, X, y):
         fit, calib = plans[v]
-        betas, fallbacks = ols_fits(X[:-1], y[:-1], fit)
-        errors = np.take_along_axis(y[:-1] - betas @ X[:-1].T, calib, axis=1)
-        return ((betas @ X[-1])[:, None] + errors).ravel(), fallbacks
+        betas, fallbacks = ols_fits(X[:, :-1], y[:, :-1], fit)  # (hours, splits, p)
+        resid = y[:, None, :-1] - betas @ X[:, :-1].transpose(0, 2, 1)
+        errors = np.take_along_axis(resid, calib[None], axis=2)
+        return (betas @ X[:, -1, :, None] + errors).reshape(len(X), -1), fallbacks
 
+    n_calib = sample_days.size - n_estim
     meta = {"method": "ms", "mode": mode, "n_splits": int(n_splits), "ratio": float(ratio),
-            "calibration_size": int(sample_days.size - n_estim)}
-    return _ensembles_by_hour(data, variables, sample_days, target_day, hours, column, meta)
+            "calibration_size": int(n_calib)}
+    return _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_splits,
+                              n_splits * n_calib, members_of, meta)
 
 
 def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
@@ -201,13 +234,14 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
     starts = np.arange(n - inner + 1)[:, None]
     windows = (np.arange(n) >= starts) & (np.arange(n) < starts + inner)
 
-    def column(v, X, y):
-        betas, fallbacks = ols_fits(X[:n], y[:n], windows)
-        errors = y[inner:n] - np.einsum("ij,ij->i", X[inner:n], betas[:-1])
-        return X[-1] @ betas[-1] + errors, fallbacks
+    def members_of(v, X, y):
+        betas, fallbacks = ols_fits(X[:, :n], y[:, :n], windows)  # (hours, windows, p)
+        errors = y[:, inner:n] - np.einsum("hij,hij->hi", X[:, inner:n], betas[:, :-1])
+        return (X[:, -1, None, :] @ betas[:, -1, :, None])[:, 0] + errors, fallbacks
 
     meta = {"method": "hist", "inner_window": int(inner)}
-    return _ensembles_by_hour(data, variables, train_days, target_day, hours, column, meta)
+    return _ensembles_by_hour(data, variables, train_days, target_day, hours, len(windows),
+                              n - inner, members_of, meta)
 
 
 # --------------------------------------------------------------------------
@@ -228,20 +262,23 @@ def derived_ensemble(ens, name):
                             target_date=ens.target_date, hour=ens.hour, meta=meta)
 
 
-def interpolated_quantile(values, tau):
+def interpolated_quantile(values, tau, presorted=False):
     """:func:`interpolated_quantiles` of one sample at one tau, as a float."""
-    return float(interpolated_quantiles(values, tau))
+    return float(interpolated_quantiles(values, tau, presorted))
 
 
-def interpolated_quantiles(values, taus):
+def interpolated_quantiles(values, taus, presorted=False):
     """Empirical quantiles by linear interpolation of the order statistics.
 
     Each row along the last axis of ``values`` is one sample; the result has
     the sample's leading axes followed by the axes of ``taus``.  Position
     1 + (n - 1) tau in 1 based indexing; tau = 0 and tau = 1 yield the
-    extremes exactly.
+    extremes exactly.  ``presorted`` says the samples are already in
+    ascending order, which saves the sort.
     """
-    v = np.sort(np.asarray(values, dtype=np.float64), axis=-1)
+    v = np.asarray(values, dtype=np.float64)
+    if not presorted:
+        v = np.sort(v, axis=-1)
     n = v.shape[-1]
     if n < 2:
         raise EmptyEnsembleError("need at least two values to interpolate")

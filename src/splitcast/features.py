@@ -163,11 +163,12 @@ def _daily_price_block(data, ts, c):
     return cols, labels
 
 
-def design_rows(spec, data, ts):
+def design_rows(spec, data, ts, out=None):
     """Design matrix rows for target days ``ts`` of one model spec.
 
-    Returns ``(X, labels)`` with ``X`` of shape ``(len(ts), p)``.  Raises
-    :class:`InsufficientHistoryError` when any day lacks 7 predecessors.
+    Returns ``(X, labels)`` with ``X`` of shape ``(len(ts), p)``, which is
+    ``out`` when that is given.  Raises :class:`InsufficientHistoryError`
+    when any day lacks 7 predecessors.
     """
     ts = _check_days(ts, data.n_days)
     c = spec.hour - 1
@@ -213,8 +214,10 @@ def design_rows(spec, data, ts):
     else:  # pragma: no cover - ModelSpec already validates
         raise ValueError(kind)
 
-    X = np.column_stack(cols)
-    assert X.shape[1] == row_length(kind, spec.hour)
+    assert len(cols) == row_length(kind, spec.hour)
+    X = np.empty((ts.shape[0], len(cols))) if out is None else out
+    for j, col in enumerate(cols):
+        X[:, j] = col
     return X, tuple(labels)
 
 

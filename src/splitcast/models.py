@@ -11,7 +11,9 @@ import numpy as np
 from .errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
 from .features import design_rows, targets
 
-_FIT_CELLS = 8192  # floats per block in its (fits, n) and (fits, p, p) arrays: bounds peak memory
+# multiply-adds of one masked product: with OpenBLAS 0.3.31 a product of about
+# 1.02e6 or more comes out with other bits on 2 threads than on 1; half that
+_PRODUCT_SIZE = 1 << 19
 # smallest Cholesky pivot of a unit diagonal Gram matrix that stays batched; a
 # pivot is 1 - R^2 of its column on the columns before it, within the fit's rows
 _MIN_PIVOT = 1e-6
@@ -40,11 +42,12 @@ def check_design(X, y=None):
     return X
 
 
-def expert_design(spec, data, days):
+def expert_design(spec, data, days, out=None):
     """Design rows and targets of ``spec`` for ``days``, whose last entry is the
-    target day.  The sample before it is validated here, once, so the fits on
-    its subsets go straight to :func:`ols_fit`."""
-    X, _ = design_rows(spec, data, days)
+    target day; the rows are built in ``out`` when it is given.  The sample
+    before the target day is validated here, once, so the fits on its subsets
+    go straight to :func:`ols_fit`."""
+    X, _ = design_rows(spec, data, days, out)
     y = targets(spec, data, days)
     check_design(X[:-1], y[:-1])
     return X, y
@@ -61,14 +64,15 @@ def ols_fit(X, y):
 
 
 def packed_products(X):
-    """Column products of ``X`` packed one column per pair i <= j, and the
-    (p, p) index array that unpacks a row of them into a symmetric matrix:
-    ``(w @ XX)[..., unpack]`` is the Gram matrix of the rows weighted by ``w``."""
-    n, p = X.shape
-    XX = np.empty((n, p * (p + 1) // 2))
+    """Column products of ``X`` (..., n, p) packed one column per pair i <= j,
+    and the (p, p) index array that unpacks a row of them into a symmetric
+    matrix: ``(w @ XX)[..., unpack]`` is the Gram matrix of the rows weighted
+    by ``w``."""
+    *lead, n, p = X.shape
+    XX = np.empty((*lead, n, p * (p + 1) // 2))
     k = 0
     for i in range(p):  # slice by slice: no gathered (n, pairs) temporaries
-        np.multiply(X[:, i:i + 1], X[:, i:], out=XX[:, k:k + p - i])
+        np.multiply(X[..., i:i + 1], X[..., i:], out=XX[..., k:k + p - i])
         k += p - i
     iu = np.triu_indices(p)
     unpack = np.empty((p, p), dtype=np.intp)
@@ -78,55 +82,71 @@ def packed_products(X):
 
 def ols_fits(X, y, masks):
     """Least squares coefficients of ``y`` on ``X`` over the rows each 0/1 row
-    of ``masks`` selects: ``(coefficients of shape (len(masks), p), number of
-    fits sent to ols_fit)``.
+    of ``masks`` selects.  For one design ``X`` (n, p) with targets ``y`` (n,)
+    it returns ``(coefficients of shape (len(masks), p), number of fits sent
+    to ols_fit)``; for a stack ``X`` (H, n, p) with targets ``y`` (H, n),
+    whose designs share the masks, ``(coefficients (H, len(masks), p), fits
+    sent to ols_fit per design (H,))``.
 
-    Each fit solves its normal equations, scaled to a unit diagonal, in one
-    batched solve per block of fits.  A column that is zero on all of a fit's
-    rows gets a unit pivot and a zero right hand side, so its coefficient is
-    0: the minimum norm answer of :func:`ols_fit`.  A fit whose Cholesky
-    factor fails or has a pivot below ``_MIN_PIVOT`` is refitted by
-    :func:`ols_fit` on its rows.
+    Every fit of the stack solves its normal equations, scaled to a unit
+    diagonal, in one batched solve, so the caller bounds the stack's size.
+    A column that is zero on all of a fit's rows gets a unit pivot and a
+    zero right hand side, so its coefficient is 0: the minimum norm answer
+    of :func:`ols_fit`.  A fit whose Cholesky factor fails or has a pivot
+    below ``_MIN_PIVOT`` is refitted by :func:`ols_fit` on its rows.
 
     Unchecked, like :func:`ols_fit`.
     """
-    p = X.shape[1]
+    stacked = X.ndim == 3
+    if not stacked:
+        X, y = X[None], y[None]
+    p = X.shape[2]
     XX, unpack = packed_products(X)
-    Xy = X * y[:, None]
-    out = np.empty((len(masks), p))
-    fallbacks = 0
-    block = max(1, _FIT_CELLS // (len(X) + p * p))
-    for start in range(0, len(masks), block):
-        m = np.asarray(masks[start:start + block], dtype=np.float64)
-        gram = (m @ XX)[:, unpack]
-        diag = gram.reshape(len(m), p * p)[:, ::p + 1]
-        scale = np.sqrt(diag)
-        scale[scale == 0.0] = 1.0
-        gram /= scale[:, :, None]
-        gram /= scale[:, None, :]
-        diag[...] = 1.0  # the unit pivot of a dead column; 1 up to rounding elsewhere
-        bad = np.flatnonzero(~_well_conditioned(gram))
-        gram[bad] = np.eye(p)  # a solvable stand-in: ols_fit redoes these fits
-        rhs = (m @ Xy) / scale  # zero on a dead column: its products are exact zeros
-        coef = out[start:start + len(m)]
-        coef[...] = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0] / scale
-        for i in bad:
-            rows = m[i] != 0.0
-            coef[i] = ols_fit(X[rows], y[rows])
-        fallbacks += bad.size
-    return out, fallbacks
+    m = np.asarray(masks, dtype=np.float64)
+    gram = _masked_sums(m, XX)[..., unpack]  # (H, fits, p, p)
+    del XX  # as large as the Gram matrices: freed before they are factorized
+    diag = gram.reshape(*gram.shape[:2], p * p)[..., ::p + 1]
+    scale = np.sqrt(diag)
+    scale[scale == 0.0] = 1.0
+    gram /= scale[..., :, None]
+    gram /= scale[..., None, :]
+    diag[...] = 1.0  # the unit pivot of a dead column; 1 up to rounding elsewhere
+    bad = ~_well_conditioned(gram)
+    gram[bad] = np.eye(p)  # a solvable stand-in: ols_fit redoes these fits
+    # zero on a dead column: its products are exact zeros
+    rhs = _masked_sums(m, X * y[:, :, None]) / scale
+    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    coef /= scale
+    for h, i in zip(*np.nonzero(bad)):
+        rows = m[i] != 0.0
+        coef[h, i] = ols_fit(X[h, rows], y[h, rows])
+    fallbacks = np.count_nonzero(bad, axis=1)
+    return (coef, fallbacks) if stacked else (coef[0], int(fallbacks[0]))
+
+
+def _masked_sums(m, A):
+    """``m @ A`` for masks ``m`` (fits, n) and a stack ``A`` (H, n, k), taken in
+    products of a few rows of ``m`` each, small enough that BLAS runs them
+    on one thread: the bits then do not depend on the BLAS thread count."""
+    out = np.empty((A.shape[0], len(m), A.shape[2]))
+    rows = max(1, _PRODUCT_SIZE // (A.shape[1] * A.shape[2]))
+    for s in range(0, len(m), rows):
+        np.matmul(m[s:s + rows], A, out=out[:, s:s + rows])
+    return out
 
 
 def _well_conditioned(gram):
-    """Per matrix of the stack: its Cholesky factor exists and has no pivot
-    below ``_MIN_PIVOT``."""
+    """Per matrix of the stack (..., p, p): its Cholesky factor exists and has
+    no pivot below ``_MIN_PIVOT``."""
     try:
-        pivots = np.einsum("bii->bi", np.linalg.cholesky(gram)) ** 2
+        pivots = np.einsum("...ii->...i", np.linalg.cholesky(gram)) ** 2
     except np.linalg.LinAlgError:  # some matrix is not positive definite: find which
-        pivots = np.zeros(gram.shape[:2])
-        for i, g in enumerate(gram):
+        flat = gram.reshape(-1, *gram.shape[-2:])
+        pivots = np.zeros(flat.shape[:2])
+        for i, g in enumerate(flat):
             try:
                 pivots[i] = np.diag(np.linalg.cholesky(g)) ** 2
             except np.linalg.LinAlgError:
                 pass
-    return pivots.min(axis=1) >= _MIN_PIVOT
+        pivots = pivots.reshape(gram.shape[:-1])
+    return pivots.min(axis=-1) >= _MIN_PIVOT

@@ -74,10 +74,12 @@ class TradeDecision:
     degenerate_sr: bool = False
 
 
-def choose_q(strategy, pools, q_grid=Q_GRID_DEFAULT, var_level=0.05):
+def choose_q(strategy, pools, q_grid=Q_GRID_DEFAULT, var_level=0.05, sorted_pools=None):
     """Pick the bid fraction maximizing the strategy criterion.
 
-    ``pools`` is the (len(q_grid), M) profit member matrix.  An all zero
+    ``pools`` is the (len(q_grid), M) profit member matrix.  The quantile
+    criteria read ``sorted_pools``, the pools sorted along each row, when
+    the caller has it; ``sr`` reads the pools in member order.  An all zero
     dispersion makes ``sr`` undefined; it falls back to the ``epi`` rule
     and flags the decision.
     """
@@ -86,18 +88,20 @@ def choose_q(strategy, pools, q_grid=Q_GRID_DEFAULT, var_level=0.05):
     if pools.ndim != 2 or pools.shape[0] != q_grid.size:
         raise EmptyEnsembleError(
             f"pool matrix {pools.shape} does not match {q_grid.size} candidate bids")
+    presorted = sorted_pools is not None
+    ordered = sorted_pools if presorted else pools
     degenerate = False
     if strategy == "epi":
-        crit = interpolated_quantiles(pools, 0.5)
+        crit = interpolated_quantiles(ordered, 0.5, presorted)
     elif strategy == "var":
-        crit = interpolated_quantiles(pools, var_level)
+        crit = interpolated_quantiles(ordered, var_level, presorted)
     elif strategy == "sr":
         if pools.shape[1] < 2:
             raise EmptyEnsembleError("sr needs at least two members")
         stds = pools.std(axis=1, ddof=1)
         if np.all(stds == 0.0):
             degenerate = True
-            crit = interpolated_quantiles(pools, 0.5)
+            crit = interpolated_quantiles(ordered, 0.5, presorted)
         else:
             means = pools.mean(axis=1)
             crit = np.where(stds > 0.0, means / np.where(stds > 0.0, stds, 1.0), -np.inf)
@@ -108,16 +112,17 @@ def choose_q(strategy, pools, q_grid=Q_GRID_DEFAULT, var_level=0.05):
                          criterion=float(crit[j]), degenerate_sr=degenerate)
 
 
-def stopping_rule(decision, pool_at_q, tau):
+def stopping_rule(decision, pool_at_q, tau, presorted=False):
     """Curtail when the profit pool's tau quantile is negative.
 
     ``tau = 1`` is read as never curtail and reproduces the plain decision.
+    ``presorted`` says ``pool_at_q`` is already in ascending order.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau {tau} outside (0, 1]")
     if tau >= 1.0:
         return replace(decision, tau=1.0, curtail=False, stop_quantile=None)
-    q_tau = interpolated_quantile(np.asarray(pool_at_q, dtype=np.float64), tau)
+    q_tau = interpolated_quantile(pool_at_q, tau, presorted)
     return replace(decision, tau=float(tau), curtail=bool(q_tau < 0.0), stop_quantile=q_tau)
 
 

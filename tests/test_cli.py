@@ -312,6 +312,19 @@ def test_evaluate_scores_stored_fans(fan_dir, panel_csv, tmp_path, capsys):
     assert float(overall["crps"]) == pytest.approx(np.mean(scores), rel=1e-4)
 
 
+@pytest.mark.parametrize("levels, message", [
+    ("1.5,0,0.8", "interval level 1.5 outside (0, 1)"),
+    ("nan,0.8", "interval level nan outside (0, 1)"),
+])
+def test_evaluate_rejects_levels_outside_the_unit_interval(fan_dir, panel_csv, tmp_path, capsys,
+                                                           levels, message):
+    out = tmp_path / "scores"
+    assert main(["evaluate", "--fans", str(fan_dir / "fans.csv"), "--input", str(panel_csv),
+                 f"--levels={levels}", "--out", str(out)]) == 2
+    assert message in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_backtest_cli_runs(panel_csv, tmp_path, capsys):
     out = tmp_path / "bt"
     code = main(["backtest", "--input", str(panel_csv), "--out", str(out),
@@ -333,6 +346,13 @@ def test_backtest_cli_rejects_bad_overrides(panel_csv, tmp_path, capsys):
     assert main(args + ["--set", "novalue"]) == 2
     assert main(args + ["--set", "n_splits=many"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_backtest_rejects_var_level_outside_the_unit_interval(panel_csv, tmp_path, capsys):
+    assert main(["backtest", "--input", str(panel_csv), "--out", str(tmp_path / "x"),
+                 "--window", "100", "--eval-days", "1", "--set", "var_level=1.5"]) == 2
+    assert "var_level 1.5 outside (0, 1)" in _one_line_error(capsys)
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.fixture(scope="module")

@@ -47,6 +47,22 @@ def test_validate_checks_derived_parents_and_the_trading_method():
         ExperimentConfig(methods=("point", "ms"), trading_method="hist").validate()
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"var_level": 1.5}, "var_level 1.5 outside"),
+    ({"var_level": 0.0}, "var_level 0.0 outside"),
+    ({"var_level": float("nan")}, "var_level nan outside"),
+    ({"c_om": float("inf")}, "c_om inf is not a finite number"),
+    ({"c_om": float("nan")}, "c_om nan is not a finite number"),
+    ({"interval_levels": (0.8, float("nan"))}, "interval level nan outside"),
+])
+def test_validate_rejects_bad_trading_and_level_values(changes, message):
+    """Values that would stop a run mid-way, e.g. var_level = 1.5 in the
+    first hour's ``choose_q``, fail ``validate()`` instead."""
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**changes).validate()
+    ExperimentConfig(var_level=0.1, c_om=-3.5).validate()
+
+
 def test_short_window_fails_before_day_one(panel_small, tmp_path):
     cfg = ExperimentConfig(output_dir=str(tmp_path / "out"), calibration_window_days=60,
                            evaluation_days=1, methods=("ms",))

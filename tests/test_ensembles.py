@@ -1,6 +1,10 @@
 """Split bookkeeping, ensemble construction, quantile interpolation."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -185,6 +189,48 @@ def test_fits_do_not_depend_on_the_other_requests(data_small):
     np.testing.assert_array_equal(joint[12].column("DA"), alone[12].column("DA"))
 
 
+def test_hour_blocks_equal_a_per_hour_replay(data_small, monkeypatch):
+    """With a budget that splits each variable's hours into several blocks,
+    hist and ms members at edge and interior hours of W and DA equal a
+    replay that fits every (hour, window or split) alone with lstsq."""
+    # W: two hours per block at 5 regressors, and at 4 for the edge hours;
+    # DA: one hour per block
+    monkeypatch.setattr(splitcast.ensembles, "_BLOCK_FLOATS", 14_000)
+    stacks = []
+    fits = splitcast.ensembles.ols_fits
+
+    def recording_fits(X, y, masks):
+        stacks.append(X.shape[0])
+        return fits(X, y, masks)
+
+    monkeypatch.setattr(splitcast.ensembles, "ols_fits", recording_fits)
+    train = np.arange(20, 110)
+    days = np.append(train, 110)
+    hours = (1, 2, 12, 23, 24)
+    hist = historical_ensembles_for_day(data_small, ("W", "DA"), train, 110, hours)
+    assert stacks == [2, 2, 1] + [1] * 5  # W at 1 and 24, at 2 and 12, at 23; DA hour by hour
+    ms = ms_ensembles_for_day(data_small, ("W", "DA"), train, 110, hours, 4, 0.5,
+                              np.random.default_rng(7))
+    stream = np.random.default_rng(7)
+    plans = [random_split(train, 0.5, stream) for _ in range(4)]
+    for v in ("W", "DA"):
+        for hour in hours:
+            spec = ModelSpec(v, hour)
+            X, _ = design_rows(spec, data_small, days)
+            y = targets(spec, data_small, days)
+            lstsq = lambda rows: np.linalg.lstsq(X[rows], y[rows], rcond=None)[0]  # noqa: E731
+            point = X[-1] @ lstsq(slice(45, 90))
+            errors = [y[pos] - X[pos] @ lstsq(slice(pos - 45, pos)) for pos in range(45, 90)]
+            np.testing.assert_allclose(hist[hour].column(v), point + np.array(errors), rtol=1e-9)
+            chunks = []
+            for plan in plans:
+                beta = lstsq(np.searchsorted(train, plan.estimation_days))
+                cal = np.searchsorted(train, plan.calibration_days)
+                chunks.append(X[-1] @ beta + (y[cal] - X[cal] @ beta))
+            np.testing.assert_allclose(ms[hour].column(v), np.concatenate(chunks), rtol=1e-9)
+            assert hist[hour].meta["ols_fallbacks"] == ms[hour].meta["ols_fallbacks"] == 0
+
+
 def _near_copy_of_neighbour_forecast(panel, hour, rng):
     """The panel with FW at ``hour - 1`` a near copy of FW at ``hour``, so the
     W design of ``hour`` has two nearly collinear columns."""
@@ -213,6 +259,42 @@ def test_near_collinear_design_counts_fallbacks(panel_small):
     point = X[-1] @ ols_fit(X[45:90], y[45:90])
     errors = [y[pos] - X[pos] @ ols_fit(X[pos - 45:pos], y[pos - 45:pos]) for pos in range(45, 90)]
     np.testing.assert_allclose(hist[12].column("W"), point + np.array(errors), rtol=1e-7)
+
+
+_THREADS_SCRIPT = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from splitcast.ensembles import historical_ensembles_for_day, ms_ensembles_for_day
+    from splitcast.features import MarketData
+    from splitcast.panel import SyntheticConfig, generate_synthetic_panel
+
+    data = MarketData.from_panel(generate_synthetic_panel(SyntheticConfig(days=375), seed=11))
+    day = data.n_days - 1
+    window = np.arange(day - 365, day)
+    hist = historical_ensembles_for_day(data, ("DA", "W"), window, day, range(1, 25))
+    ms = ms_ensembles_for_day(data, ("DA", "W"), window, day, range(1, 25), 20, 0.5,
+                              np.random.default_rng(1))
+    digest = hashlib.sha256()
+    for ens in (*hist.values(), *ms.values()):
+        digest.update(ens.members.tobytes())
+    print(digest.hexdigest())
+""")
+
+
+def test_members_do_not_depend_on_the_blas_thread_count():
+    """At a 365-day window a hist hour's 184 masked Gram sums would be one
+    product large enough for OpenBLAS to split over threads; the fits take
+    them a few masks at a time, so the members keep their bits."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(splitcast.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 @pytest.fixture

@@ -97,24 +97,33 @@ def _random_masks(rng, dow, count, size, dead_weekday):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 90),
-       st.sampled_from([None, 0, 3, 6]), st.integers(0, 10))
-def test_ols_fits_match_lstsq_per_mask(seed, extra, count, dead_weekday, repeats):
-    """Every batched fit equals lstsq on its rows; a weekday missing from a
-    fit's rows leaves a dead dummy whose coefficient is exactly 0."""
+       st.sampled_from([None, 0, 3, 6]), st.integers(0, 10), st.integers(2, 4))
+def test_ols_fits_match_lstsq_per_mask(seed, extra, count, dead_weekday, repeats, stack):
+    """Every batched fit of a stack of designs that share the masks equals
+    lstsq on its rows; a weekday missing from a fit's rows leaves a dead dummy
+    whose coefficient is exactly 0.  A design alone is the stack's entry, bit
+    for bit."""
     rng = np.random.default_rng(seed)
     n = 80
-    X, y, dow = _weekday_design(rng, n, extra, repeats)
-    size = 2 * X.shape[1] + int(rng.integers(0, 20))
+    designs = [_weekday_design(rng, n, extra, repeats) for _ in range(stack)]
+    X = np.stack([d[0] for d in designs])
+    y = np.stack([d[1] for d in designs])
+    dow = designs[0][2]  # every design has the same weekday dummies
+    size = 2 * X.shape[2] + int(rng.integers(0, 20))
     masks = _random_masks(rng, dow, count, size, dead_weekday)
     coef, fallbacks = ols_fits(X, y, masks)
-    assert coef.shape == (count, X.shape[1])
-    assert fallbacks == 0
-    for m, c in zip(masks, coef):
-        oracle = np.linalg.lstsq(X[m], y[m], rcond=None)[0]
-        np.testing.assert_allclose(c, oracle, rtol=1e-9, atol=1e-9 * np.abs(oracle).max())
-        dead = ~X[m].any(axis=0)
-        assert dead_weekday is None or dead[dead_weekday]
-        assert np.all(c[dead] == 0.0)
+    assert coef.shape == (stack, count, X.shape[2])
+    assert fallbacks.tolist() == [0] * stack
+    for Xh, yh, ch in zip(X, y, coef):
+        for m, c in zip(masks, ch):
+            oracle = np.linalg.lstsq(Xh[m], yh[m], rcond=None)[0]
+            np.testing.assert_allclose(c, oracle, rtol=1e-9, atol=1e-9 * np.abs(oracle).max())
+            dead = ~Xh[m].any(axis=0)
+            assert dead_weekday is None or dead[dead_weekday]
+            assert np.all(c[dead] == 0.0)
+    alone, alone_fallbacks = ols_fits(X[-1], y[-1], masks)
+    np.testing.assert_array_equal(alone, coef[-1])
+    assert alone_fallbacks == 0
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -135,7 +144,7 @@ def test_near_collinear_fits_take_ols_fit(seed, count, eps):
 def test_ols_fits_blocks_and_mixed_guard(rng, monkeypatch):
     """Fits spread over several blocks, one of them singular, come back in
     mask order; only the singular one is refitted by ols_fit."""
-    monkeypatch.setattr(splitcast.models, "_FIT_CELLS", 3 * (60 + 25))  # 3 fits per block
+    monkeypatch.setattr(splitcast.models, "_PRODUCT_SIZE", 3 * 60 * 15)  # 3 Gram sums a product
     X = _well_conditioned(rng)
     y = rng.standard_normal(60)
     masks = np.zeros((8, 60), dtype=bool)

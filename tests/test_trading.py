@@ -163,6 +163,33 @@ def test_choose_q_validation(rng):
         choose_q("epi", rng.normal(size=(Q_GRID_DEFAULT.size, 1)))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.sampled_from([0.0, 0.2, 1.0]),
+       st.sampled_from([0.01, 0.05, 0.5]))
+def test_one_sort_decisions_equal_the_raw_pool_decisions(seed, m, dead_share, var_level):
+    """Reading every quantile off one sort of the hour's pools gives the very
+    decisions of ``choose_q`` and ``stopping_rule`` on the raw pools, with
+    tied prices and zero wind members, and when every member has zero wind
+    (the degenerate sr fallback)."""
+    rng = np.random.default_rng(seed)
+    da = np.round(rng.normal(40.0, 15.0, m))  # whole prices: many ties
+    idp = np.where(rng.random(m) < 0.3, da, np.round(rng.normal(40.0, 18.0, m)))
+    w = np.where(rng.random(m) < dead_share, -rng.random(m) * (rng.random(m) < 0.5),
+                 np.round(rng.uniform(0.5, 20.0, m)))
+    ens = ForecastEnsemble(variables=("DA", "ID", "W"), members=np.column_stack([da, idp, w]),
+                           target_date=dt.date(2020, 3, 14), hour=11, meta={})
+    pools = profit_pools(ens, float(np.round(rng.uniform(0.0, 15.0))))
+    ordered = np.sort(pools, axis=1)
+    for strategy in STRATEGIES:
+        base = choose_q(strategy, pools, Q_GRID_DEFAULT, var_level, ordered)
+        assert base == choose_q(strategy, pools, Q_GRID_DEFAULT, var_level)
+        assert base.degenerate_sr == (strategy == "sr" and np.all(w <= 0.0))
+        j = int(round(base.q * 100))
+        for tau in (0.05, 0.3, 0.5, 0.7, 0.95, 1.0):
+            assert (stopping_rule(base, ordered[j], tau, presorted=True)
+                    == stopping_rule(base, pools[j], tau))
+
+
 def test_stopping_tau_one_is_bit_exact_no_stopping(rng):
     base_profits = None
     for case in range(2):
