@@ -4,10 +4,12 @@ Run from the repository root::
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
-Sizes mirror backtest days.  The domination counts run on pool +
-observation of 4 variables at 1,261 points (the 1,260 member pool of the
-``paper_ensembles`` benchmark workload) and at 3,661 points (the paper's
-20 splits x 183 days).  The pinball batch scores two years of hourly fans,
+Sizes mirror backtest days.  The domination counts (packed prefix
+bitsets) run on pool + observation of 4 variables at 184 points (a
+historical simulation pool), at 1,261 points (the 1,260 member pool of the
+``paper_ensembles`` benchmark workload), the same rounded to one decimal
+(ties in every component) and at 3,661 points (the paper's 20 splits x 183
+days).  The pinball batch scores two years of hourly fans,
 the profit pools price 3,660 members on the 101 point bid grid, and the fan
 is the 99 tau quantile regression of one (variable, hour) on a 365 day
 window with the 21 price regressors, alone and in a stack of 24 such
@@ -76,9 +78,13 @@ def _trading_hour(ens, w_hat, q_grid, taus):
 
 def main():
     rng = np.random.default_rng(0)
-    for m1 in (1261, 3661):
+    for m1, decimals in ((184, None), (1261, None), (1261, 1), (3661, None)):
         points = rng.normal(size=(m1, 4))
-        _report("preranks", f"{m1} x 4 points", lambda: K.preranks(points))
+        size = f"{m1} x 4 points"
+        if decimals is not None:
+            points = np.round(points, decimals)
+            size += f", {decimals} decimal"
+        _report("preranks", size, lambda: K.preranks(points), repeats=30)
 
     fans = np.sort(rng.normal(size=(730 * 24, 99)), axis=1)
     ys = rng.normal(size=730 * 24)

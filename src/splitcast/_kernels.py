@@ -11,10 +11,6 @@ import numpy as np
 # the package has one numpy kernel path; the flag stays for result records
 USE_NUMBA = False
 
-# pre-rank blocks: at most this many query rows, and about this many cells
-_PRERANK_ROWS = 128
-_PRERANK_CELLS = 4_000_000
-
 
 # ----------------------------------------------------------------- pre-ranks
 
@@ -23,31 +19,46 @@ def preranks(points):
 
     ``counts[j]`` is the number of rows i (including j itself) with
     ``points[i, d] <= points[j, d]`` for every component d.  ``points``
-    must hold no NaN.
+    must have at least one component and hold no NaN.
 
-    Rows are sorted by component 0 and taken in blocks of query rows.  A
-    block compares only rows up to the last one whose component 0 is at
-    most the block's largest (no query of the block dominates a later row),
-    and rows before the block need no component 0 comparison at all.  The
-    block's boolean matrix starts from component 0 and ANDs each further
-    component into it in place, so no ``(M, M, K)`` array is ever built.
+    Each row set is a bitset of ``ceil(M / 64)`` words.  Per component the
+    rows are sorted and a prefix matrix is built by OR-accumulating one bit
+    per sorted row, so prefix row t holds the first t + 1 rows of the order.
+    Row j's set ``{i : points[i, d] <= points[j, d]}`` is the prefix row at
+    the end of j's run of ties; any sort serves, since that row holds the
+    whole run.  The gathered sets of all components are ANDed and counted,
+    so the work is about ``K * M * M / 64`` word operations for M rows of
+    K components, in three ``(M, ceil(M / 64))`` arrays.
     """
-    points = np.asarray(points, dtype=np.float64)
-    m1 = points.shape[0]
-    order = np.argsort(points[:, 0], kind="stable")
-    first, *rest = np.ascontiguousarray(points[order].T)
-    counts = np.empty(m1, dtype=np.int64)
-    chunk = max(1, min(_PRERANK_ROWS, _PRERANK_CELLS // max(m1, 1)))
-    for s in range(0, m1, chunk):
-        e = min(s + chunk, m1)
-        r = int(np.searchsorted(first, first[e - 1], side="right"))
-        le = np.empty((e - s, r), dtype=bool)
-        le[:, :s] = True
-        np.less_equal(first[None, s:r], first[s:e, None], out=le[:, s:r])
-        for col in rest:
-            le &= col[None, :r] <= col[s:e, None]
-        counts[order[s:e]] = np.count_nonzero(le, axis=1)
-    return counts
+    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    m1 = cols.shape[1]
+    rows = np.arange(m1)
+    word = rows // 64
+    bit = np.left_shift(np.uint64(1), (rows % 64).astype(np.uint64))
+    # one allocation for the three bitset arrays: three separate ones of a
+    # few MB were handed back to the OS and faulted in again on every call
+    prefix, acc, gathered = np.empty((3, m1, -(-m1 // 64)), dtype=np.uint64)
+    run_end = np.empty(m1, dtype=np.intp)
+    last = np.empty(m1, dtype=np.intp)
+    for d, col in enumerate(cols):
+        order = np.argsort(col)
+        ordered = col[order]
+        prefix.fill(0)
+        prefix[rows, word[order]] = bit[order]
+        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+        # sorted position of the last tie of each sorted position
+        run_end.fill(m1)
+        ends = np.flatnonzero(ordered[1:] != ordered[:-1])
+        run_end[ends] = ends
+        run_end[-1:] = m1 - 1
+        last[order] = np.minimum.accumulate(run_end[::-1])[::-1]
+        # the indices are in range; "clip" spares the checked mode's buffer
+        if d == 0:
+            np.take(prefix, last, axis=0, out=acc, mode="clip")
+        else:
+            np.take(prefix, last, axis=0, out=gathered, mode="clip")
+            acc &= gathered
+    return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
 
 
 # ------------------------------------------------------- pinball score batch

@@ -186,12 +186,20 @@ def reliability_index(ranks, m_bins=10, mode="univariate"):
     ranks = _as_grid(ranks)
     if ranks.min() < 0.0 or ranks.max() > 1.0:
         raise ValueError("ranks must lie in [0, 1]")
-    bins = np.minimum((ranks * m_bins).astype(np.intp), m_bins - 1)
+    # one row of sorted bins per hour
+    bins = np.sort(np.minimum((ranks.T * m_bins).astype(np.intp), m_bins - 1), axis=1)
     n = ranks.shape[0]
-    deltas = np.empty(ranks.shape[1])
-    for h in range(ranks.shape[1]):
-        counts = np.bincount(bins[:, h], minlength=m_bins)
-        # Integer numerator keeps degenerate histograms exact in floats.
-        deltas[h] = np.abs(counts * m_bins - n).sum() / (n * m_bins)
+    # The deviations c * m_bins - n of all bins sum to zero, so their
+    # absolute sum is twice the positive part, which only occupied bins
+    # have: memory follows the ranks, not m_bins.  A bin's count c is its
+    # run length in the sorted row, read at the run's last entry.  The
+    # integer numerator keeps degenerate histograms exact in floats.
+    pos = np.arange(n)
+    first = np.ones(bins.shape, dtype=bool)
+    first[:, 1:] = bins[:, 1:] != bins[:, :-1]
+    last = np.ones_like(first)
+    last[:, :-1] = first[:, 1:]
+    counts = np.where(last, pos + 1 - np.maximum.accumulate(np.where(first, pos, 0), axis=1), 0)
+    deltas = 2 * (np.maximum(counts * m_bins - n, 0).sum(axis=1) / (n * m_bins))
     return ReliabilityReport(mode=mode, m_bins=int(m_bins),
                              delta_by_hour=deltas, delta=float(deltas.mean()))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitcast import _kernels
 from splitcast.scores import TAU_GRID
@@ -45,11 +46,20 @@ def test_preranks_matches_broadcast_oracle(rng, k, m1):
     assert np.array_equal(counts, _preranks_broadcast(pts))
 
 
-def test_preranks_one_row_blocks(rng, monkeypatch):
-    # a cell budget below one row forces blocks of a single query row
-    monkeypatch.setattr(_kernels, "_PRERANK_CELLS", 1000)
-    pts = _points_with_ties(rng, m=2101, k=4)
-    assert np.array_equal(_kernels.preranks(pts), _preranks_broadcast(pts))
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]),
+       st.integers(1, 5), st.integers(1, 6), st.floats(0.0, 0.5))
+def test_preranks_across_word_boundaries(seed, m1, k, levels, special):
+    # point counts on both sides of the 64 bit words, with few distinct
+    # values per column (ties), repeated rows, signed zeros and infinities
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-levels, levels + 1, (m1, k)).astype(np.float64)
+    odd = rng.random((m1, k)) < special
+    pts[odd] = rng.choice([-0.0, 0.0, np.inf, -np.inf], size=int(odd.sum()))
+    pts[1::3] = pts[rng.integers(0, m1, size=pts[1::3].shape[0])]
+    counts = _kernels.preranks(pts)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _preranks_broadcast(pts))
 
 
 def test_preranks_signed_zeros_and_infinities(rng):

@@ -6,6 +6,7 @@ rank logic against brute force reimplementations.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -237,6 +238,58 @@ def test_reliability_per_hour_average(rng):
     assert report.delta_by_hour.shape == (2,)
     assert report.delta_by_hour[0] == 1.8
     assert report.delta == pytest.approx(report.delta_by_hour.mean())
+
+
+@pytest.mark.parametrize("m_bins", [2, 3, 7, 10, 40])
+def test_reliability_equals_the_full_histogram_formula(rng, m_bins):
+    # ranks on a coarse grid leave some bins empty and pile others up
+    ranks = np.round(rng.uniform(size=(60, 4)), 1)
+    ranks[:, 0] = 0.5
+    report = reliability_index(ranks, m_bins=m_bins)
+    bins = np.minimum((ranks * m_bins).astype(np.intp), m_bins - 1)
+    for h in range(4):
+        counts = np.bincount(bins[:, h], minlength=m_bins)
+        want = np.abs(counts * m_bins - 60).sum() / (60 * m_bins)
+        assert report.delta_by_hour[h] == want
+
+
+def test_reliability_memory_does_not_grow_with_m_bins(rng):
+    ranks = rng.uniform(size=(200, 3))
+    tracemalloc.start()
+    try:
+        report = reliability_index(ranks, m_bins=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a full histogram alone would take 80 MB
+    assert report.delta_by_hour.shape == (3,)
+    assert np.all(report.delta_by_hour == 2.0 * (10**7 - 200) / 10**7)
+
+
+def _brute_force_rank(members, y0, rng):
+    """The multivariate rank from plain O(M^2 K) pre-ranks and its draw."""
+    points = np.vstack([y0[None, :], members])
+    counts = (points[:, None, :] <= points[None, :, :]).all(axis=2).sum(axis=0)
+    s = int((counts < counts[0]).sum())
+    u = int((counts == counts[0]).sum())
+    return (int(rng.integers(s + 1, s + u + 1)) - 1) / members.shape[0]
+
+
+@pytest.mark.parametrize("m", [90, 1260])
+def test_multivariate_rank_equals_brute_force_draws(m):
+    # rounded members tie in single components and as whole rows; some
+    # observations repeat a member, so the random tie break has work to do
+    gen = np.random.default_rng(m)
+    pools = []
+    for j in range(12):
+        members = np.round(gen.normal(0.0, 1.0, (m, 4)), 0)
+        y0 = members[gen.integers(m)].copy() if j % 2 else np.round(gen.normal(size=4), 0)
+        pools.append((members, y0))
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    got = [multivariate_rank(members, y0, ours) for members, y0 in pools]
+    want = [_brute_force_rank(members, y0, theirs) for members, y0 in pools]
+    assert got == want
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def _multivariate_reliability(cells, rng, m_bins):
