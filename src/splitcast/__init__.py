@@ -31,9 +31,9 @@ from .scores import (
     ReliabilityReport,
     coverage_report,
     crps_from_fan,
+    interval_hits,
     kupiec,
     multivariate_rank,
-    picp,
     reliability_index,
     univariate_rank,
 )
@@ -49,4 +49,4 @@ from .trading import (
     stopping_rule,
 )
 from .config import ExperimentConfig, load_config
-from .backtest import BacktestResult, forecast_day, leakage_check, run_backtest
+from .backtest import BacktestResult, forecast_day, leakage_check, run_backtest, score_day

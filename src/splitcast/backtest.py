@@ -32,7 +32,14 @@ from .errors import ConfigError
 from .features import KINDS, MarketData, ModelSpec, design_rows, series, targets
 from .models import expert_design, ols_fit
 from .quantreg import TAU_GRID, qr_fan, qr_fit_fan, tail_column
-from .scores import coverage_report, crps_fan_matrix, multivariate_rank, reliability_index, univariate_rank
+from .scores import (
+    coverage_report,
+    crps_fan_matrix,
+    interval_hits,
+    multivariate_rank,
+    reliability_index,
+    univariate_rank,
+)
 from .trading import (
     Q_GRID_DEFAULT,
     choose_q,
@@ -78,18 +85,15 @@ def forecast_day(data, cfg, day_idx):
 
     Returns a dict of ``point`` (kind -> 24 values), ``fans`` ((method, variable) -> (24, 99)),
     ``intervals`` ((method, variable, level) -> (2, 24) lower and upper bounds),
-    ``uranks`` ((method, variable) -> 24 univariate ranks), ``mvranks``
-    (method -> 24 multivariate ranks), ``decisions`` ((strategy, tau) -> 24
-    TradeDecisions) and ``ensembles`` (method -> hour -> ForecastEnsemble).
-    The ranks and the ``limited`` decision read the day's realized values;
-    nothing else does.
+    ``decisions`` ((strategy, tau) -> 24 TradeDecisions, empty without trading)
+    and ``ensembles`` (method -> hour -> ForecastEnsemble).  It reads no
+    realized value of the target day: :func:`score_day` does.
     """
     t0 = day_idx - cfg.calibration_window_days
     window = np.arange(t0, day_idx, dtype=np.intp)
     all_days = np.append(window, day_idx)
     hours = range(1, 25)
-    realized = {v: series(data, v)[day_idx] for v in (*cfg.variables, *cfg.derived)}
-    out = {"point": {}, "fans": {}, "intervals": {}, "uranks": {}, "mvranks": {}, "decisions": {}}
+    out = {"point": {}, "fans": {}, "intervals": {}, "decisions": {}}
 
     need_point = "point" in cfg.methods or cfg.trading
     point_kinds = KINDS if "point" in cfg.methods else ("W",)
@@ -147,41 +151,26 @@ def forecast_day(data, cfg, day_idx):
     # the fan, then each interval level's (lo, 1 - lo), from one sort per member column
     tails = [(1.0 - level) / 2.0 for level in cfg.interval_levels]
     taus = np.concatenate([TAU_GRID, *([lo, 1.0 - lo] for lo in tails)])
-    for mi, (method, by_hour) in enumerate(sorted(ens_by_method.items())):
-        mv_idx = [cfg.variables.index(v) for v in cfg.mv_variables]
-        mv_rng = _stream(cfg.master_seed, _STREAM_MV_RANK, day_idx, mi) if mv_idx else None
+    for method, by_hour in sorted(ens_by_method.items()):
         fans = {v: np.empty((24, 99)) for v in (*cfg.variables, *cfg.derived)}
-        uranks = {v: np.empty(24) for v in fans}
-        mvranks = np.empty(24) if mv_idx else None
         bounds = {(v, level): np.empty((2, 24)) for v in fans for level in cfg.interval_levels}
         for h in hours:
-            ens = by_hour[h]
-            singles = {v: ens.column(v) for v in cfg.variables}
-            for name in cfg.derived:
-                singles[name] = derived_ensemble(ens, name).members[:, 0]
-            quantiles = interpolated_quantiles(np.stack(list(singles.values())), taus)
-            for (v, members), qs in zip(singles.items(), quantiles):
+            quantiles = interpolated_quantiles(np.stack(_singles(cfg, by_hour[h])), taus)
+            for v, qs in zip(fans, quantiles):
                 fans[v][h - 1] = qs[:99]
-                uranks[v][h - 1] = univariate_rank(members, realized[v][h - 1])
                 for k, level in enumerate(cfg.interval_levels):
                     bounds[(v, level)][:, h - 1] = qs[99 + 2 * k:101 + 2 * k]
-            if mv_idx:
-                y0 = np.array([realized[v][h - 1] for v in cfg.mv_variables])
-                mvranks[h - 1] = multivariate_rank(ens.members[:, mv_idx], y0, mv_rng)
         for v in fans:
             out["fans"][(method, v)] = fans[v]
-            out["uranks"][(method, v)] = uranks[v]
             for level in cfg.interval_levels:
                 out["intervals"][(method, v, level)] = bounds[(v, level)]
-        if mv_idx:
-            out["mvranks"][method] = mvranks
 
     if cfg.trading:
         method = "ms_corr" if cfg.trading_method == "ms" else "hist"
         by_hour = ens_by_method[method]
         w_hat = out["point"]["W"]
         q_grid = Q_GRID_DEFAULT
-        decisions = {}
+        decisions = out["decisions"]
         for h in hours:
             pools = profit_pools(by_hour[h], w_hat[h - 1], q_grid, cfg.c_om)
             # one sort per hour: every quantile of every strategy and tau reads it
@@ -193,11 +182,53 @@ def forecast_day(data, cfg, day_idx):
                     dec = stopping_rule(base, ordered[j], tau, presorted=True)
                     decisions.setdefault((strategy, tau), []).append(dec)
             decisions.setdefault(("naive", None), []).append(naive_decision("naive"))
-            decisions.setdefault(("limited", None), []).append(
-                naive_decision("limited", realized["DA"][h - 1]))
-        out["decisions"] = decisions
     out["ensembles"] = ens_by_method
     return out
+
+
+def _singles(cfg, ens):
+    """One hour's member columns of the variables, then of the derived series."""
+    return ([ens.column(v) for v in cfg.variables]
+            + [derived_ensemble(ens, name).members[:, 0] for name in cfg.derived])
+
+
+def score_day(data, cfg, day_idx, forecast):
+    """Score :func:`forecast_day`'s ``forecast`` of ``day_idx`` against the
+    day's realized values: the one place a backtest reads them.
+
+    Returns a dict of ``realized`` (kind -> 24 values), ``point`` (the
+    forecast's), ``crps`` ((method, variable) -> 24 CRPS values), ``hits``
+    ((method, variable, level) -> 24 closed interval hits), ``uranks``
+    ((method, variable) -> 24 univariate ranks), ``mvranks`` (method -> 24
+    multivariate ranks) and ``decisions`` (the forecast's, with the
+    ``limited`` benchmark last when trading).  It holds no fan and no member.
+    """
+    realized = {kind: series(data, kind)[day_idx] for kind in KINDS}
+    record = {"realized": realized, "point": forecast["point"], "uranks": {}, "mvranks": {},
+              "crps": {key: crps_fan_matrix(fan, realized[key[1]])
+                       for key, fan in forecast["fans"].items()},
+              "hits": {key: interval_hits(lower, upper, realized[key[1]])
+                       for key, (lower, upper) in forecast["intervals"].items()}}
+    names = (*cfg.variables, *cfg.derived)
+    mv_idx = [cfg.variables.index(v) for v in cfg.mv_variables]
+    mv_obs = np.array([realized[v] for v in cfg.mv_variables]).T  # (24, len(mv_idx))
+    for mi, (method, by_hour) in enumerate(sorted(forecast["ensembles"].items())):
+        mv_rng = _stream(cfg.master_seed, _STREAM_MV_RANK, day_idx, mi)
+        uranks, mvranks = np.empty((len(names), 24)), np.empty(24)
+        for h in range(1, 25):
+            ens = by_hour[h]
+            for k, (v, members) in enumerate(zip(names, _singles(cfg, ens))):
+                uranks[k, h - 1] = univariate_rank(members, realized[v][h - 1])
+            if mv_idx:
+                mvranks[h - 1] = multivariate_rank(ens.members[:, mv_idx], mv_obs[h - 1], mv_rng)
+        record["uranks"].update(((method, v), ranks) for v, ranks in zip(names, uranks))
+        if mv_idx:
+            record["mvranks"][method] = mvranks
+    record["decisions"] = dict(forecast["decisions"])
+    if cfg.trading:
+        record["decisions"][("limited", None)] = [naive_decision("limited", da)
+                                                  for da in realized["DA"]]
+    return record
 
 
 # --------------------------------------------------------------------------
@@ -214,14 +245,12 @@ def _init_worker(data, cfg):
 
 
 def _day_task(day_idx, data=None, cfg=None):
-    """A day's forecasts without its ensembles (in a pool worker, on the
-    initializer's inputs), so that members never leave the process that
-    built them and at most one day's members are held at a time."""
+    """A day's :func:`score_day` record (in a pool worker, on the
+    initializer's inputs), so that fans and members never leave the process
+    that built them and at most one day's are held at a time."""
     if data is None:
         data, cfg = _worker_inputs
-    result = forecast_day(data, cfg, day_idx)
-    del result["ensembles"]
-    return result
+    return score_day(data, cfg, day_idx, forecast_day(data, cfg, day_idx))
 
 
 def _run_days(data, cfg, day_indices):
@@ -263,25 +292,24 @@ COVERAGE_HEADER = ("method", "variable", "level", "hour", "picp", "kupiec_lr", "
 CRPS_HEADER = ("method", "variable", "hour", "crps")
 
 
-def score_fans(method, variable, fans, bounds, realized):
+def score_fans(method, variable, crps, hits):
     """Coverage and CRPS of one method's fans of one variable over some days.
 
-    ``fans`` is (days, 24, 99), ``bounds`` maps each interval level to its
-    (lower, upper) bounds, (days, 24) each, and ``realized`` is (days, 24).
-    Returns the coverage reports by level, the CRPS entry (``per_hour`` and
-    ``overall``), and the rows of ``coverage.csv`` and of ``crps.csv``.
+    ``crps`` is the (days, 24) CRPS of the fans, and ``hits`` maps each
+    interval level to its (days, 24) interval hits.  Returns the coverage
+    reports by level, the CRPS entry (``per_hour`` and ``overall``), and the
+    rows of ``coverage.csv`` and of ``crps.csv``.
     """
     coverage, coverage_rows = {}, []
-    for level, (lower, upper) in bounds.items():
-        report = coverage_report(lower, upper, realized, level)
+    for level, level_hits in hits.items():
+        report = coverage_report(level_hits, level)
         coverage[level] = report
         for h in range(24):
             coverage_rows.append((method, variable, level, str(h + 1), report.picp_by_hour[h],
                                   report.lr_by_hour[h], report.reject_by_hour[h]))
         coverage_rows.append((method, variable, level, "all", report.picp, float("nan"), ""))
-    scores = crps_fan_matrix(fans.reshape(-1, 99), realized.reshape(-1))
-    per_hour = scores.reshape(len(fans), 24).mean(axis=0)
-    overall = float(scores.mean())
+    per_hour = crps.mean(axis=0)
+    overall = float(crps.mean())
     crps_rows = [(method, variable, str(h + 1), per_hour[h]) for h in range(24)]
     crps_rows.append((method, variable, "all", overall))
     return coverage, {"per_hour": per_hour, "overall": overall}, coverage_rows, crps_rows
@@ -332,11 +360,11 @@ def run_backtest(cfg, panel=None):
         panel = load_panel(cfg.input_path, cfg.schema or None)
     data = MarketData.from_panel(panel)
     day_indices = evaluation_day_indices(data.panel, cfg)
-    results = _run_days(data, cfg, day_indices)
+    records = _run_days(data, cfg, day_indices)
     dates = [data.panel.dates[d].isoformat() for d in day_indices]
 
-    def observed(name):
-        return series(data, name)[day_indices]
+    def stacked(field, key):
+        return np.stack([r[field][key] for r in records])
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     files = {}
@@ -344,15 +372,13 @@ def run_backtest(cfg, panel=None):
 
     # coverage and crps
     coverage, crps, coverage_rows, crps_rows = {}, {}, [], []
-    intervals = [r["intervals"] for r in results]
     for method in method_labels(cfg):
         for variable in cfg.qr_variables if method == "qr" else eval_vars:
-            bounds = {level: np.stack([i[(method, variable, level)] for i in intervals], axis=1)
-                      for level in cfg.interval_levels
-                      if (method, variable, level) in intervals[0]}
-            fans = np.stack([r["fans"][(method, variable)] for r in results])
+            hits = {level: stacked("hits", (method, variable, level))
+                    for level in cfg.interval_levels
+                    if (method, variable, level) in records[0]["hits"]}
             reports, crps[(method, variable)], cov_rows, fan_rows = score_fans(
-                method, variable, fans, bounds, observed(variable))
+                method, variable, stacked("crps", (method, variable)), hits)
             coverage.update(((method, variable, level), rep) for level, rep in reports.items())
             coverage_rows += cov_rows
             crps_rows += fan_rows
@@ -365,30 +391,21 @@ def run_backtest(cfg, panel=None):
     reliability = {}
     rows = []
     for method in ensemble_method_labels(cfg):
-        for variable in eval_vars:
-            key = (method, variable)
-            ranks = np.stack([r["uranks"][key] for r in results])
-            report = reliability_index(ranks, cfg.m_bins, mode="univariate")
-            reliability[key] = report
-            for h in range(24):
-                rows.append((method, variable, str(h + 1), report.delta_by_hour[h]))
-            rows.append((method, variable, "all", report.delta))
+        ranked = [(v, "univariate", stacked("uranks", (method, v))) for v in eval_vars]
         if cfg.mv_variables:
-            mv = np.stack([r["mvranks"][method] for r in results])
-            report = reliability_index(mv, cfg.m_bins, mode="multivariate")
-            reliability[(method, "ALL")] = report
-            for h in range(24):
-                rows.append((method, "ALL", str(h + 1), report.delta_by_hour[h]))
-            rows.append((method, "ALL", "all", report.delta))
+            ranked.append(("ALL", "multivariate", stacked("mvranks", method)))
+        for variable, mode, ranks in ranked:
+            report = reliability_index(ranks, cfg.m_bins, mode=mode)
+            reliability[(method, variable)] = report
+            rows += [(method, variable, str(h + 1), report.delta_by_hour[h]) for h in range(24)]
+            rows.append((method, variable, "all", report.delta))
     files["reliability"] = os.path.join(cfg.output_dir, "reliability.csv")
     write_csv(files["reliability"], ["method", "variable", "hour", "delta"], rows)
 
     # point forecasts
     if "point" in cfg.methods:
-        realized = {kind: observed(kind) for kind in KINDS}
-        rows = [(date, str(h + 1), kind, r["point"][kind][h], realized[kind][i, h])
-                for i, (date, r) in enumerate(zip(dates, results))
-                for kind in KINDS for h in range(24)]
+        rows = [(date, str(h + 1), kind, r["point"][kind][h], r["realized"][kind][h])
+                for date, r in zip(dates, records) for kind in KINDS for h in range(24)]
         files["point_forecasts"] = os.path.join(cfg.output_dir, "point_forecasts.csv")
         write_csv(files["point_forecasts"],
                   ["date", "hour", "kind", "forecast", "realized"], rows)
@@ -396,12 +413,12 @@ def run_backtest(cfg, panel=None):
     # trading
     strategy_tables = {}
     if cfg.trading:
-        da, idp, w = (observed(v).reshape(-1) for v in ("DA", "ID", "W"))
-        w_hat = np.concatenate([r["point"]["W"] for r in results])
-        decision_keys = list(results[0]["decisions"].keys())
+        da, idp, w = (stacked("realized", v).reshape(-1) for v in ("DA", "ID", "W"))
+        w_hat = stacked("point", "W").reshape(-1)
+        decision_keys = list(records[0]["decisions"].keys())
         outcomes = {}
         for key in decision_keys:
-            stream = [dec for r in results for dec in r["decisions"][key]]
+            stream = [dec for r in records for dec in r["decisions"][key]]
             outcomes[key] = evaluate_strategy(stream, da, idp, w, w_hat, cfg.c_om)
         naive_outcome = outcomes[("naive", None)]
         rows = []
@@ -417,7 +434,7 @@ def run_backtest(cfg, panel=None):
                 relative_pct(outcome.profit_per_trade, naive_outcome.profit_per_trade),
             ))
             flat = 0
-            for date, r in zip(dates, results):
+            for date, r in zip(dates, records):
                 for h in range(24):
                     dec = r["decisions"][key][h]
                     dec_rows.append((date, str(h + 1), strategy, tau,
@@ -447,7 +464,7 @@ def run_backtest(cfg, panel=None):
     elapsed = time.monotonic() - started
     return BacktestResult(output_dir=cfg.output_dir, files=files, coverage=coverage,
                           crps=crps, reliability=reliability, strategy=strategy_tables,
-                          elapsed_seconds=elapsed, n_days=len(results))
+                          elapsed_seconds=elapsed, n_days=len(records))
 
 
 def _write_summary(path, cfg, dates, coverage, crps, reliability, strategy_tables):
@@ -521,19 +538,11 @@ def _write_summary(path, cfg, dates, coverage, crps, reliability, strategy_table
 # no look ahead audit
 
 
-_FORECAST_KEYS = ("point", "fans", "intervals")
-
-
-def _forecast_signature(day_result, include_decisions=True):
-    sig = {}
-    for key in _FORECAST_KEYS:
-        for name, arr in day_result[key].items():
-            sig[(key, name)] = np.asarray(arr).copy()
-    if include_decisions:
-        for key, decs in day_result["decisions"].items():
-            if key[0] == "limited":
-                continue  # settles against the realized price by definition
-            sig[("decisions", key)] = [(d.q, d.curtail) for d in decs]
+def _forecast_signature(forecast):
+    sig = {(key, name): np.asarray(arr).copy()
+           for key in ("point", "fans", "intervals") for name, arr in forecast[key].items()}
+    for key, decs in forecast["decisions"].items():
+        sig[("decisions", key)] = [(d.q, d.curtail) for d in decs]
     return sig
 
 
@@ -577,9 +586,9 @@ def leakage_check(panel, cfg, target_date):
     cfg.validate()
     data = MarketData.from_panel(panel)
     day_idx = data.panel.day_index(target_date)
-    sig_a = _forecast_signature(forecast_day(data, cfg, day_idx), cfg.trading)
+    sig_a = _forecast_signature(forecast_day(data, cfg, day_idx))
     wrecked = MarketData.from_panel(corrupt_after_cutoff(data.panel, day_idx))
-    sig_b = _forecast_signature(forecast_day(wrecked, cfg, day_idx), cfg.trading)
+    sig_b = _forecast_signature(forecast_day(wrecked, cfg, day_idx))
     diffs = {}
     for key in sig_a:
         a, b = sig_a[key], sig_b[key]

@@ -37,6 +37,7 @@ from .errors import ConfigError, SplitcastError
 from .features import KINDS, MarketData, series
 from .panel import SYNTH_SERIES, SyntheticConfig, generate_synthetic_panel, load_panel, validate_panel, write_panel
 from .quantreg import TAU_GRID, tail_column
+from .scores import crps_fan_matrix, interval_hits
 
 
 def _key_values(pairs, flag="--set", form="key=value"):
@@ -259,10 +260,11 @@ def _cmd_evaluate(args):
         stack = np.stack([fans[(d, variable)] for d in dates])  # (n, 24, 99)
         if np.isnan(stack).any():
             raise ConfigError(f"fans for {variable} have missing day/hour rows")
-        bounds = {level: (stack[:, :, i], stack[:, :, 98 - i])
-                  for level, i in tails.items() if i is not None}
-        _, _, cov, crps = score_fans("stored", variable, stack, bounds,
-                                     series(data, variable)[day_indices])
+        realized = series(data, variable)[day_indices]
+        hits = {level: interval_hits(stack[:, :, i], stack[:, :, 98 - i], realized)
+                for level, i in tails.items() if i is not None}
+        crps_days = crps_fan_matrix(stack.reshape(-1, 99), realized.reshape(-1))
+        _, _, cov, crps = score_fans("stored", variable, crps_days.reshape(realized.shape), hits)
         coverage_rows += cov
         crps_rows += crps
     os.makedirs(args.out, exist_ok=True)

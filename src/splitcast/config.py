@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .features import KINDS, row_length
+from .trading import STRATEGIES
 
 ENV_CONFIG = "SPLITCAST_CONFIG"
 
@@ -156,8 +157,14 @@ class ExperimentConfig:
             for needed in ("DA", "ID", "W"):
                 if needed not in self.variables:
                     raise ConfigError(f"trading needs variable {needed} in the ensemble set")
+            for strategy in self.strategies:
+                if strategy not in STRATEGIES:
+                    raise ConfigError(f"unknown strategy {strategy!r}")
         if self.m_bins < 2:
             raise ConfigError("m_bins must be at least 2")
+        if self.m_bins * self.evaluation_days >= 2 ** 63:
+            raise ConfigError(f"m_bins {self.m_bins} is too large for the int64 reliability "
+                              f"index of {self.evaluation_days} days")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if "hist" in self.methods and self.inner_window is not None:

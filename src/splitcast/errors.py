@@ -78,11 +78,5 @@ class MisalignedError(SplitcastError):
     """Forecast and realization arrays have incompatible shapes."""
 
 
-# -------------------------------------------------------------- trading layer
-
-class NoTradesError(SplitcastError):
-    """A per trade statistic was requested but every hour was curtailed."""
-
-
 class ConfigError(SplitcastError):
     """Experiment configuration file or flags are invalid."""

@@ -32,19 +32,13 @@ def _as_grid(arr):
     return arr
 
 
-def picp(lower, upper, realized):
-    """Prediction interval coverage probability, closed intervals.
-
-    Returns ``(per_hour, overall)`` where ``per_hour`` has one entry per
-    column and ``overall`` is their mean.
-    """
-    lower, upper, realized = _as_grid(lower), _as_grid(upper), _as_grid(realized)
+def interval_hits(lower, upper, realized):
+    """Whether each realized value lies in its closed interval [lower, upper]."""
+    lower, upper, realized = (np.asarray(a, dtype=np.float64) for a in (lower, upper, realized))
     if not lower.shape == upper.shape == realized.shape:
         raise MisalignedError(
             f"shapes differ: {lower.shape}, {upper.shape}, {realized.shape}")
-    hits = (realized >= lower) & (realized <= upper)
-    per_hour = hits.mean(axis=0)
-    return per_hour, float(per_hour.mean())
+    return (realized >= lower) & (realized <= upper)
 
 
 @dataclass(frozen=True)
@@ -89,17 +83,16 @@ class CoverageReport:
     pass_rate: float
 
 
-def coverage_report(lower, upper, realized, nominal):
-    """PICP and per hour Kupiec tests in one report."""
-    lower, upper, realized = _as_grid(lower), _as_grid(upper), _as_grid(realized)
-    per_hour, overall = picp(lower, upper, realized)
-    n = realized.shape[0]
-    hits = ((realized >= lower) & (realized <= upper)).sum(axis=0)
-    results = [kupiec(int(x), n, nominal) for x in hits]
+def coverage_report(hits, nominal):
+    """PICP and per hour Kupiec tests of :func:`interval_hits`, (n, hours) or
+    1-D, in one report."""
+    hits = _as_grid(hits)
+    per_hour = hits.mean(axis=0)
+    results = [kupiec(int(x), hits.shape[0], nominal) for x in hits.sum(axis=0)]
     lr = np.array([r.lr for r in results])
     reject = np.array([r.reject for r in results])
     return CoverageReport(
-        nominal=float(nominal), picp_by_hour=per_hour, picp=overall,
+        nominal=float(nominal), picp_by_hour=per_hour, picp=float(per_hour.mean()),
         lr_by_hour=lr, reject_by_hour=reject,
         pass_rate=float(1.0 - reject.mean()),
     )
@@ -186,9 +179,11 @@ def reliability_index(ranks, m_bins=10, mode="univariate"):
     ranks = _as_grid(ranks)
     if ranks.min() < 0.0 or ranks.max() > 1.0:
         raise ValueError("ranks must lie in [0, 1]")
+    n = ranks.shape[0]
+    if n * int(m_bins) >= 2 ** 63:
+        raise ValueError(f"{n} ranks in {m_bins} bins overflow the int64 numerator")
     # one row of sorted bins per hour
     bins = np.sort(np.minimum((ranks.T * m_bins).astype(np.intp), m_bins - 1), axis=1)
-    n = ranks.shape[0]
     # The deviations c * m_bins - n of all bins sum to zero, so their
     # absolute sum is twice the positive part, which only occupied bins
     # have: memory follows the ranks, not m_bins.  A bin's count c is its

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyEnsembleError, MisalignedError, NoTradesError
+from .errors import EmptyEnsembleError, MisalignedError
 from .ensembles import interpolated_quantile, interpolated_quantiles
 
 C_OM_DEFAULT = 10.0
@@ -152,12 +152,12 @@ class StrategyOutcome:
     n_trades: int
 
 
-def evaluate_strategy(decisions, da, idp, w, w_hat, c_om=C_OM_DEFAULT, strict=False):
+def evaluate_strategy(decisions, da, idp, w, w_hat, c_om=C_OM_DEFAULT):
     """Realized outcome of a decision stream.
 
     Curtailed hours contribute zero profit to the overall average; per
     trade statistics run over traded hours only and are NaN when every
-    hour was curtailed (or raise :class:`NoTradesError` when ``strict``).
+    hour was curtailed.
     """
     da = np.asarray(da, dtype=np.float64).ravel()
     idp = np.asarray(idp, dtype=np.float64).ravel()
@@ -174,8 +174,6 @@ def evaluate_strategy(decisions, da, idp, w, w_hat, c_om=C_OM_DEFAULT, strict=Fa
         traded[i] = True
         profits[i] = realized_profit(dec.q, w_hat[i], w[i], da[i], idp[i], c_om)
     n_trades = int(traded.sum())
-    if n_trades == 0 and strict:
-        raise NoTradesError("every hour was curtailed")
     if n_trades == 0:
         per_trade = float("nan")
         var5 = float("nan")

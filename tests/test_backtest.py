@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from splitcast.backtest import (
     _run_days,
@@ -22,8 +23,10 @@ from splitcast.backtest import (
     run_backtest,
 )
 from splitcast.config import ExperimentConfig
+from splitcast.ensembles import ForecastEnsemble
 from splitcast.errors import ConfigError
-from splitcast.features import MarketData
+from splitcast.features import MarketData, series
+from splitcast.scores import crps_fan_matrix, interval_hits
 
 WINDOW = 100
 
@@ -208,18 +211,39 @@ def test_derived_need_their_parents(panel_small, tmp_path):
         run_backtest(cfg, panel=panel_small)
 
 
+def _leaves(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _leaves(item)
+    else:
+        yield node
+
+
 def test_only_forecast_day_returns_ensembles(panel_small, tmp_path):
-    """The backtest's day results leave their members in the process that built them."""
-    cfg = _cfg(tmp_path, methods=("hist", "ms"), qr_variables=())
+    """The backtest's day records are the scores of forecast_day's output: its
+    fans and members stay in the process that built them."""
+    cfg = _cfg(tmp_path)
     data = MarketData.from_panel(panel_small)
     day = forecast_day(data, cfg, 130)
+    assert set(day) == {"point", "fans", "intervals", "decisions", "ensembles"}
     assert set(day["ensembles"]) == {"hist", "ms_corr", "ms_uncorr"}
     assert sorted(day["ensembles"]["hist"]) == list(range(1, 25))
-    [kept] = _run_days(data, cfg, [130])
-    assert set(kept) == set(day) - {"ensembles"}
-    for key in ("fans", "intervals", "uranks", "mvranks"):
-        for name, values in day[key].items():
-            np.testing.assert_array_equal(kept[key][name], values)
+    [record] = _run_days(data, cfg, [130])
+    for leaf in _leaves(record):
+        assert not isinstance(leaf, ForecastEnsemble)
+        assert np.shape(leaf) != (24, 99)
+    assert set(record["crps"]) == set(day["fans"])
+    for (method, v), fan in day["fans"].items():
+        np.testing.assert_array_equal(record["crps"][(method, v)],
+                                      crps_fan_matrix(fan, series(data, v)[130]))
+    assert set(record["hits"]) == set(day["intervals"])
+    for (method, v, level), (lower, upper) in day["intervals"].items():
+        np.testing.assert_array_equal(record["hits"][(method, v, level)],
+                                      interval_hits(lower, upper, series(data, v)[130]))
+    # the limited benchmark settles on the realized price, so it joins last
+    assert list(record["decisions"]) == [*day["decisions"], ("limited", None)]
 
 
 def test_corrupt_after_cutoff_scope(panel_small):
@@ -246,3 +270,21 @@ def test_leakage_check_is_all_zero(panel_small, tmp_path):
     assert ("fans", ("qr", "DA")) in diffs
     offenders = {k: v for k, v in diffs.items() if v != 0.0}
     assert offenders == {}
+
+
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(108, 139), st.sets(st.sampled_from(("point", "qr", "hist", "ms")), min_size=1),
+       st.sampled_from((("corr",), ("uncorr",), ("corr", "uncorr"))))
+def test_leakage_check_is_all_zero_across_days_and_methods(panel_small, tmp_path, day, methods,
+                                                           ms_modes):
+    trading = "ms" in methods and "corr" in ms_modes
+    cfg = _cfg(tmp_path, methods=tuple(sorted(methods)), ms_modes=ms_modes, trading=trading)
+    diffs = leakage_check(panel_small, cfg, panel_small.dates[day])
+    expected = {"point"} if "point" in methods or trading else set()
+    if methods - {"point"}:
+        expected |= {"fans", "intervals"}
+    if trading:
+        expected.add("decisions")
+    assert {key[0] for key in diffs} == expected
+    assert {k: v for k, v in diffs.items() if v != 0.0} == {}

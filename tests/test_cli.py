@@ -109,7 +109,8 @@ def test_forecast_members_dump(fan_dir, panel_csv):
 
 
 def test_forecast_skips_ranks_without_changing_outputs(panel_csv, tmp_path, monkeypatch):
-    """forecast never writes multivariate ranks, so it does not compute them."""
+    """forecast_day reads no realized value, so forecast ranks nothing, even
+    with multivariate rank variables configured."""
     import splitcast.backtest as backtest
     import splitcast.cli as cli
 
@@ -127,7 +128,7 @@ def test_forecast_skips_ranks_without_changing_outputs(panel_csv, tmp_path, monk
     monkeypatch.setattr(cli, "_forecast_config",
                         lambda a: replace(forecast_config(a), mv_variables=("DA", "ID")))
     assert main(args + ["--out", str(tmp_path / "on")]) == 0
-    assert len(calls) == 2 * 24  # one rank per (day, hour)
+    assert calls == []
     names = sorted(p.name for p in (tmp_path / "off").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "on").iterdir())
     assert names == ["fans.csv"] + [f"members_{panel.dates[d].isoformat()}.csv" for d in (150, 151)]
@@ -346,6 +347,19 @@ def test_backtest_cli_rejects_bad_overrides(panel_csv, tmp_path, capsys):
     assert main(args + ["--set", "novalue"]) == 2
     assert main(args + ["--set", "n_splits=many"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_backtest_rejects_an_unknown_strategy_before_day_one(panel_csv, tmp_path, capsys,
+                                                              monkeypatch):
+    import splitcast.backtest as backtest
+
+    days = []
+    monkeypatch.setattr(backtest, "forecast_day", lambda *a: days.append(a) or None)
+    assert main(["backtest", "--input", str(panel_csv), "--out", str(tmp_path / "x"),
+                 "--window", "100", "--eval-days", "1", "--set", "strategies=epi,foo"]) == 2
+    assert "unknown strategy 'foo'" in _one_line_error(capsys)
+    assert days == []
+    assert not (tmp_path / "x").exists()
 
 
 def test_backtest_rejects_var_level_outside_the_unit_interval(panel_csv, tmp_path, capsys):

@@ -54,6 +54,8 @@ def test_validate_checks_derived_parents_and_the_trading_method():
     ({"c_om": float("inf")}, "c_om inf is not a finite number"),
     ({"c_om": float("nan")}, "c_om nan is not a finite number"),
     ({"interval_levels": (0.8, float("nan"))}, "interval level nan outside"),
+    ({"strategies": ("epi", "foo")}, "unknown strategy 'foo'"),
+    ({"m_bins": 10**17}, "m_bins 100000000000000000 is too large"),
 ])
 def test_validate_rejects_bad_trading_and_level_values(changes, message):
     """Values that would stop a run mid-way, e.g. var_level = 1.5 in the
@@ -61,6 +63,16 @@ def test_validate_rejects_bad_trading_and_level_values(changes, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**changes).validate()
     ExperimentConfig(var_level=0.1, c_om=-3.5).validate()
+
+
+def test_m_bins_bound_and_strategies_without_trading():
+    # the reliability numerator counts * m_bins stays below 2**63 at evaluation_days ranks
+    ExperimentConfig(m_bins=2**63 // 730).validate()
+    with pytest.raises(ConfigError, match="too large"):
+        ExperimentConfig(m_bins=2**63 // 730 + 1).validate()
+    ExperimentConfig(m_bins=2**63 // 10 - 1, evaluation_days=10).validate()
+    # strategy names only matter to trading
+    ExperimentConfig(strategies=("foo",), trading=False).validate()
 
 
 def test_short_window_fails_before_day_one(panel_small, tmp_path):

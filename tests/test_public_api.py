@@ -25,6 +25,8 @@ PRUNED = (
     "profit_ensemble",
     # features and models
     "regressors", "target", "RegressorRow", "point_forecast", "CoefficientSet",
+    # scores and errors: coverage_report takes interval_hits, and no option raised it
+    "picp", "NoTradesError",
 )
 
 
@@ -52,7 +54,8 @@ def test_numba_flag_is_recorded():
 
 def test_pruned_names_stay_gone():
     modules = [splitcast] + [importlib.import_module(f"splitcast.{name}") for name in
-                             ("ensembles", "features", "models", "quantreg", "trading")]
+                             ("ensembles", "errors", "features", "models", "quantreg", "scores",
+                              "trading")]
     for name in PRUNED:
         for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
@@ -62,4 +65,5 @@ def test_the_day_engine_is_public():
     from splitcast import backtest
 
     assert splitcast.forecast_day is backtest.forecast_day
+    assert splitcast.score_day is backtest.score_day
     assert not hasattr(backtest, "_process_day")

@@ -20,9 +20,9 @@ from splitcast.scores import (
     coverage_report,
     crps_fan_matrix,
     crps_from_fan,
+    interval_hits,
     kupiec,
     multivariate_rank,
-    picp,
     reliability_index,
     univariate_rank,
 )
@@ -69,14 +69,15 @@ def test_kupiec_validation():
         kupiec(5, 10, 1.0)
 
 
-def test_picp_closed_intervals():
+def test_interval_hits_closed_intervals():
     lower = np.array([0.0, 0.0, 0.0, 0.0])
     upper = np.array([1.0, 1.0, 1.0, 1.0])
     realized = np.array([0.0, 1.0, 0.5, 1.0000001])
-    per_hour, overall = picp(lower, upper, realized)
-    assert overall == 0.75  # both boundaries count as covered
+    hits = interval_hits(lower, upper, realized)
+    assert hits.tolist() == [True, True, True, False]  # both boundaries count as covered
+    assert coverage_report(hits, 0.9).picp == 0.75
     with pytest.raises(MisalignedError):
-        picp(lower, upper, realized[:2])
+        interval_hits(lower, upper, realized[:2])
 
 
 def test_coverage_report_grid():
@@ -88,13 +89,17 @@ def test_coverage_report_grid():
     upper = np.full((n, hours), z)
     lower[:, 0] = -0.1  # make the first hour badly undercover
     upper[:, 0] = 0.1
-    report = coverage_report(lower, upper, realized, nominal)
+    hits = interval_hits(lower, upper, realized)
+    report = coverage_report(hits, nominal)
     assert report.reject_by_hour[0]
     assert not report.reject_by_hour[1:].any()
     assert report.pass_rate == pytest.approx(5 / 6)
-    hits = ((realized >= lower) & (realized <= upper)).mean(axis=0)
-    np.testing.assert_allclose(report.picp_by_hour, hits)
-    assert report.picp == pytest.approx(hits.mean())
+    shares = ((realized >= lower) & (realized <= upper)).mean(axis=0)
+    np.testing.assert_allclose(report.picp_by_hour, shares)
+    assert report.picp == pytest.approx(shares.mean())
+    for h in range(hours):
+        x = int(np.count_nonzero(hits[:, h]))
+        assert report.lr_by_hour[h] == kupiec(x, n, nominal).lr
 
 
 # --------------------------------------------------------------------------
@@ -251,6 +256,16 @@ def test_reliability_equals_the_full_histogram_formula(rng, m_bins):
         counts = np.bincount(bins[:, h], minlength=m_bins)
         want = np.abs(counts * m_bins - 60).sum() / (60 * m_bins)
         assert report.delta_by_hour[h] == want
+
+
+def test_reliability_rejects_an_overflowing_numerator(rng):
+    ranks = rng.uniform(size=(730, 2))
+    with pytest.raises(ValueError, match="overflow"):
+        reliability_index(ranks, m_bins=10**17)  # 730 * 10**17 >= 2**63
+    with pytest.raises(ValueError, match="overflow"):
+        reliability_index(ranks, m_bins=2**63 // 730 + 1)
+    report = reliability_index(ranks, m_bins=2**63 // 730)
+    assert np.all((report.delta_by_hour >= 0.0) & (report.delta_by_hour <= 2.0))
 
 
 def test_reliability_memory_does_not_grow_with_m_bins(rng):

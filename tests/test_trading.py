@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitcast.ensembles import ForecastEnsemble, interpolated_quantile
-from splitcast.errors import EmptyEnsembleError, MisalignedError, NoTradesError
+from splitcast.errors import EmptyEnsembleError, MisalignedError
 from splitcast.trading import (
     Q_GRID_DEFAULT,
     STRATEGIES,
@@ -285,8 +285,6 @@ def test_evaluate_strategy_no_trades():
     assert out.n_trades == 0 and out.trade_frequency == 0.0
     assert out.avg_profit == 0.0
     assert np.isnan(out.profit_per_trade) and np.isnan(out.var5)
-    with pytest.raises(NoTradesError):
-        evaluate_strategy(decisions, *arrays, strict=True)
 
 
 def test_evaluate_strategy_single_trade_var5():
