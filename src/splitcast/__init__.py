@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 from .panel import (
     MarketPanel,
     SyntheticConfig,
-    build_info_set,
-    derive_series,
     dst_normalize,
     generate_synthetic_panel,
     load_panel,

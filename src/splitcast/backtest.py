@@ -29,8 +29,9 @@ from .ensembles import (
     ms_ensembles_for_day,
 )
 from .errors import ConfigError
-from .features import KINDS, MarketData, ModelSpec, design_rows, series, targets
+from .features import KINDS, MarketData, ModelSpec, design_rows, targets
 from .models import expert_design, ols_fit
+from .panel import DAILY_SERIES, READ_SERIES, MarketPanel, load_panel
 from .quantreg import TAU_GRID, qr_fan, qr_fit_fan, tail_column
 from .scores import (
     coverage_report,
@@ -203,7 +204,7 @@ def score_day(data, cfg, day_idx, forecast):
     multivariate ranks) and ``decisions`` (the forecast's, with the
     ``limited`` benchmark last when trading).  It holds no fan and no member.
     """
-    realized = {kind: series(data, kind)[day_idx] for kind in KINDS}
+    realized = {kind: data.hourly[kind][day_idx] for kind in KINDS}
     record = {"realized": realized, "point": forecast["point"], "uranks": {}, "mvranks": {},
               "crps": {key: crps_fan_matrix(fan, realized[key[1]])
                        for key, fan in forecast["fans"].items()},
@@ -350,8 +351,6 @@ def run_backtest(cfg, panel=None):
     loaded.  Returns a :class:`BacktestResult` with every table in memory
     and the written file paths.
     """
-    from .panel import load_panel
-
     started = time.monotonic()
     cfg.validate()
     if panel is None:
@@ -557,18 +556,14 @@ def corrupt_after_cutoff(panel, day_idx, garbage=9.9e9):
     to the target's regressors and is enforced by the stand in series,
     checked directly in the information set tests.
     """
-    hourly = {name: panel.hourly[name].copy() for name in ("DA", "ID", "L", "W", "S", "FL", "FW", "FS")}
-    daily = {name: panel.daily[name].copy() for name in ("C", "G")}
+    hourly = {name: panel.hourly[name].copy() for name in READ_SERIES}
+    daily = {name: panel.daily[name].copy() for name in DAILY_SERIES}
     for name in ("DA", "ID", "L", "W", "S"):
         hourly[name][day_idx:] = garbage
     for name in ("FL", "FW", "FS"):
         hourly[name][day_idx + 1:] = garbage
-    for name in ("C", "G"):
+    for name in DAILY_SERIES:
         daily[name][day_idx:] = garbage
-    hourly["RES"] = hourly["W"] + hourly["S"]
-    hourly["FRES"] = hourly["FW"] + hourly["FS"]
-    from .panel import MarketPanel
-
     return MarketPanel(dates=panel.dates, hourly=hourly, daily=daily,
                        missing_cells=panel.missing_cells,
                        duplicate_cells=dict(panel.duplicate_cells))

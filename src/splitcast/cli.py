@@ -34,7 +34,7 @@ from .backtest import (
 )
 from .config import check_level, config_from_raw, read_config
 from .errors import ConfigError, SplitcastError
-from .features import KINDS, MarketData, series
+from .features import KINDS, MarketData
 from .panel import SYNTH_SERIES, SyntheticConfig, generate_synthetic_panel, load_panel, validate_panel, write_panel
 from .quantreg import TAU_GRID, tail_column
 from .scores import crps_fan_matrix, interval_hits
@@ -257,10 +257,12 @@ def _cmd_evaluate(args):
 
     coverage_rows, crps_rows = [], []
     for variable in sorted({v for (_, v) in fans}):
+        if variable not in data.hourly:
+            raise ConfigError(f"{args.fans}: variable {variable!r} is not a series of the panel")
         stack = np.stack([fans[(d, variable)] for d in dates])  # (n, 24, 99)
         if np.isnan(stack).any():
             raise ConfigError(f"fans for {variable} have missing day/hour rows")
-        realized = series(data, variable)[day_indices]
+        realized = data.hourly[variable][day_indices]
         hits = {level: interval_hits(stack[:, :, i], stack[:, :, 98 - i], realized)
                 for level, i in tails.items() if i is not None}
         crps_days = crps_fan_matrix(stack.reshape(-1, 99), realized.reshape(-1))

@@ -13,12 +13,17 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .features import KINDS, row_length
+from .panel import DERIVED
 from .trading import STRATEGIES
 
 ENV_CONFIG = "SPLITCAST_CONFIG"
 
-DERIVED_PARENTS = {"SP": ("DA", "ID"), "RL": ("L", "RES")}
 METHOD_NAMES = ("point", "qr", "hist", "ms")
+# members of one (day, hour) ensemble at most.  The multivariate rank of M
+# members holds three (M + 1, ceil((M + 1) / 64)) uint64 bitsets
+# (``_kernels.preranks``): about 0.4 GB at this bound, and about 5 MB at the
+# paper's 3,660 members (20 splits of 183 calibration days).
+MAX_MEMBERS = 2 ** 15
 
 
 def _tuple_of(caster):
@@ -107,6 +112,12 @@ class ExperimentConfig:
         return need
 
     def validate(self):
+        for f in fields(self):
+            values = getattr(self, f.name)
+            if isinstance(values, (tuple, list)):
+                repeated = [v for i, v in enumerate(values) if v in values[:i]]
+                if repeated:
+                    raise ConfigError(f"{f.name} lists {repeated[0]!r} more than once")
         if self.evaluation_days < 1:
             raise ConfigError("evaluation_days must be positive")
         if not 0.0 < self.split_ratio < 1.0:
@@ -117,7 +128,7 @@ class ExperimentConfig:
             if v not in KINDS:
                 raise ConfigError(f"unknown variable {v!r}")
         for v in self.derived:
-            if v not in DERIVED_PARENTS:
+            if v not in DERIVED:
                 raise ConfigError(f"unknown derived variable {v!r}")
         for v in self.qr_variables:
             if v not in KINDS:
@@ -142,7 +153,7 @@ class ExperimentConfig:
         if "hist" in self.methods or "ms" in self.methods:
             # the ensembles derive SP and RL from their parents' members
             for name in self.derived:
-                for parent in DERIVED_PARENTS[name]:
+                for parent in DERIVED[name]:
                     if parent not in self.variables:
                         raise ConfigError(f"derived {name} needs variable {parent} in the "
                                           f"ensemble set")
@@ -176,6 +187,13 @@ class ExperimentConfig:
         if self.calibration_window_days < need:
             raise ConfigError(f"calibration_window_days {self.calibration_window_days} is too "
                               f"short: this configuration needs at least {need} days")
+        window = self.calibration_window_days
+        inner = window // 2 if self.inner_window is None else self.inner_window
+        for method, count in (("ms", self.n_splits * (window - round(self.split_ratio * window))),
+                              ("hist", window - inner)):
+            if method in self.methods and count > MAX_MEMBERS:
+                raise ConfigError(f"{method} ensembles of {count} members exceed the bound of "
+                                  f"{MAX_MEMBERS} members per (day, hour)")
         return self
 
 

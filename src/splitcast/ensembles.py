@@ -27,6 +27,7 @@ import numpy as np
 from .errors import EmptyEnsembleError, TooFewRowsError
 from .features import KINDS, ModelSpec, row_length
 from .models import expert_design, ols_fits
+from .panel import DERIVED
 
 # floats of one block of hours' packed products, Gram matrices and residuals
 # (about 1 MB); a block holds at least one whole hour
@@ -137,8 +138,6 @@ def _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_fits, 
     of each hour's fits sent to ``ols_fit``; ``meta["ols_fallbacks"]`` sums
     the counts of an hour."""
     all_days = np.append(sample_days, target_day)
-    meta = dict(meta, window=(data.panel.dates[int(sample_days[0])].isoformat(),
-                              data.panel.dates[int(sample_days[-1])].isoformat()))
     hours = [int(h) for h in hours]
     members = [np.empty((n_members, len(variables))) for _ in hours]
     fallbacks = [0] * len(hours)
@@ -207,10 +206,8 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
         return (betas @ X[:, -1, :, None] + errors).reshape(len(X), -1), fallbacks
 
     n_calib = sample_days.size - n_estim
-    meta = {"method": "ms", "mode": mode, "n_splits": int(n_splits), "ratio": float(ratio),
-            "calibration_size": int(n_calib)}
     return _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_splits,
-                              n_splits * n_calib, members_of, meta)
+                              n_splits * n_calib, members_of, {"calibration_size": int(n_calib)})
 
 
 def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
@@ -239,9 +236,8 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
         errors = y[:, inner:n] - np.einsum("hij,hij->hi", X[:, inner:n], betas[:, :-1])
         return (X[:, -1, None, :] @ betas[:, -1, :, None])[:, 0] + errors, fallbacks
 
-    meta = {"method": "hist", "inner_window": int(inner)}
     return _ensembles_by_hour(data, variables, train_days, target_day, hours, len(windows),
-                              n - inner, members_of, meta)
+                              n - inner, members_of, {})
 
 
 # --------------------------------------------------------------------------
@@ -249,17 +245,12 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
 
 
 def derived_ensemble(ens, name):
-    """Vectorized spread (DA - ID) or residual load (L - RES) ensemble."""
-    if name == "SP":
-        col = ens.column("DA") - ens.column("ID")
-    elif name == "RL":
-        col = ens.column("L") - ens.column("RES")
-    else:
+    """The ensemble of a derived series of ``panel.DERIVED``, member by member."""
+    if name not in DERIVED:
         raise ValueError(f"no derived rule for {name!r}")
-    meta = dict(ens.meta)
-    meta["derived_from"] = ens.variables
-    return ForecastEnsemble(variables=(name,), members=col[:, None],
-                            target_date=ens.target_date, hour=ens.hour, meta=meta)
+    a, b = DERIVED[name]
+    return ForecastEnsemble(variables=(name,), members=(ens.column(a) - ens.column(b))[:, None],
+                            target_date=ens.target_date, hour=ens.hour, meta=dict(ens.meta))
 
 
 def interpolated_quantile(values, tau, presorted=False):

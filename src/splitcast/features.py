@@ -17,10 +17,12 @@ SP     spread          dummies, SP*(t-1), SP(t-2..t-7), then as DA
 =====  ==============  ==================================================
 
 Starred values come from the information set: realization up to hour 10 of
-the preceding day, stand in afterwards.  At the edge hours 1 and 24 the
-neighbour hour term of the forecast triple does not exist and is dropped,
-so row lengths depend only on (kind, hour).  All models with dummies carry
-no separate intercept; the dummy block spans it.
+the preceding day, and afterwards the stand in of ``panel.STAND_INS``.
+``MarketData.hourly`` holds every realized series, the ``panel.DERIVED``
+ones included, and ``MarketData.starred`` every starred one.  At the edge
+hours 1 and 24 the neighbour hour term of the forecast triple does not
+exist and is dropped, so row lengths depend only on (kind, hour).  All
+models with dummies carry no separate intercept; the dummy block spans it.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistoryError, PanelIntegrityError
-from .panel import build_info_set, derive_series, dst_normalize
+from .panel import DERIVED, FORECAST_TIME_HOUR, STAND_INS, dst_normalize
 
 KINDS = ("L", "W", "RES", "RL", "DA", "ID", "SP")
 MAX_LAG = 7
@@ -51,11 +53,13 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class MarketData:
-    """Normalized panel bundled with everything the regressors read."""
+    """Normalized panel bundled with everything the regressors read:
+    ``hourly`` holds every realized (days, 24) series, derived ones included,
+    and ``starred`` every starred series."""
 
     panel: object
-    derived: object
-    info: object
+    hourly: dict
+    starred: dict
     fl_ave: np.ndarray
     fl_max: np.ndarray
     fl_min: np.ndarray
@@ -67,12 +71,18 @@ class MarketData:
     @classmethod
     def from_panel(cls, panel):
         panel = dst_normalize(panel)
-        derived = derive_series(panel)
-        info = build_info_set(panel, derived)
+        hourly = dict(panel.hourly)
+        for name, (a, b) in DERIVED.items():
+            hourly[name] = hourly[a] - hourly[b]
+        cut = FORECAST_TIME_HOUR  # column index of the first unobserved hour
+        starred = {name: np.hstack([hourly[name][:, :cut], hourly[stand_in][:, cut:]])
+                   for name, stand_in in STAND_INS.items()}
+        for arr in (*hourly.values(), *starred.values()):
+            arr.flags.writeable = False
         fl = panel.hourly["FL"]
         da = panel.hourly["DA"]
         return cls(
-            panel=panel, derived=derived, info=info,
+            panel=panel, hourly=hourly, starred=starred,
             fl_ave=fl.mean(axis=1), fl_max=fl.max(axis=1), fl_min=fl.min(axis=1),
             da_ave=da.mean(axis=1), da_min=da.min(axis=1), da_max=da.max(axis=1),
             dow=panel.weekdays(),
@@ -81,22 +91,6 @@ class MarketData:
     @property
     def n_days(self):
         return self.panel.n_days
-
-
-def series(data, name):
-    """Realized (days, 24) series of a variable, derived ones included."""
-    if name == "RL":
-        return data.derived.RL
-    if name == "SP":
-        return data.derived.SP
-    return data.panel.hourly[name]
-
-
-_STARRED = {"L": "L_star", "W": "W_star", "RES": "RES_star", "ID": "ID_star", "SP": "SP_star"}
-
-
-def _starred(data, name):
-    return getattr(data.info, _STARRED[name])
 
 
 def row_length(kind, hour):
@@ -143,10 +137,10 @@ def _forecast_triple(fc, ts, hour, label_prefix):
 def _load_block(data, ts, c):
     cols = [
         np.ones(ts.shape[0]),
-        data.info.L_star[ts - 1, c],
-        data.panel.hourly["L"][ts - 2, c],
-        data.panel.hourly["L"][ts - 7, c],
-        data.panel.hourly["FL"][ts, c],
+        data.starred["L"][ts - 1, c],
+        data.hourly["L"][ts - 2, c],
+        data.hourly["L"][ts - 7, c],
+        data.hourly["FL"][ts, c],
     ]
     labels = ["const", "L*[t-1]", "L[t-2]", "L[t-7]", "FL[t,h]"]
     return cols, labels
@@ -155,7 +149,7 @@ def _load_block(data, ts, c):
 def _daily_price_block(data, ts, c):
     cols = [
         data.da_ave[ts - 1], data.da_min[ts - 1], data.da_max[ts - 1],
-        data.panel.hourly["FL"][ts, c], data.panel.hourly["FRES"][ts, c],
+        data.hourly["FL"][ts, c], data.hourly["FRES"][ts, c],
         data.panel.daily["C"][ts - 1], data.panel.daily["G"][ts - 1],
     ]
     labels = ["DA_ave[t-1]", "DA_min[t-1]", "DA_max[t-1]",
@@ -176,21 +170,21 @@ def design_rows(spec, data, ts, out=None):
 
     if kind == "L":
         cols, labels = _load_block(data, ts, c)
-        cols += [data.panel.hourly["FRES"][ts, c], data.fl_ave[ts], data.fl_max[ts], data.fl_min[ts]]
+        cols += [data.hourly["FRES"][ts, c], data.fl_ave[ts], data.fl_max[ts], data.fl_min[ts]]
         labels += ["FRES[t,h]", "FL_ave[t]", "FL_max[t]", "FL_min[t]"]
     elif kind in ("W", "RES"):
         fc_name = "FW" if kind == "W" else "FRES"
-        cols = [np.ones(ts.shape[0]), _starred(data, kind)[ts - 1, c]]
+        cols = [np.ones(ts.shape[0]), data.starred[kind][ts - 1, c]]
         labels = ["const", f"{kind}*[t-1]"]
-        tr_cols, tr_labels = _forecast_triple(data.panel.hourly[fc_name], ts, spec.hour, fc_name)
+        tr_cols, tr_labels = _forecast_triple(data.hourly[fc_name], ts, spec.hour, fc_name)
         cols += tr_cols
         labels += tr_labels
     elif kind == "RL":
         cols, labels = _load_block(data, ts, c)
         cols += [data.fl_ave[ts], data.fl_max[ts], data.fl_min[ts],
-                 data.info.RES_star[ts - 1, c]]
+                 data.starred["RES"][ts - 1, c]]
         labels += ["FL_ave[t]", "FL_max[t]", "FL_min[t]", "RES*[t-1]"]
-        tr_cols, tr_labels = _forecast_triple(data.panel.hourly["FRES"], ts, spec.hour, "FRES")
+        tr_cols, tr_labels = _forecast_triple(data.hourly["FRES"], ts, spec.hour, "FRES")
         cols += tr_cols
         labels += tr_labels
     elif kind in ("DA", "ID", "SP"):
@@ -199,12 +193,12 @@ def design_rows(spec, data, ts, out=None):
         labels = list(DOW_LABELS)
         if kind == "DA":
             for p in range(1, 8):
-                cols.append(data.panel.hourly["DA"][ts - p, c])
+                cols.append(data.hourly["DA"][ts - p, c])
                 labels.append(f"DA[t-{p}]")
         else:
-            cols.append(_starred(data, kind)[ts - 1, c])
+            cols.append(data.starred[kind][ts - 1, c])
             labels.append(f"{kind}*[t-1]")
-            own = series(data, kind)
+            own = data.hourly[kind]
             for p in range(2, 8):
                 cols.append(own[ts - p, c])
                 labels.append(f"{kind}[t-{p}]")
@@ -224,4 +218,4 @@ def design_rows(spec, data, ts, out=None):
 def targets(spec, data, ts):
     """Realized values of the spec's variable at its hour for days ``ts``."""
     ts = _check_days(ts, data.n_days)
-    return series(data, spec.kind)[ts, spec.hour - 1]
+    return data.hourly[spec.kind][ts, spec.hour - 1]

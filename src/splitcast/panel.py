@@ -1,4 +1,4 @@
-"""Hourly market data panel: loading, validation, DST repair, derived series.
+"""Hourly market data panel: loading, validation, DST repair, the series tables.
 
 The panel is a dense grid of consecutive calendar days times 24 delivery
 hours.  Hour ``h`` in 1..24 is stored in column ``h - 1``.  Hourly series:
@@ -9,15 +9,18 @@ hours.  Hour ``h`` in 1..24 is stored in column ``h - 1``.  Hourly series:
 ``L``     system load, GWh
 ``W``     wind generation, GWh
 ``S``     solar generation, GWh
-``RES``   renewable generation, always ``W + S``
+``RES``   renewable generation, a composite (``COMPOSITES``)
 ``FL``    TSO day ahead load forecast, GWh
 ``FW``    TSO day ahead wind forecast, GWh
 ``FS``    TSO day ahead solar forecast, GWh
-``FRES``  TSO renewable forecast, always ``FW + FS``
+``FRES``  TSO renewable forecast, a composite (``COMPOSITES``)
 ========  =====================================================
 
 Daily series ``C`` and ``G`` are fuel (coal, gas) closing prices.  Prices
-may be negative; load and generation may not.
+may be negative; load and generation may not.  The tables ``COMPOSITES``
+(sums), ``DERIVED`` (the differences SP and RL) and ``STAND_INS`` (what a
+starred series reads after ``FORECAST_TIME_HOUR``) are the one statement of
+how series relate; every other module reads them.
 """
 
 import csv
@@ -25,7 +28,7 @@ import datetime as dt
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +52,13 @@ COMPOSITE_TOL = 1e-9
 # Hour of day (1..24) after which same day realizations are unavailable at
 # forecasting time.  Hours 1..10 are observed, hours 11..24 are not.
 FORECAST_TIME_HOUR = 10
+
+# composite -> (a, b): the series is a + b
+COMPOSITES = {"RES": ("W", "S"), "FRES": ("FW", "FS")}
+# derived -> (a, b): the series is a - b
+DERIVED = {"SP": ("DA", "ID"), "RL": ("L", "RES")}
+# starred -> stand in: the preceding day's value after FORECAST_TIME_HOUR
+STAND_INS = {"L": "FL", "W": "FW", "RES": "FRES", "ID": "DA", "SP": "DA"}
 
 DEFAULT_SCHEMA = {
     "date": "date",
@@ -75,7 +85,9 @@ class MarketPanel:
     ``missing_cells`` holds ``(day_index, hour_index)`` pairs (0 based hour
     index) where at least one hourly series is NaN, e.g. a spring forward
     DST gap.  ``duplicate_cells`` maps such pairs to the second reading of a
-    fall back duplicated hour.  A normalized panel has neither.
+    fall back duplicated hour.  A normalized panel has neither.  A composite
+    absent from ``hourly`` is computed; a given one is kept for
+    :func:`validate_panel` to check.
     """
 
     dates: tuple
@@ -85,6 +97,7 @@ class MarketPanel:
     duplicate_cells: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "hourly", _with_composites(self.hourly))
         n = len(self.dates)
         for name in HOURLY_SERIES:
             arr = self.hourly[name]
@@ -108,13 +121,6 @@ class MarketPanel:
     def is_normalized(self):
         return not self.missing_cells and not self.duplicate_cells
 
-    def series(self, name):
-        if name in self.hourly:
-            return self.hourly[name]
-        if name in self.daily:
-            return self.daily[name]
-        raise KeyError(name)
-
     def day_index(self, date):
         idx = (date - self.dates[0]).days
         if idx < 0 or idx >= self.n_days or self.dates[idx] != date:
@@ -126,37 +132,13 @@ class MarketPanel:
         return np.array([d.weekday() for d in self.dates], dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class DerivedSeries:
-    """Series derived cell by cell from a normalized panel."""
-
-    RL: np.ndarray  # residual load, L - RES
-    SP: np.ndarray  # price spread, DA - ID
-
-    def __post_init__(self):
-        self.RL.flags.writeable = False
-        self.SP.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class InfoSet:
-    """Starred series available when forecasts are produced at 11:00.
-
-    For the day preceding delivery, hours 1..10 carry the realization and
-    hours 11..24 the stand in: the TSO forecast for load, wind and
-    renewables, the day ahead price for the intraday price and the spread.
-    """
-
-    L_star: np.ndarray
-    W_star: np.ndarray
-    RES_star: np.ndarray
-    ID_star: np.ndarray
-    SP_star: np.ndarray
-    forecast_time_hour: int = FORECAST_TIME_HOUR
-
-    def __post_init__(self):
-        for name in ("L_star", "W_star", "RES_star", "ID_star", "SP_star"):
-            getattr(self, name).flags.writeable = False
+def _with_composites(series):
+    """A copy of the ``series`` dict with each composite it lacks computed."""
+    out = dict(series)
+    for name, (a, b) in COMPOSITES.items():
+        if name not in out:
+            out[name] = out[a] + out[b]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -265,8 +247,7 @@ def load_panel(path, schema=None):
         if np.any(arr[np.isfinite(arr)] < 0.0):
             raise NegativeGenerationError(f"negative values in generation series {name}")
 
-    hourly["RES"] = hourly["W"] + hourly["S"]
-    hourly["FRES"] = hourly["FW"] + hourly["FS"]
+    hourly = _with_composites(hourly)
     if given:
         stated = grid[-len(given):]
         computed = np.stack([hourly[name].ravel() for name in given])
@@ -281,10 +262,7 @@ def load_panel(path, schema=None):
     later = np.ones(cells.size, dtype=bool)
     later[first] = False
     for cell, row in zip(cells[later].tolist(), values[later, :len(READ_SERIES)].tolist()):
-        extra = dict(zip(READ_SERIES, row))
-        extra["RES"] = extra["W"] + extra["S"]
-        extra["FRES"] = extra["FW"] + extra["FS"]
-        duplicates[divmod(cell, 24)] = extra
+        duplicates[divmod(cell, 24)] = _with_composites(dict(zip(READ_SERIES, row)))
 
     daily = {}
     for j, name in enumerate(DAILY_SERIES, start=len(READ_SERIES)):
@@ -318,7 +296,7 @@ def write_panel(panel, path, schema=None):
     def fmt(value):
         return "" if math.isnan(value) else repr(float(value))
 
-    header = [colmap[f] for f in ("date", "hour", *READ_SERIES, *DAILY_SERIES, "RES", "FRES")]
+    header = [colmap[f] for f in ("date", "hour", *READ_SERIES, *DAILY_SERIES, *COMPOSITES)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -327,18 +305,18 @@ def write_panel(panel, path, schema=None):
                 base = [date.isoformat(), str(hi + 1)]
                 row = base + [fmt(panel.hourly[name][di, hi]) for name in READ_SERIES]
                 row += [fmt(panel.daily["C"][di]), fmt(panel.daily["G"][di])]
-                row += [fmt(panel.hourly["RES"][di, hi]), fmt(panel.hourly["FRES"][di, hi])]
+                row += [fmt(panel.hourly[name][di, hi]) for name in COMPOSITES]
                 writer.writerow(row)
                 if (di, hi) in panel.duplicate_cells:
                     extra = panel.duplicate_cells[(di, hi)]
                     row2 = base + [fmt(extra[name]) for name in READ_SERIES]
                     row2 += [fmt(panel.daily["C"][di]), fmt(panel.daily["G"][di])]
-                    row2 += [fmt(extra["RES"]), fmt(extra["FRES"])]
+                    row2 += [fmt(extra[name]) for name in COMPOSITES]
                     writer.writerow(row2)
 
 
 # --------------------------------------------------------------------------
-# DST repair and derived series
+# DST repair and validation
 
 
 def dst_normalize(panel):
@@ -374,49 +352,18 @@ def dst_normalize(panel):
             flat[pos] = (flat[before] + flat[after]) / 2.0
         hourly[name] = flat.reshape(panel.hourly[name].shape)
 
-    hourly["RES"] = hourly["W"] + hourly["S"]
-    hourly["FRES"] = hourly["FW"] + hourly["FS"]
     daily = {name: panel.daily[name].copy() for name in DAILY_SERIES}
     return MarketPanel(dates=panel.dates, hourly=hourly, daily=daily,
                        missing_cells=frozenset(), duplicate_cells={})
 
 
-def derive_series(panel):
-    """Residual load and price spread of a normalized panel."""
-    if not panel.is_normalized:
-        raise PanelIntegrityError("derive_series needs a normalized panel")
-    rl = panel.hourly["L"] - panel.hourly["RES"]
-    sp = panel.hourly["DA"] - panel.hourly["ID"]
-    return DerivedSeries(RL=rl, SP=sp)
-
-
-def build_info_set(panel, derived):
-    """Starred series simulating the 11:00 information cut for every day."""
-    cut = FORECAST_TIME_HOUR  # column index of the first unobserved hour
-
-    def splice(realized, stand_in):
-        out = realized.copy()
-        out[:, cut:] = stand_in[:, cut:]
-        return out
-
-    return InfoSet(
-        L_star=splice(panel.hourly["L"], panel.hourly["FL"]),
-        W_star=splice(panel.hourly["W"], panel.hourly["FW"]),
-        RES_star=splice(panel.hourly["RES"], panel.hourly["FRES"]),
-        ID_star=splice(panel.hourly["ID"], panel.hourly["DA"]),
-        SP_star=splice(derived.SP, panel.hourly["DA"]),
-    )
-
-
 def validate_panel(panel):
     """Run integrity checks; returns a list of problem descriptions."""
     problems = []
-    res_err = np.max(np.abs(panel.hourly["RES"] - (panel.hourly["W"] + panel.hourly["S"])))
-    if not (np.isnan(res_err) or res_err <= COMPOSITE_TOL):
-        problems.append(f"RES deviates from W + S by up to {res_err:g}")
-    fres_err = np.max(np.abs(panel.hourly["FRES"] - (panel.hourly["FW"] + panel.hourly["FS"])))
-    if not (np.isnan(fres_err) or fres_err <= COMPOSITE_TOL):
-        problems.append(f"FRES deviates from FW + FS by up to {fres_err:g}")
+    for name, (a, b) in COMPOSITES.items():
+        err = np.max(np.abs(panel.hourly[name] - (panel.hourly[a] + panel.hourly[b])))
+        if not (np.isnan(err) or err <= COMPOSITE_TOL):
+            problems.append(f"{name} deviates from {a} + {b} by up to {err:g}")
     for name in GENERATION_SERIES:
         arr = panel.hourly[name]
         if np.any(arr[np.isfinite(arr)] < 0.0):
@@ -534,8 +481,6 @@ def generate_synthetic_panel(cfg, seed):
         noise_sd = cfg.forecast_noise_sd[key]
         noise = rng.standard_normal((n, 24)) * noise_sd if noise_sd > 0 else np.zeros((n, 24))
         hourly[fc_name] = hourly[src] + noise
-    hourly["RES"] = hourly["W"] + hourly["S"]
-    hourly["FRES"] = hourly["FW"] + hourly["FS"]
 
     daily = {}
     for (name, level, fsd) in (("C", cfg.fuel_level[0], cfg.fuel_sd[0]),

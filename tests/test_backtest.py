@@ -25,7 +25,7 @@ from splitcast.backtest import (
 from splitcast.config import ExperimentConfig
 from splitcast.ensembles import ForecastEnsemble
 from splitcast.errors import ConfigError
-from splitcast.features import MarketData, series
+from splitcast.features import MarketData
 from splitcast.scores import crps_fan_matrix, interval_hits
 
 WINDOW = 100
@@ -237,11 +237,11 @@ def test_only_forecast_day_returns_ensembles(panel_small, tmp_path):
     assert set(record["crps"]) == set(day["fans"])
     for (method, v), fan in day["fans"].items():
         np.testing.assert_array_equal(record["crps"][(method, v)],
-                                      crps_fan_matrix(fan, series(data, v)[130]))
+                                      crps_fan_matrix(fan, data.hourly[v][130]))
     assert set(record["hits"]) == set(day["intervals"])
     for (method, v, level), (lower, upper) in day["intervals"].items():
         np.testing.assert_array_equal(record["hits"][(method, v, level)],
-                                      interval_hits(lower, upper, series(data, v)[130]))
+                                      interval_hits(lower, upper, data.hourly[v][130]))
     # the limited benchmark settles on the realized price, so it joins last
     assert list(record["decisions"]) == [*day["decisions"], ("limited", None)]
 

@@ -326,6 +326,19 @@ def test_evaluate_rejects_levels_outside_the_unit_interval(fan_dir, panel_csv, t
     assert not out.exists()
 
 
+def test_evaluate_rejects_a_variable_the_panel_lacks(fan_dir, panel_csv, tmp_path, capsys):
+    lines = (fan_dir / "fans.csv").read_text().splitlines()
+    row = lines[1].split(",")
+    row[2] = "FOO"
+    bad = tmp_path / "foo_fans.csv"
+    bad.write_text("\n".join([*lines, ",".join(row)]) + "\n")
+    out = tmp_path / "scores"
+    assert main(["evaluate", "--fans", str(bad), "--input", str(panel_csv),
+                 "--out", str(out)]) == 2
+    assert "variable 'FOO' is not a series of the panel" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_backtest_cli_runs(panel_csv, tmp_path, capsys):
     out = tmp_path / "bt"
     code = main(["backtest", "--input", str(panel_csv), "--out", str(out),

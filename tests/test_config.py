@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitcast.backtest import _STREAM_MS_CORR, _stream, run_backtest
-from splitcast.config import ExperimentConfig
+from splitcast.config import MAX_MEMBERS, ExperimentConfig
 from splitcast.ensembles import random_split
 from splitcast.errors import ConfigError
 from splitcast.panel import SyntheticConfig, generate_synthetic_panel
@@ -73,6 +73,41 @@ def test_m_bins_bound_and_strategies_without_trading():
     ExperimentConfig(m_bins=2**63 // 10 - 1, evaluation_days=10).validate()
     # strategy names only matter to trading
     ExperimentConfig(strategies=("foo",), trading=False).validate()
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"variables": ("DA", "DA", "ID", "W"), "mv_variables": ("DA",)}, "variables"),
+    ({"stopping_taus": (0.5, 0.5)}, "stopping_taus"),
+    ({"derived": ("SP", "SP")}, "derived"),
+    ({"qr_variables": ("DA", "L", "DA")}, "qr_variables"),
+    ({"mv_variables": ("DA", "DA")}, "mv_variables"),
+    ({"methods": ("point", "ms", "ms")}, "methods"),
+    ({"ms_modes": ("corr", "corr")}, "ms_modes"),
+    ({"interval_levels": (0.8, 0.9, 0.8)}, "interval_levels"),
+    ({"strategies": ("epi", "epi")}, "strategies"),
+])
+def test_validate_rejects_a_repeated_list_entry(changes, key):
+    """A repeated variable would pair fan keys with another variable's
+    quantiles, and a repeated stopping tau failed only after every day."""
+    with pytest.raises(ConfigError, match=f"^{key} lists .* more than once"):
+        ExperimentConfig(**changes).validate()
+
+
+def test_validate_bounds_the_members_of_one_ensemble():
+    # 20 splits of 183 calibration days: the paper's 3,660 members
+    ExperimentConfig().validate()
+    with pytest.raises(ConfigError, match="ms ensembles of 183000000000 members"):
+        ExperimentConfig(n_splits=10**9).validate()
+    # ms members are n_splits * (window - round(ratio * window))
+    fits = MAX_MEMBERS // 183
+    ExperimentConfig(n_splits=fits).validate()
+    with pytest.raises(ConfigError, match=f"bound of {MAX_MEMBERS}"):
+        ExperimentConfig(n_splits=fits + 1).validate()
+    # hist members are window - inner_window
+    hist = ExperimentConfig(methods=("hist",), trading_method="hist", inner_window=100)
+    replace(hist, calibration_window_days=MAX_MEMBERS + 100).validate()
+    with pytest.raises(ConfigError, match="hist ensembles of"):
+        replace(hist, calibration_window_days=MAX_MEMBERS + 101).validate()
 
 
 def test_short_window_fails_before_day_one(panel_small, tmp_path):

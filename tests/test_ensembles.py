@@ -63,7 +63,6 @@ def test_ms_pool_size_and_meta(data_small):
     assert ens.variables == ("DA", "ID", "W")
     assert ens.members.shape == (3 * 50, 3)
     assert ens.meta["calibration_size"] == 50
-    assert ens.meta["n_splits"] == 3
     assert ens.target_date == data_small.panel.dates[120]
     assert ens.hour == 12
 
@@ -150,7 +149,6 @@ def test_historical_member_count_and_windows(data_small):
     train = np.arange(20, 110)  # 90 days, inner window defaults to 45
     ens = historical_ensembles_for_day(data_small, ("DA", "ID"), train, 110, [12])[12]
     assert ens.members.shape == (45, 2)
-    assert ens.meta["inner_window"] == 45
     ens = historical_ensembles_for_day(data_small, ("W",), train, 110, [12], inner_window=25)[12]
     assert ens.members.shape == (65, 1)
     with pytest.raises(ValueError):
@@ -437,11 +435,23 @@ def test_map_matches_vectorized_derivation(rng):
     direct = derived_ensemble(ens, "SP")
     np.testing.assert_array_equal(mapped, direct.members)
     assert direct.variables == ("SP",)
-    assert direct.meta["derived_from"] == ("DA", "ID", "W")
     with pytest.raises(KeyError):
         derived_ensemble(ens, "RL")  # needs L and RES columns
     with pytest.raises(ValueError):
         derived_ensemble(ens, "XX")
+
+
+@pytest.mark.parametrize("name", ["SP", "RL"])
+def test_derived_members_follow_the_panel_rule(data_small, name):
+    """An ensemble whose members are realized parent rows derives exactly the
+    realized derived series: one rule serves the panel and the ensembles."""
+    parents = ("DA", "ID", "L", "RES")
+    for hour in (1, 11, 24):
+        members = np.stack([data_small.hourly[v][:, hour - 1] for v in parents], axis=1)
+        ens = ForecastEnsemble(variables=parents, members=members, target_date=None,
+                               hour=hour, meta={})
+        np.testing.assert_array_equal(derived_ensemble(ens, name).members[:, 0],
+                                      data_small.hourly[name][:, hour - 1])
 
 
 def test_ensemble_summaries(rng):

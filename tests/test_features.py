@@ -13,7 +13,6 @@ from splitcast.features import (
     ModelSpec,
     design_rows,
     row_length,
-    series,
     targets,
 )
 
@@ -145,14 +144,12 @@ def test_targets_read_series(data_small):
     ts = np.arange(10, 15)
     np.testing.assert_array_equal(
         targets(ModelSpec("DA", 3), data_small, ts),
-        data_small.panel.hourly["DA"][ts, 2])
+        data_small.hourly["DA"][ts, 2])
     np.testing.assert_array_equal(
         targets(ModelSpec("RL", 7), data_small, ts),
-        data_small.derived.RL[ts, 6])
-    assert targets(ModelSpec("SP", 1), data_small, [12])[0] == data_small.derived.SP[12, 0]
-    assert series(data_small, "SP") is data_small.derived.SP
-    assert series(data_small, "RL") is data_small.derived.RL
-    assert series(data_small, "ID") is data_small.panel.hourly["ID"]
+        data_small.hourly["RL"][ts, 6])
+    assert targets(ModelSpec("SP", 1), data_small, [12])[0] == data_small.hourly["SP"][12, 0]
+    assert data_small.hourly["ID"] is data_small.panel.hourly["ID"]
 
 
 def test_model_spec_validation():

@@ -15,13 +15,12 @@ from splitcast.errors import (
     PanelIntegrityError,
     UnparseableTimestampError,
 )
+from splitcast.features import MarketData
 from splitcast.panel import (
     FORECAST_TIME_HOUR,
     HOURLY_SERIES,
     READ_SERIES,
     SyntheticConfig,
-    build_info_set,
-    derive_series,
     dst_normalize,
     generate_synthetic_panel,
     load_panel,
@@ -344,25 +343,26 @@ def test_validate_panel_reports_problems(panel_small):
 
 
 def test_derive_series_exact(panel_small):
-    derived = derive_series(panel_small)
+    data = MarketData.from_panel(panel_small)
     np.testing.assert_array_equal(
-        derived.RL, panel_small.hourly["L"] - panel_small.hourly["RES"])
+        data.hourly["RL"], panel_small.hourly["L"] - panel_small.hourly["RES"])
     np.testing.assert_array_equal(
-        derived.SP, panel_small.hourly["DA"] - panel_small.hourly["ID"])
+        data.hourly["SP"], panel_small.hourly["DA"] - panel_small.hourly["ID"])
 
 
 def test_info_set_splice_everywhere(panel_small):
     """Starred series: realized strictly before the cut, stand in after."""
-    derived = derive_series(panel_small)
-    info = build_info_set(panel_small, derived)
+    data = MarketData.from_panel(panel_small)
+    sp = panel_small.hourly["DA"] - panel_small.hourly["ID"]
     cut = FORECAST_TIME_HOUR
     cases = [
-        (info.L_star, panel_small.hourly["L"], panel_small.hourly["FL"]),
-        (info.W_star, panel_small.hourly["W"], panel_small.hourly["FW"]),
-        (info.RES_star, panel_small.hourly["RES"], panel_small.hourly["FRES"]),
-        (info.ID_star, panel_small.hourly["ID"], panel_small.hourly["DA"]),
-        (info.SP_star, derived.SP, panel_small.hourly["DA"]),
+        (data.starred["L"], panel_small.hourly["L"], panel_small.hourly["FL"]),
+        (data.starred["W"], panel_small.hourly["W"], panel_small.hourly["FW"]),
+        (data.starred["RES"], panel_small.hourly["RES"], panel_small.hourly["FRES"]),
+        (data.starred["ID"], panel_small.hourly["ID"], panel_small.hourly["DA"]),
+        (data.starred["SP"], sp, panel_small.hourly["DA"]),
     ]
+    assert set(data.starred) == {"L", "W", "RES", "ID", "SP"}
     for starred, realized, stand_in in cases:
         np.testing.assert_array_equal(starred[:, :cut], realized[:, :cut])
         np.testing.assert_array_equal(starred[:, cut:], stand_in[:, cut:])

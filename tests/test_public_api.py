@@ -27,6 +27,10 @@ PRUNED = (
     "regressors", "target", "RegressorRow", "point_forecast", "CoefficientSet",
     # scores and errors: coverage_report takes interval_hits, and no option raised it
     "picp", "NoTradesError",
+    # panel, features and config: MarketData.hourly and .starred hold the series,
+    # panel.DERIVED the parents of a derived series
+    "DerivedSeries", "InfoSet", "derive_series", "build_info_set", "series", "_STARRED",
+    "_starred", "DERIVED_PARENTS",
 )
 
 
@@ -54,11 +58,12 @@ def test_numba_flag_is_recorded():
 
 def test_pruned_names_stay_gone():
     modules = [splitcast] + [importlib.import_module(f"splitcast.{name}") for name in
-                             ("ensembles", "errors", "features", "models", "quantreg", "scores",
-                              "trading")]
+                             ("config", "ensembles", "errors", "features", "models", "panel",
+                              "quantreg", "scores", "trading")]
     for name in PRUNED:
         for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(splitcast.MarketPanel, "series")
 
 
 def test_the_day_engine_is_public():
