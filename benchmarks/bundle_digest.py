@@ -15,11 +15,16 @@ the given ``src`` with one BLAS thread and no ``SPLITCAST_CONFIG``:
 * a ``point,hist,ms`` backtest of the same days, ``workers=2``;
 * ``forecast`` with ``ms --members`` over the last two days, and with
   ``hist --members``, ``point`` and ``qr`` on the last day;
-* ``evaluate`` of the ``ms`` fans, and ``report`` of the default backtest.
+* ``evaluate`` of the ``ms`` fans, and ``report`` of the default backtest;
+* ``forecast_day`` at the default configuration on the last two days.
 
 It then prints one ``sha256  path`` line per file, paths relative to the
-output directory.  Console output is not digested.  One run takes about
-30 s on a 2 vCPU host.
+output directory.  Console output is not digested.  The last line,
+``sha256  forecast_day.float64``, digests the raw float64 bytes of the two
+``forecast_day`` results, which the 6 digit report files do not pin down:
+per day the point forecasts, the fans, the interval bounds and every
+ensemble's members, each table in sorted key order.  One run takes about
+40 s on a 2 vCPU host.
 """
 
 import argparse
@@ -31,6 +36,24 @@ import sys
 
 DAYS = 400
 START = dt.date(2020, 1, 1)
+
+RAW_DIGEST = """
+import hashlib
+import numpy as np
+from splitcast import ExperimentConfig, MarketData, forecast_day, load_panel
+
+data = MarketData.from_panel(load_panel("panel.csv"))
+digest = hashlib.sha256()
+for day_idx in (data.n_days - 2, data.n_days - 1):
+    out = forecast_day(data, ExperimentConfig(), day_idx)
+    arrays = [table[key] for table in (out["point"], out["fans"], out["intervals"])
+              for key in sorted(table)]
+    arrays += [by_hour[hour].members for _, by_hour in sorted(out["ensembles"].items())
+               for hour in sorted(by_hour)]
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+print(digest.hexdigest())
+"""
 
 
 def main():
@@ -63,6 +86,8 @@ def main():
     cli("evaluate", "--fans", os.path.join("forecast_ms", "fans.csv"), "--input", "panel.csv",
         "--out", "evaluate_ms")
     cli("report", "--backtest-dir", "backtest_default", "--out", "report")
+    raw = subprocess.run([sys.executable, "-c", RAW_DIGEST], cwd=out, env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout.strip()
 
     for root, dirs, files in os.walk(out):
         dirs.sort()
@@ -71,6 +96,7 @@ def main():
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             print(f"{digest}  {os.path.relpath(path, out)}")
+    print(f"{raw}  forecast_day.float64")
 
 
 if __name__ == "__main__":

@@ -29,9 +29,9 @@ from .ensembles import (
     ms_ensembles_for_day,
 )
 from .errors import ConfigError
-from .features import KINDS, MarketData, ModelSpec, design_rows, targets
+from .features import KINDS, MAX_LAG, MarketData, ModelSpec, design_rows, targets
 from .models import expert_design, ols_fit
-from .panel import DAILY_SERIES, READ_SERIES, MarketPanel, load_panel
+from .panel import DAILY_SERIES, FORECASTS, READ_SERIES, MarketPanel, load_panel
 from .quantreg import TAU_GRID, qr_fan, qr_fit_fan, tail_column
 from .scores import (
     coverage_report,
@@ -337,9 +337,10 @@ def evaluation_day_indices(panel, cfg):
     end = start + cfg.evaluation_days
     if end > n:
         raise ConfigError(f"evaluation window [{start}, {end}) leaves the {n} day panel")
-    if start < cfg.calibration_window_days + 8:
+    need = cfg.calibration_window_days + MAX_LAG + 1
+    if start < need:
         raise ConfigError(
-            f"need calibration_window_days + 8 = {cfg.calibration_window_days + 8} days of "
+            f"need calibration_window_days + {MAX_LAG + 1} = {need} days of "
             f"history before the first evaluation day, have {start}")
     return list(range(start, end))
 
@@ -490,11 +491,12 @@ def _write_summary(path, cfg, dates, coverage, crps, reliability, strategy_table
                 report = coverage.get((method, variable, level))
                 cells.append("-" if report is None else format_cell(report.picp * 100.0))
             lines.append(row(cells))
-        lines.append(row(["kupiec%"] + [
-            format_cell(100.0 * np.mean([coverage[(method, v, level)].pass_rate
-                                  for level in cfg.interval_levels
-                                  if (method, v, level) in coverage]))
-            for v in supported]))
+        kupiec = []
+        for v in supported:
+            rates = [coverage[(method, v, level)].pass_rate
+                     for level in cfg.interval_levels if (method, v, level) in coverage]
+            kupiec.append(format_cell(100.0 * np.mean(rates)) if rates else "-")
+        lines.append(row(["kupiec%"] + kupiec))
         lines.append("")
 
     lines.append("CRPS, mean over evaluation period")
@@ -558,12 +560,10 @@ def corrupt_after_cutoff(panel, day_idx, garbage=9.9e9):
     """
     hourly = {name: panel.hourly[name].copy() for name in READ_SERIES}
     daily = {name: panel.daily[name].copy() for name in DAILY_SERIES}
-    for name in ("DA", "ID", "L", "W", "S"):
-        hourly[name][day_idx:] = garbage
-    for name in ("FL", "FW", "FS"):
-        hourly[name][day_idx + 1:] = garbage
-    for name in DAILY_SERIES:
-        daily[name][day_idx:] = garbage
+    for name, series in hourly.items():
+        series[day_idx + 1 if name in FORECASTS else day_idx:] = garbage
+    for series in daily.values():
+        series[day_idx:] = garbage
     return MarketPanel(dates=panel.dates, hourly=hourly, daily=daily,
                        missing_cells=panel.missing_cells,
                        duplicate_cells=dict(panel.duplicate_cells))

@@ -34,7 +34,7 @@ from .backtest import (
 )
 from .config import check_level, config_from_raw, read_config
 from .errors import ConfigError, SplitcastError
-from .features import KINDS, MarketData
+from .features import KINDS, MAX_LAG, MarketData
 from .panel import SYNTH_SERIES, SyntheticConfig, generate_synthetic_panel, load_panel, validate_panel, write_panel
 from .quantreg import TAU_GRID, tail_column
 from .scores import crps_fan_matrix, interval_hits
@@ -160,9 +160,9 @@ def _forecast_days(data, cfg, start, end):
     last = _panel_day(data.panel, end, "--end")
     if last < first:
         raise ConfigError("end date precedes start date")
-    if first < cfg.calibration_window_days + 8:
-        raise ConfigError(
-            f"need {cfg.calibration_window_days + 8} days of history before {start}")
+    need = cfg.calibration_window_days + MAX_LAG + 1
+    if first < need:
+        raise ConfigError(f"need {need} days of history before {start}")
     return list(range(first, last + 1))
 
 

@@ -9,11 +9,12 @@ trailing).  List values are comma separated.  The environment variable
 import datetime as dt
 import math
 import os
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .features import KINDS, row_length
-from .panel import DERIVED
+from .panel import DEFAULT_SCHEMA, DERIVED, OPTIONAL_SCHEMA
 from .trading import STRATEGIES
 
 ENV_CONFIG = "SPLITCAST_CONFIG"
@@ -24,13 +25,6 @@ METHOD_NAMES = ("point", "qr", "hist", "ms")
 # (``_kernels.preranks``): about 0.4 GB at this bound, and about 5 MB at the
 # paper's 3,660 members (20 splits of 183 calibration days).
 MAX_MEMBERS = 2 ** 15
-
-
-def _tuple_of(caster):
-    def convert(text):
-        items = [part.strip() for part in str(text).split(",") if part.strip()]
-        return tuple(caster(part) for part in items)
-    return convert
 
 
 def _bool(text):
@@ -47,6 +41,14 @@ def _date(text):
         return dt.date.fromisoformat(str(text).strip())
     except ValueError as exc:
         raise ConfigError(f"not an ISO date: {text!r}") from exc
+
+
+def _parse(annotation, text):
+    """A config value from its text, by the field's annotation."""
+    if typing.get_origin(annotation) is tuple:
+        item = typing.get_args(annotation)[0]
+        return tuple(item(part.strip()) for part in text.split(",") if part.strip())
+    return {bool: _bool, dt.date: _date}.get(annotation, annotation)(text)
 
 
 def _fit_rows(kinds):
@@ -72,18 +74,18 @@ class ExperimentConfig:
     n_splits: int = 20
     split_ratio: float = 0.5
     master_seed: int = 20200101
-    variables: tuple = ("DA", "ID", "L", "RES", "W")
-    derived: tuple = ("SP", "RL")
-    qr_variables: tuple = ("DA", "ID", "L", "RES", "SP", "RL")
-    mv_variables: tuple = ("DA", "ID", "L", "RES")
-    methods: tuple = METHOD_NAMES
-    ms_modes: tuple = ("corr", "uncorr")
-    interval_levels: tuple = (0.8, 0.9, 0.95, 0.98)
+    variables: tuple[str, ...] = ("DA", "ID", "L", "RES", "W")
+    derived: tuple[str, ...] = ("SP", "RL")
+    qr_variables: tuple[str, ...] = ("DA", "ID", "L", "RES", "SP", "RL")
+    mv_variables: tuple[str, ...] = ("DA", "ID", "L", "RES")
+    methods: tuple[str, ...] = METHOD_NAMES
+    ms_modes: tuple[str, ...] = ("corr", "uncorr")
+    interval_levels: tuple[float, ...] = (0.8, 0.9, 0.95, 0.98)
     m_bins: int = 10
     trading: bool = True
     trading_method: str = "ms"
-    strategies: tuple = ("epi", "var", "sr")
-    stopping_taus: tuple = (0.05, 0.3, 0.5, 0.7, 0.95, 1.0)
+    strategies: tuple[str, ...] = ("epi", "var", "sr")
+    stopping_taus: tuple[float, ...] = (0.05, 0.3, 0.5, 0.7, 0.95, 1.0)
     var_level: float = 0.05
     c_om: float = 10.0
     inner_window: int = None
@@ -151,6 +153,8 @@ class ExperimentConfig:
             if not 0.0 < tau <= 1.0:
                 raise ConfigError(f"stopping tau {tau} outside (0, 1]")
         if "hist" in self.methods or "ms" in self.methods:
+            if not self.variables:
+                raise ConfigError("methods hist and ms need at least one ensemble variable")
             # the ensembles derive SP and RL from their parents' members
             for name in self.derived:
                 for parent in DERIVED[name]:
@@ -197,35 +201,8 @@ class ExperimentConfig:
         return self
 
 
-_CASTERS = {
-    "input_path": str,
-    "output_dir": str,
-    "calibration_window_days": int,
-    "evaluation_days": int,
-    "evaluation_start": _date,
-    "n_splits": int,
-    "split_ratio": float,
-    "master_seed": int,
-    "variables": _tuple_of(str),
-    "derived": _tuple_of(str),
-    "qr_variables": _tuple_of(str),
-    "mv_variables": _tuple_of(str),
-    "methods": _tuple_of(str),
-    "ms_modes": _tuple_of(str),
-    "interval_levels": _tuple_of(float),
-    "m_bins": int,
-    "trading": _bool,
-    "trading_method": str,
-    "strategies": _tuple_of(str),
-    "stopping_taus": _tuple_of(float),
-    "var_level": float,
-    "c_om": float,
-    "inner_window": int,
-    "workers": int,
-}
-
-# schema_da = price_col style keys remap CSV columns
-_SCHEMA_FIELDS = ("date", "hour", "DA", "ID", "L", "W", "S", "FL", "FW", "FS", "C", "G")
+# key -> annotation of every file key; schema_<field> keys fill ``schema``
+_KEYS = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "schema"}
 
 
 def parse_config_text(text):
@@ -250,15 +227,16 @@ def config_from_raw(raw, base=None):
     for key, value in raw.items():
         if key.startswith("schema_"):
             fieldname = key[len("schema_"):]
-            matched = next((f for f in _SCHEMA_FIELDS if f.lower() == fieldname.lower()), None)
+            matched = next((f for f in (*DEFAULT_SCHEMA, *OPTIONAL_SCHEMA)
+                            if f.lower() == fieldname.lower()), None)
             if matched is None:
                 raise ConfigError(f"unknown schema field {fieldname!r}")
             schema[matched] = value
             continue
-        if key not in _CASTERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            updates[key] = _CASTERS[key](value)
+            updates[key] = _parse(_KEYS[key], value)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:

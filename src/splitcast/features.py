@@ -1,40 +1,74 @@
 """Regressor rows for the per hour expert models.
 
-Seven model kinds are supported, one per forecast variable:
+One linear expert per (kind, hour) forecasts a variable from the 11:00
+information set of its day ahead auction.  ``REGRESSORS`` lists each kind's
+regressors in row order.  A :class:`Term` names its source, its day lag and
+its hour offset, and the term's label is printed from those three.  A source
+is one of:
 
-=====  ==============  ==================================================
-kind   target          regressors (interior hours)
-=====  ==============  ==================================================
-L      load            const, L*(t-1), L(t-2), L(t-7), FL(t), FRES(t),
-                       FL daily ave/max/min of day t
-W      wind            const, W*(t-1), FW(t) at hours h-1, h, h+1
-RES    renewables      const, RES*(t-1), FRES(t) at hours h-1, h, h+1
-RL     residual load   load block plus RES*(t-1) and the FRES triple
-DA     day ahead       7 weekday dummies, DA(t-1..t-7), DA daily
-                       ave/min/max of t-1, FL(t), FRES(t), C(t-1), G(t-1)
-ID     intraday        dummies, ID*(t-1), ID(t-2..t-7), then as DA
-SP     spread          dummies, SP*(t-1), SP(t-2..t-7), then as DA
-=====  ==============  ==================================================
+* an hourly series of ``MarketData.hourly``, the ``panel.DERIVED`` ones
+  included;
+* a starred series ``X*`` of ``MarketData.starred``: the realization up to
+  hour 10 of the preceding day, and afterwards the stand in of
+  ``panel.STAND_INS``;
+* a daily series of ``MarketData.daily``: the fuel closes ``C`` and ``G``,
+  and the daily ave, max and min of ``FL`` and ``DA``;
+* ``const``, or a weekday dummy of ``DOW_LABELS``.
 
-Starred values come from the information set: realization up to hour 10 of
-the preceding day, and afterwards the stand in of ``panel.STAND_INS``.
-``MarketData.hourly`` holds every realized series, the ``panel.DERIVED``
-ones included, and ``MarketData.starred`` every starred one.  At the edge
-hours 1 and 24 the neighbour hour term of the forecast triple does not
-exist and is dropped, so row lengths depend only on (kind, hour).  All
-models with dummies carry no separate intercept; the dummy block spans it.
+At the edge hours 1 and 24 a term whose hour h + offset falls outside 1..24
+is dropped, so row lengths depend only on (kind, hour).  The price models
+carry no separate intercept; the dummy block spans it.
 """
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientHistoryError, PanelIntegrityError
-from .panel import DERIVED, FORECAST_TIME_HOUR, STAND_INS, dst_normalize
+from .panel import DERIVED, FORECAST_TIME_HOUR, HOURLY_SERIES, STAND_INS, dst_normalize
 
-KINDS = ("L", "W", "RES", "RL", "DA", "ID", "SP")
-MAX_LAG = 7
 DOW_LABELS = ("dow_mon", "dow_tue", "dow_wed", "dow_thu", "dow_fri", "dow_sat", "dow_sun")
+_HOURLY = (*HOURLY_SERIES, *DERIVED)
+# the daily aggregates of FL and DA in MarketData.daily, e.g. "FL_ave"
+_AGGREGATES = {"ave": np.mean, "max": np.max, "min": np.min}
+
+
+class Term(NamedTuple):
+    """One regressor: ``source`` on day t - ``lag`` at hour h + ``offset``."""
+
+    source: str
+    lag: int = 0
+    offset: int = 0
+
+
+def _lags(source, lags):
+    return tuple(Term(source, lag) for lag in lags)
+
+
+def _neighbours(source):
+    return tuple(Term(source, 0, offset) for offset in (-1, 0, 1))
+
+
+_LOAD = (Term("const"), Term("L*", 1), *_lags("L", (2, 7)), Term("FL"))
+_FL_DAILY = (Term("FL_ave"), Term("FL_max"), Term("FL_min"))
+_DUMMIES = tuple(Term(name) for name in DOW_LABELS)
+_PRICE_DAILY = (Term("DA_ave", 1), Term("DA_min", 1), Term("DA_max", 1),
+                Term("FL"), Term("FRES"), Term("C", 1), Term("G", 1))
+
+# kind -> the regressors of its experts, in row order
+REGRESSORS = {
+    "L": (*_LOAD, Term("FRES"), *_FL_DAILY),
+    "W": (Term("const"), Term("W*", 1), *_neighbours("FW")),
+    "RES": (Term("const"), Term("RES*", 1), *_neighbours("FRES")),
+    "RL": (*_LOAD, *_FL_DAILY, Term("RES*", 1), *_neighbours("FRES")),
+    "DA": (*_DUMMIES, *_lags("DA", range(1, 8)), *_PRICE_DAILY),
+    "ID": (*_DUMMIES, Term("ID*", 1), *_lags("ID", range(2, 8)), *_PRICE_DAILY),
+    "SP": (*_DUMMIES, Term("SP*", 1), *_lags("SP", range(2, 8)), *_PRICE_DAILY),
+}
+KINDS = tuple(REGRESSORS)
+MAX_LAG = max(term.lag for terms in REGRESSORS.values() for term in terms)
 
 
 @dataclass(frozen=True)
@@ -55,17 +89,12 @@ class ModelSpec:
 class MarketData:
     """Normalized panel bundled with everything the regressors read:
     ``hourly`` holds every realized (days, 24) series, derived ones included,
-    and ``starred`` every starred series."""
+    ``starred`` every starred series and ``daily`` every (days,) series."""
 
     panel: object
     hourly: dict
     starred: dict
-    fl_ave: np.ndarray
-    fl_max: np.ndarray
-    fl_min: np.ndarray
-    da_ave: np.ndarray
-    da_min: np.ndarray
-    da_max: np.ndarray
+    daily: dict
     dow: np.ndarray
 
     @classmethod
@@ -77,34 +106,51 @@ class MarketData:
         cut = FORECAST_TIME_HOUR  # column index of the first unobserved hour
         starred = {name: np.hstack([hourly[name][:, :cut], hourly[stand_in][:, cut:]])
                    for name, stand_in in STAND_INS.items()}
-        for arr in (*hourly.values(), *starred.values()):
+        daily = dict(panel.daily)
+        daily.update((f"{name}_{stat}", aggregate(hourly[name], axis=1))
+                     for name in ("FL", "DA") for stat, aggregate in _AGGREGATES.items())
+        for arr in (*hourly.values(), *starred.values(), *daily.values()):
             arr.flags.writeable = False
-        fl = panel.hourly["FL"]
-        da = panel.hourly["DA"]
-        return cls(
-            panel=panel, hourly=hourly, starred=starred,
-            fl_ave=fl.mean(axis=1), fl_max=fl.max(axis=1), fl_min=fl.min(axis=1),
-            da_ave=da.mean(axis=1), da_min=da.min(axis=1), da_max=da.max(axis=1),
-            dow=panel.weekdays(),
-        )
+        return cls(panel=panel, hourly=hourly, starred=starred, daily=daily,
+                   dow=panel.weekdays())
 
     @property
     def n_days(self):
         return self.panel.n_days
 
 
+@functools.cache
+def _reads(kind, hour):
+    """The kept terms of one expert, as ``(where, name, lag, column)`` reads
+    and labels.  ``where`` is the ``MarketData`` dict that ``name`` keys, or
+    ``const``, or ``dow`` with the weekday as ``name``."""
+    if kind not in REGRESSORS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    reads, labels = [], []
+    for source, lag, offset in REGRESSORS[kind]:
+        col = hour - 1 + offset
+        if not 0 <= col < 24:
+            continue  # an edge hour's absent neighbour
+        at = f"t-{lag}" if lag else "t"
+        if source == "const":
+            read, label = ("const", None, 0, None), source
+        elif source in DOW_LABELS:
+            read, label = ("dow", DOW_LABELS.index(source), 0, None), source
+        elif source.rstrip("*") in _HOURLY:
+            if offset or not lag:
+                at += f",h{offset:+d}" if offset else ",h"
+            where = "starred" if source.endswith("*") else "hourly"
+            read, label = (where, source.rstrip("*"), lag, col), f"{source}[{at}]"
+        else:
+            read, label = ("daily", source, lag, None), f"{source}[{at}]"
+        reads.append(read)
+        labels.append(label)
+    return tuple(reads), tuple(labels)
+
+
 def row_length(kind, hour):
     """Number of regressors, a pure function of kind and hour."""
-    edge = hour in (1, 24)
-    if kind == "L":
-        return 9
-    if kind in ("W", "RES"):
-        return 4 if edge else 5
-    if kind == "RL":
-        return 11 if edge else 12
-    if kind in ("DA", "ID", "SP"):
-        return 21
-    raise ValueError(f"unknown model kind {kind!r}")
+    return len(_reads(kind, hour)[0])
 
 
 def _check_days(ts, n_days):
@@ -119,100 +165,28 @@ def _check_days(ts, n_days):
     return ts
 
 
-def _forecast_triple(fc, ts, hour, label_prefix):
-    """Neighbour hour forecast terms; edge hours drop the absent neighbour."""
-    c = hour - 1
-    cols, labels = [], []
-    if hour > 1:
-        cols.append(fc[ts, c - 1])
-        labels.append(f"{label_prefix}[t,h-1]")
-    cols.append(fc[ts, c])
-    labels.append(f"{label_prefix}[t,h]")
-    if hour < 24:
-        cols.append(fc[ts, c + 1])
-        labels.append(f"{label_prefix}[t,h+1]")
-    return cols, labels
-
-
-def _load_block(data, ts, c):
-    cols = [
-        np.ones(ts.shape[0]),
-        data.starred["L"][ts - 1, c],
-        data.hourly["L"][ts - 2, c],
-        data.hourly["L"][ts - 7, c],
-        data.hourly["FL"][ts, c],
-    ]
-    labels = ["const", "L*[t-1]", "L[t-2]", "L[t-7]", "FL[t,h]"]
-    return cols, labels
-
-
-def _daily_price_block(data, ts, c):
-    cols = [
-        data.da_ave[ts - 1], data.da_min[ts - 1], data.da_max[ts - 1],
-        data.hourly["FL"][ts, c], data.hourly["FRES"][ts, c],
-        data.panel.daily["C"][ts - 1], data.panel.daily["G"][ts - 1],
-    ]
-    labels = ["DA_ave[t-1]", "DA_min[t-1]", "DA_max[t-1]",
-              "FL[t,h]", "FRES[t,h]", "C[t-1]", "G[t-1]"]
-    return cols, labels
-
-
 def design_rows(spec, data, ts, out=None):
     """Design matrix rows for target days ``ts`` of one model spec.
 
     Returns ``(X, labels)`` with ``X`` of shape ``(len(ts), p)``, which is
     ``out`` when that is given.  Raises :class:`InsufficientHistoryError`
-    when any day lacks 7 predecessors.
+    when any day lacks ``MAX_LAG`` predecessors.
     """
     ts = _check_days(ts, data.n_days)
-    c = spec.hour - 1
-    kind = spec.kind
-
-    if kind == "L":
-        cols, labels = _load_block(data, ts, c)
-        cols += [data.hourly["FRES"][ts, c], data.fl_ave[ts], data.fl_max[ts], data.fl_min[ts]]
-        labels += ["FRES[t,h]", "FL_ave[t]", "FL_max[t]", "FL_min[t]"]
-    elif kind in ("W", "RES"):
-        fc_name = "FW" if kind == "W" else "FRES"
-        cols = [np.ones(ts.shape[0]), data.starred[kind][ts - 1, c]]
-        labels = ["const", f"{kind}*[t-1]"]
-        tr_cols, tr_labels = _forecast_triple(data.hourly[fc_name], ts, spec.hour, fc_name)
-        cols += tr_cols
-        labels += tr_labels
-    elif kind == "RL":
-        cols, labels = _load_block(data, ts, c)
-        cols += [data.fl_ave[ts], data.fl_max[ts], data.fl_min[ts],
-                 data.starred["RES"][ts - 1, c]]
-        labels += ["FL_ave[t]", "FL_max[t]", "FL_min[t]", "RES*[t-1]"]
-        tr_cols, tr_labels = _forecast_triple(data.hourly["FRES"], ts, spec.hour, "FRES")
-        cols += tr_cols
-        labels += tr_labels
-    elif kind in ("DA", "ID", "SP"):
-        dow = data.dow[ts]
-        cols = [(dow == d).astype(np.float64) for d in range(7)]
-        labels = list(DOW_LABELS)
-        if kind == "DA":
-            for p in range(1, 8):
-                cols.append(data.hourly["DA"][ts - p, c])
-                labels.append(f"DA[t-{p}]")
+    reads, labels = _reads(spec.kind, spec.hour)
+    X = np.empty((ts.shape[0], len(reads))) if out is None else out
+    dow = data.dow[ts]
+    days = ts - np.arange(MAX_LAG + 1)[:, None]  # days[lag] is t - lag
+    for j, (where, name, lag, col) in enumerate(reads):
+        if where == "const":
+            X[:, j] = 1.0
+        elif where == "dow":
+            X[:, j] = dow == name
+        elif where == "daily":
+            X[:, j] = data.daily[name][days[lag]]
         else:
-            cols.append(data.starred[kind][ts - 1, c])
-            labels.append(f"{kind}*[t-1]")
-            own = data.hourly[kind]
-            for p in range(2, 8):
-                cols.append(own[ts - p, c])
-                labels.append(f"{kind}[t-{p}]")
-        d_cols, d_labels = _daily_price_block(data, ts, c)
-        cols += d_cols
-        labels += d_labels
-    else:  # pragma: no cover - ModelSpec already validates
-        raise ValueError(kind)
-
-    assert len(cols) == row_length(kind, spec.hour)
-    X = np.empty((ts.shape[0], len(cols))) if out is None else out
-    for j, col in enumerate(cols):
-        X[:, j] = col
-    return X, tuple(labels)
+            X[:, j] = getattr(data, where)[name][:, col][days[lag]]
+    return X, labels
 
 
 def targets(spec, data, ts):

@@ -18,9 +18,10 @@ hours.  Hour ``h`` in 1..24 is stored in column ``h - 1``.  Hourly series:
 
 Daily series ``C`` and ``G`` are fuel (coal, gas) closing prices.  Prices
 may be negative; load and generation may not.  The tables ``COMPOSITES``
-(sums), ``DERIVED`` (the differences SP and RL) and ``STAND_INS`` (what a
-starred series reads after ``FORECAST_TIME_HOUR``) are the one statement of
-how series relate; every other module reads them.
+(sums), ``DERIVED`` (the differences SP and RL), ``STAND_INS`` (what a
+starred series reads after ``FORECAST_TIME_HOUR``) and ``FORECASTS`` (the
+TSO forecast of each series) are the one statement of how series relate;
+every other module reads them.
 """
 
 import csv
@@ -59,6 +60,8 @@ COMPOSITES = {"RES": ("W", "S"), "FRES": ("FW", "FS")}
 DERIVED = {"SP": ("DA", "ID"), "RL": ("L", "RES")}
 # starred -> stand in: the preceding day's value after FORECAST_TIME_HOUR
 STAND_INS = {"L": "FL", "W": "FW", "RES": "FRES", "ID": "DA", "SP": "DA"}
+# TSO forecast -> the series it forecasts, published before the auction
+FORECASTS = {"FL": "L", "FW": "W", "FS": "S"}
 
 DEFAULT_SCHEMA = {
     "date": "date",
@@ -477,8 +480,8 @@ def generate_synthetic_panel(cfg, seed):
             values[name] = values[name] + cfg.price_on_load * load_anom + cfg.price_on_res * res_anom
 
     hourly = {name: values[name] for name in SYNTH_SERIES}
-    for fc_name, src, key in (("FL", "L", "FL"), ("FW", "W", "FW"), ("FS", "S", "FS")):
-        noise_sd = cfg.forecast_noise_sd[key]
+    for fc_name, src in FORECASTS.items():
+        noise_sd = cfg.forecast_noise_sd[fc_name]
         noise = rng.standard_normal((n, 24)) * noise_sd if noise_sd > 0 else np.zeros((n, 24))
         hourly[fc_name] = hourly[src] + noise
 

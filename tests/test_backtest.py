@@ -5,6 +5,7 @@ import filecmp
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from splitcast.config import ExperimentConfig
 from splitcast.ensembles import ForecastEnsemble
 from splitcast.errors import ConfigError
 from splitcast.features import MarketData
+from splitcast.panel import DAILY_SERIES, FORECASTS, READ_SERIES
 from splitcast.scores import crps_fan_matrix, interval_hits
 
 WINDOW = 100
@@ -143,6 +145,19 @@ def test_summary_header(runs):
     assert first.startswith("evaluation days: 3")
 
 
+def test_summary_marks_kupiec_without_a_level_on_the_fan_grid(panel_small, tmp_path):
+    """The 0.95 interval's 2.5% tails are off the QR fan's percentile grid,
+    so no QR level is scored: the kupiec row shows "-", with no warning."""
+    cfg = _cfg(tmp_path, evaluation_days=1, methods=("qr",), interval_levels=(0.95,),
+               trading=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_backtest(cfg, panel=panel_small)
+    with open(result.files["summary"]) as fh:
+        kupiec = [cells for cells in map(str.split, fh) if cells[:1] == ["kupiec%"]]
+    assert kupiec == [["kupiec%", "-"]]
+
+
 def test_rerun_is_byte_identical(runs):
     for name, path_a in runs.a.files.items():
         assert filecmp.cmp(path_a, runs.b.files[name], shallow=False), name
@@ -247,16 +262,18 @@ def test_only_forecast_day_returns_ensembles(panel_small, tmp_path):
 
 
 def test_corrupt_after_cutoff_scope(panel_small):
+    """Each series a panel file carries is garbage from its cut on: the TSO
+    forecasts from the day after the target (they are published before the
+    forecast is made), everything else from the target day."""
     day_idx = 120
     wrecked = corrupt_after_cutoff(panel_small, day_idx)
-    garbage = 9.9e9
-    assert np.all(wrecked.hourly["DA"][day_idx:] == garbage)
-    assert np.array_equal(wrecked.hourly["DA"][:day_idx], panel_small.hourly["DA"][:day_idx])
-    # target day TSO forecasts are published before the forecast is made
-    assert np.array_equal(wrecked.hourly["FL"][day_idx], panel_small.hourly["FL"][day_idx])
-    assert np.all(wrecked.hourly["FL"][day_idx + 1:] == garbage)
-    assert np.all(wrecked.daily["C"][day_idx:] == garbage)
-    assert np.array_equal(wrecked.daily["G"][:day_idx], panel_small.daily["G"][:day_idx])
+    columns = [(wrecked.hourly, panel_small.hourly, name, day_idx + (name in FORECASTS))
+               for name in READ_SERIES]
+    columns += [(wrecked.daily, panel_small.daily, name, day_idx) for name in DAILY_SERIES]
+    for after, before, name, cut in columns:
+        assert np.all(after[name][cut:] == 9.9e9), name
+        np.testing.assert_array_equal(after[name][:cut], before[name][:cut], err_msg=name)
+    assert set(FORECASTS) == {"FL", "FW", "FS"}
     assert np.array_equal(wrecked.hourly["RES"], wrecked.hourly["W"] + wrecked.hourly["S"])
     assert wrecked.dates == panel_small.dates
 

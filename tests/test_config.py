@@ -1,15 +1,16 @@
 """Configuration checks that must fire before any evaluation day is computed."""
 
+import datetime as dt
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from splitcast.backtest import _STREAM_MS_CORR, _stream, run_backtest
-from splitcast.config import MAX_MEMBERS, ExperimentConfig
+from splitcast.config import MAX_MEMBERS, ExperimentConfig, config_from_raw, parse_config_text
 from splitcast.ensembles import random_split
-from splitcast.errors import ConfigError
-from splitcast.panel import SyntheticConfig, generate_synthetic_panel
+from splitcast.errors import ConfigError, PanelIntegrityError
+from splitcast.panel import SyntheticConfig, generate_synthetic_panel, load_panel, write_panel
 
 
 def test_default_config_needs_84_day_window():
@@ -148,3 +149,58 @@ def test_split_missing_a_weekday_finishes(tmp_path):
     assert set(result.crps) == {("ms_corr", v) for v in ("DA", "ID", "W")}
     for entry in result.crps.values():
         assert np.all(np.isfinite(entry["per_hour"])) and np.isfinite(entry["overall"])
+
+
+def test_config_keys_parse_by_their_annotation():
+    cfg = config_from_raw(parse_config_text("""
+        variables = DA, ID ,W
+        derived =
+        interval_levels = 0.8,0.95
+        trading = no
+        evaluation_start = 2021-03-01
+        inner_window = 40
+        split_ratio = 0.25
+        trading_method = hist
+    """))
+    assert cfg.variables == ("DA", "ID", "W")
+    assert cfg.derived == ()
+    assert cfg.interval_levels == (0.8, 0.95)
+    assert cfg.trading is False
+    assert cfg.evaluation_start == dt.date(2021, 3, 1)
+    assert cfg.inner_window == 40 and cfg.split_ratio == 0.25
+    assert cfg.trading_method == "hist"
+    for raw, message in (({"m_bins": "ten"}, "bad value for m_bins"),
+                         ({"trading": "maybe"}, "not a boolean"),
+                         ({"evaluation_start": "03/01/2021"}, "not an ISO date"),
+                         ({"schema": "x"}, "unknown configuration key 'schema'")):
+        with pytest.raises(ConfigError, match=message):
+            config_from_raw(raw)
+
+
+def test_config_file_remaps_res_and_fres(panel_small, tmp_path):
+    """schema_RES and schema_FRES name the columns that are read and checked
+    against W + S and FW + FS, as ``--schema RES=...`` does."""
+    cfg = config_from_raw(parse_config_text("schema_RES = renew\nschema_fres = renew_fc\n"))
+    assert cfg.schema == {"RES": "renew", "FRES": "renew_fc"}
+    path = tmp_path / "panel.csv"
+    write_panel(panel_small, path, cfg.schema)
+    back = load_panel(path, cfg.schema)
+    np.testing.assert_array_equal(back.hourly["FRES"], panel_small.hourly["FRES"])
+    lines = path.read_text().splitlines()
+    column = lines[0].split(",").index("renew_fc")
+    row = lines[5].split(",")
+    row[column] = str(float(row[column]) + 1.0)
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PanelIntegrityError, match="FRES at .* is not wind [+] solar"):
+        load_panel(path, cfg.schema)
+
+
+@pytest.mark.parametrize("method", ["hist", "ms"])
+def test_ensembles_without_variables_fail_validate(method):
+    """With no ensemble variable the first day would raise EmptyEnsembleError."""
+    cfg = ExperimentConfig(methods=(method,), variables=(), derived=(), mv_variables=(),
+                           qr_variables=(), trading=False)
+    with pytest.raises(ConfigError, match="need at least one ensemble variable"):
+        cfg.validate()
+    replace(cfg, methods=("point",)).validate()

@@ -31,6 +31,10 @@ PRUNED = (
     # panel.DERIVED the parents of a derived series
     "DerivedSeries", "InfoSet", "derive_series", "build_info_set", "series", "_STARRED",
     "_starred", "DERIVED_PARENTS",
+    # features and config: REGRESSORS declares each expert's terms, and a config
+    # key parses by its ExperimentConfig annotation
+    "_load_block", "_daily_price_block", "_forecast_triple", "_CASTERS", "_SCHEMA_FIELDS",
+    "_tuple_of",
 )
 
 
