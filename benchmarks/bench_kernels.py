@@ -24,10 +24,18 @@ trading hour prices 3,660 members and picks the ``epi``, ``var`` and
 ``sr`` bids with 5 stopping taus each, as the backtest does for one hour:
 one sort of the pools serves every quantile.  The panel load reads a 381
 day synthetic panel CSV, written by ``write_panel`` with its RES columns,
-and builds its ``MarketData``.
+and builds its ``MarketData``.  The cold imports are the median of 7 fresh
+interpreters importing ``splitcast`` alone and the modules each command
+loads, timed inside the interpreter from the import statement on; unless
+the bytecode is cached (``__pycache__``), this includes compiling the
+sources, so run with ``PYTHONDONTWRITEBYTECODE=1`` and no cache for the
+uncached times.
 """
 
 import os
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -42,6 +50,26 @@ from splitcast.models import ols_fit, ols_fits
 from splitcast.panel import SyntheticConfig, generate_synthetic_panel, load_panel, write_panel
 from splitcast.quantreg import qr_fit_fan
 from splitcast.trading import STRATEGIES, choose_q, profit_pools, stopping_rule
+
+
+# what each command imports: ``splitcast.cli`` and the modules its handler loads
+COMMAND_IMPORTS = {
+    "import splitcast": "splitcast",
+    "report": "splitcast.cli, splitcast.tables",
+    "validate": "splitcast.cli, splitcast.panel",
+    "evaluate": "splitcast.cli, splitcast.config, splitcast.features, splitcast.panel, "
+                "splitcast.quantreg, splitcast.scores, splitcast.tables",
+    "backtest, forecast": "splitcast.cli, splitcast.backtest, splitcast.config",
+}
+
+
+def _cold_import(modules, repeats=7):
+    """Median seconds of ``import modules`` in a fresh interpreter."""
+    code = f"import time; t0 = time.perf_counter(); import {modules}; print(time.perf_counter() - t0)"
+    return statistics.median(
+        float(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout)
+        for _ in range(repeats))
 
 
 def _best_of(fn, repeats):
@@ -77,6 +105,10 @@ def _trading_hour(ens, w_hat, q_grid, taus):
 
 
 def main():
+    for command, modules in COMMAND_IMPORTS.items():
+        t = _cold_import(modules)
+        print(f"{'cold import':15s} {command:28s} {t * 1e3:9.3f} ms  median of 7")
+
     rng = np.random.default_rng(0)
     for m1, decimals in ((184, None), (1261, None), (1261, 1), (3661, None)):
         points = rng.normal(size=(m1, 4))

@@ -16,7 +16,6 @@ digits in a fixed order, making a rerun with the same seed byte identical.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +33,14 @@ from .models import expert_design, ols_fit
 from .panel import DAILY_SERIES, FORECASTS, READ_SERIES, MarketPanel, load_panel
 from .quantreg import TAU_GRID, qr_fan, qr_fit_fan, tail_column
 from .scores import (
-    coverage_report,
     crps_fan_matrix,
     interval_hits,
     multivariate_rank,
     reliability_index,
+    score_fans,
     univariate_rank,
 )
+from .tables import COVERAGE_HEADER, CRPS_HEADER, format_cell, write_csv
 from .trading import (
     Q_GRID_DEFAULT,
     choose_q,
@@ -257,6 +257,9 @@ def _day_task(day_idx, data=None, cfg=None):
 def _run_days(data, cfg, day_indices):
     if cfg.workers <= 1 or len(day_indices) < 2:
         return [_day_task(d, data, cfg) for d in day_indices]
+    # imported here: it loads multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
                              initargs=(data, cfg)) as pool:
         chunk = max(1, len(day_indices) // (4 * cfg.workers))
@@ -265,55 +268,6 @@ def _run_days(data, cfg, day_indices):
 
 # --------------------------------------------------------------------------
 # aggregation and reports
-
-
-def format_cell(x):
-    """A report cell: text as is, None empty, booleans 0/1, numbers to 6
-    significant digits."""
-    if isinstance(x, str):
-        return x
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".6g")
-
-
-def write_csv(path, header, rows):
-    """A report CSV: the header line, then each row's cells through :func:`format_cell`."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(format_cell, row)) + "\n")
-
-
-COVERAGE_HEADER = ("method", "variable", "level", "hour", "picp", "kupiec_lr", "kupiec_reject")
-CRPS_HEADER = ("method", "variable", "hour", "crps")
-
-
-def score_fans(method, variable, crps, hits):
-    """Coverage and CRPS of one method's fans of one variable over some days.
-
-    ``crps`` is the (days, 24) CRPS of the fans, and ``hits`` maps each
-    interval level to its (days, 24) interval hits.  Returns the coverage
-    reports by level, the CRPS entry (``per_hour`` and ``overall``), and the
-    rows of ``coverage.csv`` and of ``crps.csv``.
-    """
-    coverage, coverage_rows = {}, []
-    for level, level_hits in hits.items():
-        report = coverage_report(level_hits, level)
-        coverage[level] = report
-        for h in range(24):
-            coverage_rows.append((method, variable, level, str(h + 1), report.picp_by_hour[h],
-                                  report.lr_by_hour[h], report.reject_by_hour[h]))
-        coverage_rows.append((method, variable, level, "all", report.picp, float("nan"), ""))
-    per_hour = crps.mean(axis=0)
-    overall = float(crps.mean())
-    crps_rows = [(method, variable, str(h + 1), per_hour[h]) for h in range(24)]
-    crps_rows.append((method, variable, "all", overall))
-    return coverage, {"per_hour": per_hour, "overall": overall}, coverage_rows, crps_rows
 
 
 @dataclass

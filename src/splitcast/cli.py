@@ -11,6 +11,11 @@ Subcommands::
 
 A config file may also come from the SPLITCAST_CONFIG environment
 variable; explicit flags override file values.
+
+Each subcommand imports the modules it runs when it runs, so that a
+process loads no more than its command needs: ``validate`` reads the panel
+module alone, ``evaluate`` never loads the ensembles or trading, and
+``report`` runs without numpy.
 """
 
 import argparse
@@ -21,23 +26,7 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .backtest import (
-    COVERAGE_HEADER,
-    CRPS_HEADER,
-    forecast_day,
-    format_cell,
-    run_backtest,
-    score_fans,
-    write_csv,
-)
-from .config import check_level, config_from_raw, read_config
 from .errors import ConfigError, SplitcastError
-from .features import KINDS, MAX_LAG, MarketData
-from .panel import SYNTH_SERIES, SyntheticConfig, generate_synthetic_panel, load_panel, validate_panel, write_panel
-from .quantreg import TAU_GRID, tail_column
-from .scores import crps_fan_matrix, interval_hits
 
 
 def _key_values(pairs, flag="--set", form="key=value"):
@@ -75,6 +64,8 @@ def _panel_day(panel, text, source):
 
 
 def _cmd_validate(args):
+    from .panel import load_panel, validate_panel
+
     panel = load_panel(args.input, _schema(args))
     problems = validate_panel(panel)
     print(f"{panel.n_days} days, {panel.dates[0]} .. {panel.dates[-1]}")
@@ -92,6 +83,10 @@ def _cmd_validate(args):
 
 
 def _apply_dgp_overrides(cfg, pairs):
+    import numpy as np
+
+    from .panel import SYNTH_SERIES
+
     updates = {}
     corr = np.array(cfg.noise_corr, dtype=float, copy=True)
     dicts = {"phi": dict(cfg.phi), "level": dict(cfg.level),
@@ -127,6 +122,8 @@ def _apply_dgp_overrides(cfg, pairs):
 
 
 def _cmd_synth(args):
+    from .panel import SyntheticConfig, generate_synthetic_panel, write_panel
+
     cfg = SyntheticConfig(days=args.days, start_date=_iso_date(args.start_date, "--start-date"))
     cfg = _apply_dgp_overrides(cfg, args.set)
     panel = generate_synthetic_panel(cfg, seed=args.seed)
@@ -140,6 +137,8 @@ def _cmd_synth(args):
 
 
 def _forecast_config(args):
+    from .config import config_from_raw, read_config
+
     overrides = {
         "input_path": args.input,
         "output_dir": args.out,
@@ -156,6 +155,8 @@ def _forecast_config(args):
 
 
 def _forecast_days(data, cfg, start, end):
+    from .features import MAX_LAG
+
     first = _panel_day(data.panel, start, "--start")
     last = _panel_day(data.panel, end, "--end")
     if last < first:
@@ -176,6 +177,14 @@ def _write_members_file(path, ens_by_hour):
 
 
 def _cmd_forecast(args):
+    from .backtest import forecast_day
+    from .features import KINDS, MarketData
+    from .panel import load_panel
+    from .quantreg import TAU_GRID
+    from .tables import format_cell
+
+    if args.members and args.method not in ("hist", "ms"):
+        raise ConfigError(f"--members needs --method hist or ms, not {args.method}")
     cfg = _forecast_config(args)
     panel = load_panel(cfg.input_path, cfg.schema or None)
     data = MarketData.from_panel(panel)
@@ -206,7 +215,7 @@ def _cmd_forecast(args):
             for variable in sorted(v for (m, v) in r["fans"] if m == method):
                 for h, fan in enumerate(r["fans"][(method, variable)], start=1):
                     fh.write(f"{date},{h},{variable},{','.join(map(format_cell, fan))}\n")
-            if args.members and args.method in ("ms", "hist"):
+            if args.members:
                 _write_members_file(os.path.join(cfg.output_dir, f"members_{date}.csv"),
                                     r["ensembles"][method])
             del r  # the day's members: no more than one day's are held
@@ -219,6 +228,8 @@ def _cmd_forecast(args):
 
 
 def _read_fans(path):
+    import numpy as np
+
     fans = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -240,6 +251,15 @@ def _read_fans(path):
 
 
 def _cmd_evaluate(args):
+    import numpy as np
+
+    from .config import check_level
+    from .features import MarketData
+    from .panel import load_panel
+    from .quantreg import tail_column
+    from .scores import crps_fan_matrix, interval_hits, score_fans
+    from .tables import COVERAGE_HEADER, CRPS_HEADER, write_csv
+
     try:
         levels = tuple(float(v) for v in args.levels.split(","))
     except ValueError as exc:
@@ -283,6 +303,9 @@ def _cmd_evaluate(args):
 
 
 def _cmd_backtest(args):
+    from .backtest import run_backtest
+    from .config import config_from_raw, read_config
+
     overrides = {
         "input_path": args.input,
         "output_dir": args.out,
@@ -335,6 +358,8 @@ def _decision_q(path, i, row):
 
 
 def _cmd_report(args):
+    from .tables import format_cell
+
     out_dir = args.out or args.backtest_dir
     os.makedirs(out_dir, exist_ok=True)
     strategy_rows = _read_csv_dicts(os.path.join(args.backtest_dir, "strategy.csv"),

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields, replace
 from .errors import ConfigError
 from .features import KINDS, row_length
 from .panel import DEFAULT_SCHEMA, DERIVED, OPTIONAL_SCHEMA
-from .trading import STRATEGIES
 
 ENV_CONFIG = "SPLITCAST_CONFIG"
 
@@ -96,7 +95,8 @@ class ExperimentConfig:
         """Shortest calibration window that leaves every configured fit 2 rows
         per regressor: point and QR fits use the whole window, ms fits
         ``round(split_ratio * window)`` days and hist fits ``inner_window``
-        days (default: half the window)."""
+        days (default: half the window), at least 2 fewer than the window so
+        that a hist ensemble has 2 members."""
         need = 30
         if "point" in self.methods or self.trading:
             need = max(need, _fit_rows(KINDS if "point" in self.methods else ("W",)))
@@ -104,7 +104,7 @@ class ExperimentConfig:
             need = max(need, _fit_rows(self.qr_variables))
         ens = _fit_rows(self.variables)
         if "hist" in self.methods:
-            need = max(need, 2 * ens if self.inner_window is None else self.inner_window + 1)
+            need = max(need, 2 * ens if self.inner_window is None else self.inner_window + 2)
         if "ms" in self.methods:
             # both sides of a split are non empty and the estimation side has ens rows
             r = self.split_ratio
@@ -172,6 +172,10 @@ class ExperimentConfig:
             for needed in ("DA", "ID", "W"):
                 if needed not in self.variables:
                     raise ConfigError(f"trading needs variable {needed} in the ensemble set")
+            # imported here: trading loads the ensemble engine, which the
+            # other users of this module (``evaluate``) do not need
+            from .trading import STRATEGIES
+
             for strategy in self.strategies:
                 if strategy not in STRATEGIES:
                     raise ConfigError(f"unknown strategy {strategy!r}")
@@ -195,7 +199,12 @@ class ExperimentConfig:
         inner = window // 2 if self.inner_window is None else self.inner_window
         for method, count in (("ms", self.n_splits * (window - round(self.split_ratio * window))),
                               ("hist", window - inner)):
-            if method in self.methods and count > MAX_MEMBERS:
+            if method not in self.methods:
+                continue
+            if count < 2:  # a quantile interpolates between two members
+                raise ConfigError(f"{method} ensembles need at least 2 members per (day, hour), "
+                                  f"this configuration gives {count}")
+            if count > MAX_MEMBERS:
                 raise ConfigError(f"{method} ensembles of {count} members exceed the bound of "
                                   f"{MAX_MEMBERS} members per (day, hour)")
         return self

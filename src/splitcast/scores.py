@@ -98,6 +98,29 @@ def coverage_report(hits, nominal):
     )
 
 
+def score_fans(method, variable, crps, hits):
+    """Coverage and CRPS of one method's fans of one variable over some days.
+
+    ``crps`` is the (days, 24) CRPS of the fans, and ``hits`` maps each
+    interval level to its (days, 24) interval hits.  Returns the coverage
+    reports by level, the CRPS entry (``per_hour`` and ``overall``), and the
+    rows of ``coverage.csv`` and of ``crps.csv``.
+    """
+    coverage, coverage_rows = {}, []
+    for level, level_hits in hits.items():
+        report = coverage_report(level_hits, level)
+        coverage[level] = report
+        for h in range(24):
+            coverage_rows.append((method, variable, level, str(h + 1), report.picp_by_hour[h],
+                                  report.lr_by_hour[h], report.reject_by_hour[h]))
+        coverage_rows.append((method, variable, level, "all", report.picp, float("nan"), ""))
+    per_hour = crps.mean(axis=0)
+    overall = float(crps.mean())
+    crps_rows = [(method, variable, str(h + 1), per_hour[h]) for h in range(24)]
+    crps_rows.append((method, variable, "all", overall))
+    return coverage, {"per_hour": per_hour, "overall": overall}, coverage_rows, crps_rows
+
+
 # --------------------------------------------------------------------------
 # CRPS
 

@@ -229,6 +229,19 @@ def test_forecast_rejects_derived_without_parents_on_one_line(panel_csv, tmp_pat
     assert "derived SP needs variable ID" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("method", ["qr", "point"])
+def test_forecast_members_need_an_ensemble_method(panel_csv, tmp_path, method, capsys):
+    """qr and point build no members: --members with them is an error, not an
+    empty dump."""
+    day = load_panel(str(panel_csv)).dates[150].isoformat()
+    out = tmp_path / "out"
+    assert main(["forecast", "--method", method, "--members", "--input", str(panel_csv),
+                 "--start", day, "--end", day, "--window", "100", "--out", str(out),
+                 *BASE_SET]) == 2
+    assert f"--members needs --method hist or ms, not {method}" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_unreadable_files_exit_2_on_one_line(fan_dir, panel_csv, tmp_path, capsys):
     fans = str(fan_dir / "fans.csv")
     out = str(tmp_path / "scores")

@@ -30,7 +30,8 @@ def test_window_bound_follows_methods_and_variables():
     assert small.min_calibration_window() == 35  # 2 * 9 load regressors
     qr = ExperimentConfig(methods=("qr",), qr_variables=("L",), trading=False)
     assert qr.min_calibration_window() == 30
-    assert replace(cfg, methods=("hist",), inner_window=60).min_calibration_window() == 61
+    # hist keeps two windows, so two members: window - inner_window >= 2
+    assert replace(cfg, methods=("hist",), inner_window=60).min_calibration_window() == 62
     with pytest.raises(ConfigError, match="inner_window 41"):
         replace(cfg, methods=("hist",), inner_window=41, calibration_window_days=100).validate()
 
@@ -109,6 +110,30 @@ def test_validate_bounds_the_members_of_one_ensemble():
     replace(hist, calibration_window_days=MAX_MEMBERS + 100).validate()
     with pytest.raises(ConfigError, match="hist ensembles of"):
         replace(hist, calibration_window_days=MAX_MEMBERS + 101).validate()
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"methods": ("hist",), "inner_window": 59, "trading": False}, "at least 61 days"),
+    ({"methods": ("ms",), "ms_modes": ("corr",), "split_ratio": 0.98, "n_splits": 1},
+     "ms ensembles need at least 2 members per \\(day, hour\\), this configuration gives 1"),
+])
+def test_one_member_ensembles_fail_before_day_one(panel_small, tmp_path, changes, message):
+    """A quantile of one member has nothing to interpolate: such a config is
+    rejected by validate(), not by the first day."""
+    cfg = ExperimentConfig(output_dir=str(tmp_path / "out"), calibration_window_days=60,
+                           evaluation_days=1, **changes)
+    with pytest.raises(ConfigError, match=message):
+        run_backtest(cfg, panel=panel_small)
+    assert not (tmp_path / "out").exists()
+
+
+def test_two_member_hist_ensembles_finish(panel_small, tmp_path):
+    cfg = ExperimentConfig(output_dir=str(tmp_path), calibration_window_days=60,
+                           evaluation_days=1, methods=("hist",), inner_window=58, trading=False)
+    assert cfg.min_calibration_window() == 60
+    result = run_backtest(cfg, panel=panel_small)
+    assert result.n_days == 1
+    assert ("hist", "DA") in result.crps
 
 
 def test_short_window_fails_before_day_one(panel_small, tmp_path):

@@ -3,12 +3,16 @@
 ``pipebench/tracer.py`` rebinds a list of package functions by module and
 attribute name for its per-layer timings, and ``pipebench/run.py`` records
 ``_kernels.USE_NUMBA``.  A prune that drops one of them breaks ``--trace 1``,
-so this file checks them against the tracer's own list.
+so this file checks them against the tracer's own list.  ``import splitcast``
+binds its exports lazily, so the last tests check that they resolve to the
+modules' own objects.
 """
 
 import importlib
 import importlib.util
 import pathlib
+
+import pytest
 
 import splitcast
 from splitcast import _kernels
@@ -76,3 +80,24 @@ def test_the_day_engine_is_public():
     assert splitcast.forecast_day is backtest.forecast_day
     assert splitcast.score_day is backtest.score_day
     assert not hasattr(backtest, "_process_day")
+
+
+def test_the_lazy_exports_are_the_modules_objects():
+    for name in splitcast.__all__:
+        module = importlib.import_module(f"splitcast.{splitcast._MODULE_OF[name]}")
+        assert getattr(splitcast, name) is getattr(module, name), name
+    assert set(splitcast.__all__) <= set(dir(splitcast))
+    assert len(splitcast.__all__) == len(set(splitcast.__all__))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        splitcast.no_such_name
+    assert not hasattr(splitcast, "score_fans")  # a module's name, not a package export
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from splitcast import *", namespace)
+    assert set(splitcast.__all__) <= set(namespace)
+    assert namespace["run_backtest"] is splitcast.backtest.run_backtest
