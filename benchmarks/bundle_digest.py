@@ -1,11 +1,15 @@
 """sha256 of every file that a fixed set of command line runs writes.
 
-Run it on two source trees and compare the listings, e.g. a change against
-its parent commit (checked out elsewhere)::
+Run it on a source tree to list the digests, or compare a change against
+its parent commit (checked out elsewhere) in one call::
 
-    python3 benchmarks/bundle_digest.py src /tmp/digest_new > new.txt
-    python3 benchmarks/bundle_digest.py ../parent/src /tmp/digest_old > old.txt
-    diff old.txt new.txt
+    python3 benchmarks/bundle_digest.py src /tmp/digest
+    python3 benchmarks/bundle_digest.py src /tmp/digest --against ../parent/src
+
+With ``--against PARENT_SRC`` both trees run, into the sibling directories
+``change`` and ``parent`` of the output directory.  Only the lines that
+differ are printed, the parent's marked ``-`` and the change's ``+``, and
+the exit status is 1 if any line differs, 0 if none does.
 
 The output directory must be new or empty.  In it the script writes a
 400 day synthetic panel (seed 11) and runs, each in a child interpreter on
@@ -56,17 +60,11 @@ print(digest.hexdigest())
 """
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", help="the source tree to run, e.g. src")
-    parser.add_argument("out", help="a new or empty directory for the outputs")
-    args = parser.parse_args()
-    out = os.path.abspath(args.out)
+def digest_lines(src, out):
+    """The ``sha256  path`` lines of the runs of ``src`` into ``out``."""
     os.makedirs(out, exist_ok=True)
-    if os.listdir(out):
-        sys.exit(f"error: {out} is not empty")
     env = {k: v for k, v in os.environ.items() if k != "SPLITCAST_CONFIG"}
-    env.update(PYTHONPATH=os.path.abspath(args.src), OPENBLAS_NUM_THREADS="1")
+    env.update(PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
 
     def cli(*argv):
         subprocess.run([sys.executable, "-m", "splitcast", *argv], cwd=out, env=env,
@@ -89,15 +87,42 @@ def main():
     raw = subprocess.run([sys.executable, "-c", RAW_DIGEST], cwd=out, env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout.strip()
 
+    lines = []
     for root, dirs, files in os.walk(out):
         dirs.sort()
         for name in sorted(files):
             path = os.path.join(root, name)
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-            print(f"{digest}  {os.path.relpath(path, out)}")
-    print(f"{raw}  forecast_day.float64")
+            lines.append(f"{digest}  {os.path.relpath(path, out)}")
+    lines.append(f"{raw}  forecast_day.float64")
+    return lines
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="the source tree to run, e.g. src")
+    parser.add_argument("out", help="a new or empty directory for the outputs")
+    parser.add_argument("--against", metavar="PARENT_SRC",
+                        help="also run this tree and print only the lines that differ")
+    args = parser.parse_args()
+    out = os.path.abspath(args.out)
+    os.makedirs(out, exist_ok=True)
+    if os.listdir(out):
+        sys.exit(f"error: {out} is not empty")
+    if args.against is None:
+        print("\n".join(digest_lines(args.src, out)))
+        return 0
+    parent = digest_lines(args.against, os.path.join(out, "parent"))
+    change = digest_lines(args.src, os.path.join(out, "change"))
+    differ = [f"- {line}" for line in parent if line not in change]
+    differ += [f"+ {line}" for line in change if line not in parent]
+    for line in differ:
+        print(line)
+    print(f"{len(differ)} of {len(parent)} parent and {len(change)} change lines differ",
+          file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

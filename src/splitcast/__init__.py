@@ -29,8 +29,8 @@ _MODULE_OF = {
                      "naive_decision", "profit_per_mwh", "profit_pools", "realized_profit",
                      "stopping_rule"), "trading"),
     **dict.fromkeys(("ExperimentConfig", "load_config"), "config"),
-    **dict.fromkeys(("BacktestResult", "forecast_day", "leakage_check", "run_backtest",
-                     "score_day"), "backtest"),
+    **dict.fromkeys(("BacktestResult", "RunPlan", "forecast_day", "leakage_check",
+                     "run_backtest", "run_plan", "score_day"), "backtest"),
 }
 
 __all__ = list(_MODULE_OF)

@@ -61,23 +61,49 @@ def _stream(master_seed, purpose, *key):
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), int(purpose)) + tuple(int(k) for k in key)))
 
 
-def method_labels(cfg):
-    labels = []
-    for m in cfg.methods:
-        if m == "ms":
-            labels.extend(f"ms_{mode}" for mode in cfg.ms_modes)
-        elif m in ("qr", "hist"):
-            labels.append(m)
-    return labels
+@dataclass(frozen=True)
+class RunPlan:
+    """Every output key of a validated configuration, named once, in report order."""
+
+    point: tuple  # point forecast kinds
+    methods: tuple  # fan methods as configured: qr, hist, ms_corr, ms_uncorr
+    ensemble_methods: tuple  # the fan methods that draw members
+    ensemble_variables: tuple  # the ensemble variables, then the derived series
+    fans: tuple  # (method, variable): QR's own variables, the ensemble ones otherwise
+    intervals: dict  # (method, variable, level) -> QR's lower tail column, None for members
+    ranks: dict  # (method, variable) -> rank mode; variable ALL is the multivariate rank
+    decisions: tuple  # (strategy, tau), then naive and limited; empty without trading
+    trading_ensemble: str  # the method whose members the trading reads, or None
+
+    def variables_of(self, method):
+        """The variables of ``method``'s fans, in report order."""
+        return tuple(v for m, v in self.fans if m == method)
 
 
-def ensemble_method_labels(cfg):
-    return [m for m in method_labels(cfg) if m != "qr"]
-
-
-def _qr_design_kind(variable):
-    # the spread regression borrows the day ahead price regressor list
-    return "DA" if variable == "SP" else variable
+def run_plan(cfg):
+    """The :class:`RunPlan` of a validated configuration."""
+    methods = tuple(label for m in cfg.methods if m != "point"
+                    for label in ([f"ms_{mode}" for mode in cfg.ms_modes] if m == "ms" else [m]))
+    ensemble_methods = tuple(m for m in methods if m != "qr")
+    ensemble_variables = (*cfg.variables, *cfg.derived)
+    fans = tuple((m, v) for m in methods
+                 for v in (cfg.qr_variables if m == "qr" else ensemble_variables))
+    # QR serves only the levels whose tails lie on its fan's 1% grid
+    intervals = {(m, v, level): tail_column(level) if m == "qr" else None
+                 for m, v in fans for level in cfg.interval_levels
+                 if m != "qr" or tail_column(level) is not None}
+    modes = {**dict.fromkeys(ensemble_variables, "univariate"),
+             **({"ALL": "multivariate"} if cfg.mv_variables else {})}
+    ranks = {(m, v): mode for m in ensemble_methods for v, mode in modes.items()}
+    decisions, trading_ensemble = (), None
+    if cfg.trading:
+        decisions = (*((s, tau) for s in cfg.strategies for tau in cfg.stopping_taus),
+                     ("naive", None), ("limited", None))
+        trading_ensemble = "ms_corr" if cfg.trading_method == "ms" else "hist"
+    return RunPlan(point=KINDS if "point" in cfg.methods else ("W",) if cfg.trading else (),
+                   methods=methods, ensemble_methods=ensemble_methods,
+                   ensemble_variables=ensemble_variables, fans=fans, intervals=intervals,
+                   ranks=ranks, decisions=decisions, trading_ensemble=trading_ensemble)
 
 
 def forecast_day(data, cfg, day_idx):
@@ -87,88 +113,82 @@ def forecast_day(data, cfg, day_idx):
     Returns a dict of ``point`` (kind -> 24 values), ``fans`` ((method, variable) -> (24, 99)),
     ``intervals`` ((method, variable, level) -> (2, 24) lower and upper bounds),
     ``decisions`` ((strategy, tau) -> 24 TradeDecisions, empty without trading)
-    and ``ensembles`` (method -> hour -> ForecastEnsemble).  It reads no
-    realized value of the target day: :func:`score_day` does.
+    and ``ensembles`` (method -> hour -> ForecastEnsemble), with the keys of
+    :func:`run_plan` in its order.  It reads no realized value of the target
+    day: :func:`score_day` does.
     """
+    plan = run_plan(cfg)
     t0 = day_idx - cfg.calibration_window_days
     window = np.arange(t0, day_idx, dtype=np.intp)
     all_days = np.append(window, day_idx)
     hours = range(1, 25)
-    out = {"point": {}, "fans": {}, "intervals": {}, "decisions": {}}
+    # the limited benchmark, last, settles on the realized price: score_day adds it
+    out = {"point": {}, "fans": dict.fromkeys(plan.fans),
+           "intervals": dict.fromkeys(plan.intervals),
+           "decisions": {key: [] for key in plan.decisions[:-1]}}
 
-    need_point = "point" in cfg.methods or cfg.trading
-    point_kinds = KINDS if "point" in cfg.methods else ("W",)
-    if need_point:
-        for kind in point_kinds:
-            values = np.empty(24)
-            for h in hours:
-                X, y = expert_design(ModelSpec(kind, h), data, all_days)
-                values[h - 1] = X[-1] @ ols_fit(X[:-1], y[:-1])
-            out["point"][kind] = values
+    for kind in plan.point:
+        values = np.empty(24)
+        for h in hours:
+            X, y = expert_design(ModelSpec(kind, h), data, all_days)
+            values[h - 1] = X[-1] @ ols_fit(X[:-1], y[:-1])
+        out["point"][kind] = values
 
-    if "qr" in cfg.methods:
-        for variable in cfg.qr_variables:
-            # one stack of hours per regressor count: the edge hours of W have one fewer
-            by_p = {}
-            for h in hours:
-                X, _ = design_rows(ModelSpec(_qr_design_kind(variable), h), data, all_days)
-                by_p.setdefault(X.shape[1], []).append((h, X))
-            fan_matrix = np.empty((24, 99))
-            for group in by_p.values():
-                hs = [h for h, _ in group]
-                # stacked transposed, (hours, p, days): the solver works on these
-                # rows and reads the window's view of them without a copy
-                XT = np.array([X.T for _, X in group])
-                group.clear()
-                y = np.stack([targets(ModelSpec(variable, h), data, all_days) for h in hs])
-                thetas = qr_fit_fan(XT[:, :, :-1].transpose(0, 2, 1), y[:, :-1])
-                for h, th, row in zip(hs, thetas, XT[:, :, -1]):
-                    fan_matrix[h - 1] = qr_fan(th, row).values
-            out["fans"][("qr", variable)] = fan_matrix
-            for level in cfg.interval_levels:
-                i = tail_column(level)
-                if i is None:
-                    continue  # tails off the percentile grid: QR cannot serve this level
-                out["intervals"][("qr", variable, level)] = np.stack(
-                    [fan_matrix[:, i], fan_matrix[:, 98 - i]])
+    for variable in plan.variables_of("qr"):
+        # one stack of hours per regressor count: the edge hours of W have one fewer
+        by_p = {}
+        for h in hours:
+            # the spread regression borrows the day ahead price regressor list
+            X, _ = design_rows(ModelSpec("DA" if variable == "SP" else variable, h), data, all_days)
+            by_p.setdefault(X.shape[1], []).append((h, X))
+        fan_matrix = np.empty((24, 99))
+        for group in by_p.values():
+            hs = [h for h, _ in group]
+            # stacked transposed, (hours, p, days): the solver works on these
+            # rows and reads the window's view of them without a copy
+            XT = np.array([X.T for _, X in group])
+            group.clear()
+            y = np.stack([targets(ModelSpec(variable, h), data, all_days) for h in hs])
+            thetas = qr_fit_fan(XT[:, :, :-1].transpose(0, 2, 1), y[:, :-1])
+            for h, th, row in zip(hs, thetas, XT[:, :, -1]):
+                fan_matrix[h - 1] = qr_fan(th, row).values
+        out["fans"][("qr", variable)] = fan_matrix
 
     ens_by_method = {}
-    if "hist" in cfg.methods:
-        ens_by_method["hist"] = historical_ensembles_for_day(
-            data, cfg.variables, window, day_idx, hours, cfg.inner_window)
-    if "ms" in cfg.methods:
-        if "corr" in cfg.ms_modes:
+    for method in plan.ensemble_methods:
+        if method == "hist":
+            ens_by_method[method] = historical_ensembles_for_day(
+                data, cfg.variables, window, day_idx, hours, cfg.inner_window)
+        elif method == "ms_corr":
             rng = _stream(cfg.master_seed, _STREAM_MS_CORR, day_idx)
-            ens_by_method["ms_corr"] = ms_ensembles_for_day(
+            ens_by_method[method] = ms_ensembles_for_day(
                 data, cfg.variables, window, day_idx, hours,
                 cfg.n_splits, cfg.split_ratio, rng, mode="corr")
-        if "uncorr" in cfg.ms_modes:
+        else:
             rngs = [_stream(cfg.master_seed, _STREAM_MS_UNCORR, day_idx, vi)
                     for vi in range(len(cfg.variables))]
-            ens_by_method["ms_uncorr"] = ms_ensembles_for_day(
+            ens_by_method[method] = ms_ensembles_for_day(
                 data, cfg.variables, window, day_idx, hours,
                 cfg.n_splits, cfg.split_ratio, rngs, mode="uncorr")
 
     # the fan, then each interval level's (lo, 1 - lo), from one sort per member column
     tails = [(1.0 - level) / 2.0 for level in cfg.interval_levels]
     taus = np.concatenate([TAU_GRID, *([lo, 1.0 - lo] for lo in tails)])
-    for method, by_hour in sorted(ens_by_method.items()):
-        fans = {v: np.empty((24, 99)) for v in (*cfg.variables, *cfg.derived)}
-        bounds = {(v, level): np.empty((2, 24)) for v in fans for level in cfg.interval_levels}
+    for method, by_hour in ens_by_method.items():
+        quantiles = np.empty((24, len(plan.ensemble_variables), taus.size))
         for h in hours:
-            quantiles = interpolated_quantiles(np.stack(_singles(cfg, by_hour[h])), taus)
-            for v, qs in zip(fans, quantiles):
-                fans[v][h - 1] = qs[:99]
-                for k, level in enumerate(cfg.interval_levels):
-                    bounds[(v, level)][:, h - 1] = qs[99 + 2 * k:101 + 2 * k]
-        for v in fans:
-            out["fans"][(method, v)] = fans[v]
-            for level in cfg.interval_levels:
-                out["intervals"][(method, v, level)] = bounds[(v, level)]
+            quantiles[h - 1] = interpolated_quantiles(np.stack(_singles(plan, by_hour[h])), taus)
+        for k, v in enumerate(plan.ensemble_variables):
+            out["fans"][(method, v)] = quantiles[:, k, :99]
+            for j, level in enumerate(cfg.interval_levels):
+                out["intervals"][(method, v, level)] = quantiles[:, k, 99 + 2 * j:101 + 2 * j].T
+    for key, i in plan.intervals.items():
+        if i is not None:  # a QR interval: two columns of its fan
+            fan = out["fans"][key[:2]]
+            out["intervals"][key] = np.stack([fan[:, i], fan[:, 98 - i]])
 
-    if cfg.trading:
-        method = "ms_corr" if cfg.trading_method == "ms" else "hist"
-        by_hour = ens_by_method[method]
+    if plan.trading_ensemble:
+        by_hour = ens_by_method[plan.trading_ensemble]
         w_hat = out["point"]["W"]
         q_grid = Q_GRID_DEFAULT
         decisions = out["decisions"]
@@ -180,17 +200,17 @@ def forecast_day(data, cfg, day_idx):
                 base = choose_q(strategy, pools, q_grid, cfg.var_level, ordered)
                 j = int(round(base.q * (q_grid.size - 1)))
                 for tau in cfg.stopping_taus:
-                    dec = stopping_rule(base, ordered[j], tau, presorted=True)
-                    decisions.setdefault((strategy, tau), []).append(dec)
-            decisions.setdefault(("naive", None), []).append(naive_decision("naive"))
+                    decisions[(strategy, tau)].append(
+                        stopping_rule(base, ordered[j], tau, presorted=True))
+            decisions[("naive", None)].append(naive_decision("naive"))
     out["ensembles"] = ens_by_method
     return out
 
 
-def _singles(cfg, ens):
-    """One hour's member columns of the variables, then of the derived series."""
-    return ([ens.column(v) for v in cfg.variables]
-            + [derived_ensemble(ens, name).members[:, 0] for name in cfg.derived])
+def _singles(plan, ens):
+    """One hour's member column of each of the plan's ensemble variables."""
+    return [ens.column(v) if v in ens.variables else derived_ensemble(ens, v).members[:, 0]
+            for v in plan.ensemble_variables]
 
 
 def score_day(data, cfg, day_idx, forecast):
@@ -199,34 +219,38 @@ def score_day(data, cfg, day_idx, forecast):
 
     Returns a dict of ``realized`` (kind -> 24 values), ``point`` (the
     forecast's), ``crps`` ((method, variable) -> 24 CRPS values), ``hits``
-    ((method, variable, level) -> 24 closed interval hits), ``uranks``
-    ((method, variable) -> 24 univariate ranks), ``mvranks`` (method -> 24
-    multivariate ranks) and ``decisions`` (the forecast's, with the
-    ``limited`` benchmark last when trading).  It holds no fan and no member.
+    ((method, variable, level) -> 24 closed interval hits), ``ranks``
+    ((method, variable) -> 24 ranks, ``ALL`` the multivariate ones) and
+    ``decisions`` (the forecast's, with the ``limited`` benchmark last when
+    trading), with the keys of :func:`run_plan` in its order.  It holds no
+    fan and no member.
     """
+    plan = run_plan(cfg)
     realized = {kind: data.hourly[kind][day_idx] for kind in KINDS}
-    record = {"realized": realized, "point": forecast["point"], "uranks": {}, "mvranks": {},
-              "crps": {key: crps_fan_matrix(fan, realized[key[1]])
-                       for key, fan in forecast["fans"].items()},
-              "hits": {key: interval_hits(lower, upper, realized[key[1]])
-                       for key, (lower, upper) in forecast["intervals"].items()}}
-    names = (*cfg.variables, *cfg.derived)
+    fans, intervals = forecast["fans"], forecast["intervals"]
+    record = {"realized": realized, "point": forecast["point"],
+              "crps": {key: crps_fan_matrix(fans[key], realized[key[1]]) for key in plan.fans},
+              "hits": {key: interval_hits(*intervals[key], realized[key[1]])
+                       for key in plan.intervals}}
     mv_idx = [cfg.variables.index(v) for v in cfg.mv_variables]
     mv_obs = np.array([realized[v] for v in cfg.mv_variables]).T  # (24, len(mv_idx))
-    for mi, (method, by_hour) in enumerate(sorted(forecast["ensembles"].items())):
-        mv_rng = _stream(cfg.master_seed, _STREAM_MV_RANK, day_idx, mi)
-        uranks, mvranks = np.empty((len(names), 24)), np.empty(24)
+    ranks = []
+    for method in plan.ensemble_methods:
+        by_hour = forecast["ensembles"][method]
+        # a method's multivariate rank stream is numbered by its place in sorted order
+        mv_rng = _stream(cfg.master_seed, _STREAM_MV_RANK, day_idx,
+                         sorted(plan.ensemble_methods).index(method))
+        by_key = np.empty((24, len(plan.ensemble_variables) + bool(mv_idx)))
         for h in range(1, 25):
             ens = by_hour[h]
-            for k, (v, members) in enumerate(zip(names, _singles(cfg, ens))):
-                uranks[k, h - 1] = univariate_rank(members, realized[v][h - 1])
+            for k, (v, members) in enumerate(zip(plan.ensemble_variables, _singles(plan, ens))):
+                by_key[h - 1, k] = univariate_rank(members, realized[v][h - 1])
             if mv_idx:
-                mvranks[h - 1] = multivariate_rank(ens.members[:, mv_idx], mv_obs[h - 1], mv_rng)
-        record["uranks"].update(((method, v), ranks) for v, ranks in zip(names, uranks))
-        if mv_idx:
-            record["mvranks"][method] = mvranks
+                by_key[h - 1, -1] = multivariate_rank(ens.members[:, mv_idx], mv_obs[h - 1], mv_rng)
+        ranks.extend(by_key.T)  # the method's rank keys, in the plan's order
+    record["ranks"] = dict(zip(plan.ranks, ranks, strict=True))
     record["decisions"] = dict(forecast["decisions"])
-    if cfg.trading:
+    if plan.decisions:
         record["decisions"][("limited", None)] = [naive_decision("limited", da)
                                                   for da in realized["DA"]]
     return record
@@ -312,6 +336,7 @@ def run_backtest(cfg, panel=None):
         if not cfg.input_path:
             raise ConfigError("no panel given and no input_path configured")
         panel = load_panel(cfg.input_path, cfg.schema or None)
+    plan = run_plan(cfg)
     data = MarketData.from_panel(panel)
     day_indices = evaluation_day_indices(data.panel, cfg)
     records = _run_days(data, cfg, day_indices)
@@ -322,20 +347,16 @@ def run_backtest(cfg, panel=None):
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     files = {}
-    eval_vars = tuple(cfg.variables) + tuple(cfg.derived)
 
     # coverage and crps
     coverage, crps, coverage_rows, crps_rows = {}, {}, [], []
-    for method in method_labels(cfg):
-        for variable in cfg.qr_variables if method == "qr" else eval_vars:
-            hits = {level: stacked("hits", (method, variable, level))
-                    for level in cfg.interval_levels
-                    if (method, variable, level) in records[0]["hits"]}
-            reports, crps[(method, variable)], cov_rows, fan_rows = score_fans(
-                method, variable, stacked("crps", (method, variable)), hits)
-            coverage.update(((method, variable, level), rep) for level, rep in reports.items())
-            coverage_rows += cov_rows
-            crps_rows += fan_rows
+    for key in plan.fans:
+        hits = {level: stacked("hits", (*key, level)) for level in cfg.interval_levels
+                if (*key, level) in plan.intervals}
+        reports, crps[key], cov_rows, fan_rows = score_fans(*key, stacked("crps", key), hits)
+        coverage.update(((*key, level), rep) for level, rep in reports.items())
+        coverage_rows += cov_rows
+        crps_rows += fan_rows
     files["coverage"] = os.path.join(cfg.output_dir, "coverage.csv")
     write_csv(files["coverage"], COVERAGE_HEADER, coverage_rows)
     files["crps"] = os.path.join(cfg.output_dir, "crps.csv")
@@ -344,57 +365,41 @@ def run_backtest(cfg, panel=None):
     # reliability
     reliability = {}
     rows = []
-    for method in ensemble_method_labels(cfg):
-        ranked = [(v, "univariate", stacked("uranks", (method, v))) for v in eval_vars]
-        if cfg.mv_variables:
-            ranked.append(("ALL", "multivariate", stacked("mvranks", method)))
-        for variable, mode, ranks in ranked:
-            report = reliability_index(ranks, cfg.m_bins, mode=mode)
-            reliability[(method, variable)] = report
-            rows += [(method, variable, str(h + 1), report.delta_by_hour[h]) for h in range(24)]
-            rows.append((method, variable, "all", report.delta))
+    for (method, variable), mode in plan.ranks.items():
+        report = reliability_index(stacked("ranks", (method, variable)), cfg.m_bins, mode=mode)
+        reliability[(method, variable)] = report
+        rows += [(method, variable, str(h + 1), report.delta_by_hour[h]) for h in range(24)]
+        rows.append((method, variable, "all", report.delta))
     files["reliability"] = os.path.join(cfg.output_dir, "reliability.csv")
     write_csv(files["reliability"], ["method", "variable", "hour", "delta"], rows)
 
     # point forecasts
     if "point" in cfg.methods:
         rows = [(date, str(h + 1), kind, r["point"][kind][h], r["realized"][kind][h])
-                for date, r in zip(dates, records) for kind in KINDS for h in range(24)]
+                for date, r in zip(dates, records) for kind in plan.point for h in range(24)]
         files["point_forecasts"] = os.path.join(cfg.output_dir, "point_forecasts.csv")
         write_csv(files["point_forecasts"],
                   ["date", "hour", "kind", "forecast", "realized"], rows)
 
     # trading
     strategy_tables = {}
-    if cfg.trading:
+    if plan.decisions:
         da, idp, w = (stacked("realized", v).reshape(-1) for v in ("DA", "ID", "W"))
         w_hat = stacked("point", "W").reshape(-1)
-        decision_keys = list(records[0]["decisions"].keys())
-        outcomes = {}
-        for key in decision_keys:
-            stream = [dec for r in records for dec in r["decisions"][key]]
-            outcomes[key] = evaluate_strategy(stream, da, idp, w, w_hat, cfg.c_om)
-        naive_outcome = outcomes[("naive", None)]
-        rows = []
-        dec_rows = []
-        for key in decision_keys:
-            outcome = outcomes[key]
-            strategy, tau = key
-            rows.append((
-                strategy, tau,
-                outcome.trade_frequency, outcome.avg_profit, outcome.profit_per_trade,
-                outcome.var5,
-                relative_pct(outcome.avg_profit, naive_outcome.avg_profit),
-                relative_pct(outcome.profit_per_trade, naive_outcome.profit_per_trade),
-            ))
-            flat = 0
-            for date, r in zip(dates, records):
-                for h in range(24):
-                    dec = r["decisions"][key][h]
-                    dec_rows.append((date, str(h + 1), strategy, tau,
-                                     dec.q, dec.curtail, outcome.profits[flat]))
-                    flat += 1
-            strategy_tables[key] = outcome
+        streams = {key: [dec for r in records for dec in r["decisions"][key]]
+                   for key in plan.decisions}
+        strategy_tables = {key: evaluate_strategy(stream, da, idp, w, w_hat, cfg.c_om)
+                           for key, stream in streams.items()}
+        naive = strategy_tables[("naive", None)]
+        slots = [(date, str(h + 1)) for date in dates for h in range(24)]
+        rows, dec_rows = [], []
+        for (strategy, tau), outcome in strategy_tables.items():
+            rows.append((strategy, tau, outcome.trade_frequency, outcome.avg_profit,
+                         outcome.profit_per_trade, outcome.var5,
+                         relative_pct(outcome.avg_profit, naive.avg_profit),
+                         relative_pct(outcome.profit_per_trade, naive.profit_per_trade)))
+            dec_rows += [(*slot, strategy, tau, dec.q, dec.curtail, profit) for slot, dec, profit
+                         in zip(slots, streams[(strategy, tau)], outcome.profits)]
         files["strategy"] = os.path.join(cfg.output_dir, "strategy.csv")
         write_csv(files["strategy"],
                   ["strategy", "tau", "trade_frequency", "avg_profit", "profit_per_trade",
@@ -412,7 +417,7 @@ def run_backtest(cfg, panel=None):
             fh.write(line + "\n")
 
     files["summary"] = os.path.join(cfg.output_dir, "summary.txt")
-    _write_summary(files["summary"], cfg, dates, coverage, crps, reliability,
+    _write_summary(files["summary"], cfg, plan, dates, coverage, crps, reliability,
                    strategy_tables)
 
     elapsed = time.monotonic() - started
@@ -421,9 +426,7 @@ def run_backtest(cfg, panel=None):
                           elapsed_seconds=elapsed, n_days=len(records))
 
 
-def _write_summary(path, cfg, dates, coverage, crps, reliability, strategy_tables):
-    eval_vars = tuple(cfg.variables) + tuple(cfg.derived)
-    labels = method_labels(cfg)
+def _write_summary(path, cfg, plan, dates, coverage, crps, reliability, strategy_tables):
     lines = []
     lines.append(f"evaluation days: {len(dates)}  ({dates[0]} .. {dates[-1]})")
     lines.append(f"calibration window: {cfg.calibration_window_days} days, "
@@ -434,17 +437,18 @@ def _write_summary(path, cfg, dates, coverage, crps, reliability, strategy_table
     def row(cells):
         return "  ".join(str(c).rjust(width) for c in cells)
 
+    def cells(table, keys, value):
+        """The formatted ``value`` of each key's entry, "-" where there is none."""
+        return ["-" if table.get(key) is None else format_cell(value(table[key])) for key in keys]
+
     lines.append("interval coverage, mean over hours (PICP, percent)")
-    for method in labels:
-        supported = cfg.qr_variables if method == "qr" else eval_vars
+    for method in plan.methods:
+        supported = plan.variables_of(method)
         lines.append(f"[{method}]")
         lines.append(row(["level"] + list(supported)))
         for level in cfg.interval_levels:
-            cells = [f"{level * 100:.0f}%"]
-            for variable in supported:
-                report = coverage.get((method, variable, level))
-                cells.append("-" if report is None else format_cell(report.picp * 100.0))
-            lines.append(row(cells))
+            lines.append(row([f"{level * 100:.0f}%", *cells(
+                coverage, [(method, v, level) for v in supported], lambda r: r.picp * 100.0)]))
         kupiec = []
         for v in supported:
             rates = [coverage[(method, v, level)].pass_rate
@@ -454,25 +458,18 @@ def _write_summary(path, cfg, dates, coverage, crps, reliability, strategy_table
         lines.append("")
 
     lines.append("CRPS, mean over evaluation period")
-    lines.append(row(["method"] + list(eval_vars)))
-    for method in labels:
-        cells = [method]
-        for variable in eval_vars:
-            entry = crps.get((method, variable))
-            cells.append("-" if entry is None else format_cell(entry["overall"]))
-        lines.append(row(cells))
+    lines.append(row(["method"] + list(plan.ensemble_variables)))
+    for method in plan.methods:
+        lines.append(row([method, *cells(crps, [(method, v) for v in plan.ensemble_variables],
+                                         lambda entry: entry["overall"])]))
     lines.append("")
 
-    ens_labels = ensemble_method_labels(cfg)
-    if ens_labels:
+    if plan.ensemble_methods:
         lines.append(f"reliability index (m_bins = {cfg.m_bins})")
-        lines.append(row(["method"] + list(eval_vars) + ["ALL"]))
-        for method in ens_labels:
-            cells = [method]
-            for variable in (*eval_vars, "ALL"):
-                report = reliability.get((method, variable))
-                cells.append("-" if report is None else format_cell(report.delta))
-            lines.append(row(cells))
+        lines.append(row(["method"] + list(plan.ensemble_variables) + ["ALL"]))
+        for method in plan.ensemble_methods:
+            keys = [(method, v) for v in (*plan.ensemble_variables, "ALL")]
+            lines.append(row([method, *cells(reliability, keys, lambda r: r.delta)]))
         lines.append("")
 
     if strategy_tables:

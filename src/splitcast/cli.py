@@ -146,12 +146,10 @@ def _forecast_config(args):
         "calibration_window_days": args.window,
     }
     cfg = config_from_raw(_key_values(args.set), read_config(args.config, overrides))
-    if args.method == "ms":
-        cfg = replace(cfg, methods=("ms",), ms_modes=(args.mode,))
-    else:
-        cfg = replace(cfg, methods=(args.method,))
+    modes = (args.mode,) if args.method == "ms" else cfg.ms_modes
     # forecast writes fans, members and point forecasts only: no trading, no ranks
-    return replace(cfg, trading=False, mv_variables=()).validate()
+    return replace(cfg, methods=(args.method,), ms_modes=modes, trading=False,
+                   mv_variables=()).validate()
 
 
 def _forecast_days(data, cfg, start, end):
@@ -177,8 +175,8 @@ def _write_members_file(path, ens_by_hour):
 
 
 def _cmd_forecast(args):
-    from .backtest import forecast_day
-    from .features import KINDS, MarketData
+    from .backtest import forecast_day, run_plan
+    from .features import MarketData
     from .panel import load_panel
     from .quantreg import TAU_GRID
     from .tables import format_cell
@@ -186,6 +184,7 @@ def _cmd_forecast(args):
     if args.members and args.method not in ("hist", "ms"):
         raise ConfigError(f"--members needs --method hist or ms, not {args.method}")
     cfg = _forecast_config(args)
+    plan = run_plan(cfg)
     panel = load_panel(cfg.input_path, cfg.schema or None)
     data = MarketData.from_panel(panel)
     day_indices = _forecast_days(data, cfg, args.start, args.end)
@@ -198,13 +197,13 @@ def _cmd_forecast(args):
             for day_idx in day_indices:
                 date = data.panel.dates[day_idx].isoformat()
                 point = forecast_day(data, cfg, day_idx)["point"]
-                for kind in KINDS:
+                for kind in plan.point:
                     for h in range(24):
                         fh.write(f"{date},{h + 1},{kind},{format_cell(point[kind][h])}\n")
         print(f"wrote {path}")
         return 0
 
-    method = f"ms_{args.mode}" if args.method == "ms" else args.method
+    fan_keys = sorted(plan.fans)  # the one method's fans, in variable order
     fan_path = os.path.join(cfg.output_dir, "fans.csv")
     header = "date,hour,variable," + ",".join(f"p{int(round(t * 100)):02d}" for t in TAU_GRID)
     with open(fan_path, "w", newline="") as fh:
@@ -212,12 +211,12 @@ def _cmd_forecast(args):
         for day_idx in day_indices:
             date = data.panel.dates[day_idx].isoformat()
             r = forecast_day(data, cfg, day_idx)
-            for variable in sorted(v for (m, v) in r["fans"] if m == method):
-                for h, fan in enumerate(r["fans"][(method, variable)], start=1):
-                    fh.write(f"{date},{h},{variable},{','.join(map(format_cell, fan))}\n")
+            for key in fan_keys:
+                for h, fan in enumerate(r["fans"][key], start=1):
+                    fh.write(f"{date},{h},{key[1]},{','.join(map(format_cell, fan))}\n")
             if args.members:
                 _write_members_file(os.path.join(cfg.output_dir, f"members_{date}.csv"),
-                                    r["ensembles"][method])
+                                    r["ensembles"][plan.ensemble_methods[0]])
             del r  # the day's members: no more than one day's are held
     print(f"wrote {fan_path}")
     return 0

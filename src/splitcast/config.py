@@ -95,8 +95,8 @@ class ExperimentConfig:
         """Shortest calibration window that leaves every configured fit 2 rows
         per regressor: point and QR fits use the whole window, ms fits
         ``round(split_ratio * window)`` days and hist fits ``inner_window``
-        days (default: half the window), at least 2 fewer than the window so
-        that a hist ensemble has 2 members."""
+        days (default: half the window), and the days left over give an ms
+        or hist ensemble at least 2 members."""
         need = 30
         if "point" in self.methods or self.trading:
             need = max(need, _fit_rows(KINDS if "point" in self.methods else ("W",)))
@@ -106,10 +106,10 @@ class ExperimentConfig:
         if "hist" in self.methods:
             need = max(need, 2 * ens if self.inner_window is None else self.inner_window + 2)
         if "ms" in self.methods:
-            # both sides of a split are non empty and the estimation side has ens rows
+            # the estimation side has ens rows, the calibration sides 2 days in all
             r = self.split_ratio
             need = max(need, int((ens - 0.5) / r), int(0.5 / (1.0 - r)))
-            while round(r * need) < ens or round(r * need) >= need:
+            while round(r * need) < ens or self.n_splits * (need - round(r * need)) < 2:
                 need += 1
         return need
 
@@ -157,6 +157,8 @@ class ExperimentConfig:
                 raise ConfigError("methods hist and ms need at least one ensemble variable")
             # the ensembles derive SP and RL from their parents' members
             for name in self.derived:
+                if name in self.variables:  # its fan key would be the variable's
+                    raise ConfigError(f"derived {name} is also an ensemble variable")
                 for parent in DERIVED[name]:
                     if parent not in self.variables:
                         raise ConfigError(f"derived {name} needs variable {parent} in the "
@@ -191,11 +193,10 @@ class ExperimentConfig:
             if self.inner_window < need:
                 raise ConfigError(f"inner_window {self.inner_window} is too short: the hist "
                                   f"fits need at least {need} days")
-        need = self.min_calibration_window()
-        if self.calibration_window_days < need:
-            raise ConfigError(f"calibration_window_days {self.calibration_window_days} is too "
-                              f"short: this configuration needs at least {need} days")
         window = self.calibration_window_days
+        need = self.min_calibration_window()
+        short = (f"calibration_window_days {window} is too short: this configuration needs "
+                 f"at least {need} days")
         inner = window // 2 if self.inner_window is None else self.inner_window
         for method, count in (("ms", self.n_splits * (window - round(self.split_ratio * window))),
                               ("hist", window - inner)):
@@ -203,10 +204,12 @@ class ExperimentConfig:
                 continue
             if count < 2:  # a quantile interpolates between two members
                 raise ConfigError(f"{method} ensembles need at least 2 members per (day, hour), "
-                                  f"this configuration gives {count}")
+                                  f"this configuration gives {count}: {short}")
             if count > MAX_MEMBERS:
                 raise ConfigError(f"{method} ensembles of {count} members exceed the bound of "
                                   f"{MAX_MEMBERS} members per (day, hour)")
+        if window < need:
+            raise ConfigError(short)
         return self
 
 

@@ -16,12 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from splitcast.backtest import (
     _run_days,
     corrupt_after_cutoff,
-    ensemble_method_labels,
     evaluation_day_indices,
     forecast_day,
     leakage_check,
-    method_labels,
     run_backtest,
+    run_plan,
+    score_day,
 )
 from splitcast.config import ExperimentConfig
 from splitcast.ensembles import ForecastEnsemble
@@ -77,12 +77,14 @@ def test_bundle_files_written(runs):
 
 
 def test_method_label_expansion():
-    cfg = _cfg("unused")
-    assert method_labels(cfg) == ["qr", "hist", "ms_corr", "ms_uncorr"]
-    assert ensemble_method_labels(cfg) == ["hist", "ms_corr", "ms_uncorr"]
-    only_corr = _cfg("unused", methods=("ms",), ms_modes=("corr",),
-                     trading=False, qr_variables=())
-    assert method_labels(only_corr) == ["ms_corr"]
+    plan = run_plan(_cfg("unused"))
+    assert plan.methods == ("qr", "hist", "ms_corr", "ms_uncorr")
+    assert plan.ensemble_methods == ("hist", "ms_corr", "ms_uncorr")
+    assert plan.trading_ensemble == "ms_corr"
+    only_corr = run_plan(_cfg("unused", methods=("ms",), ms_modes=("corr",),
+                              trading=False, qr_variables=()))
+    assert only_corr.methods == ("ms_corr",)
+    assert only_corr.decisions == () and only_corr.trading_ensemble is None
 
 
 def test_coverage_table_structure(runs):
@@ -305,3 +307,42 @@ def test_leakage_check_is_all_zero_across_days_and_methods(panel_small, tmp_path
         expected.add("decisions")
     assert {key[0] for key in diffs} == expected
     assert {k: v for k, v in diffs.items() if v != 0.0} == {}
+
+
+@st.composite
+def _planned_configs(draw):
+    """Validated configurations: methods in any order, trading when a method serves it."""
+    methods = tuple(draw(st.permutations(("point", "qr", "hist", "ms"))))[:draw(st.integers(1, 4))]
+    ms_modes = draw(st.sampled_from((("corr",), ("uncorr",), ("corr", "uncorr"),
+                                     ("uncorr", "corr"))))
+    traders = [m for m, ok in (("ms", "ms" in methods and "corr" in ms_modes),
+                               ("hist", "hist" in methods)) if ok]
+    trading = bool(traders) and draw(st.booleans())
+
+    def subset(values, max_size=None):
+        return tuple(draw(st.lists(st.sampled_from(values), unique=True, max_size=max_size)))
+
+    return _cfg("unused", methods=methods, ms_modes=ms_modes, derived=subset(("SP", "RL")),
+                qr_variables=subset(("L", "W", "RL"), 2), mv_variables=subset(("DA", "ID", "L"), 2),
+                interval_levels=subset((0.8, 0.9, 0.95, 0.98), 3), n_splits=2, trading=trading,
+                trading_method=draw(st.sampled_from(traders)) if trading else "ms").validate()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_planned_configs())
+def test_the_day_engine_produces_the_plans_keys_in_its_order(data_small, cfg):
+    plan = run_plan(cfg)
+    day = forecast_day(data_small, cfg, 130)
+    record = score_day(data_small, cfg, 130, day)
+    assert list(day["point"]) == list(plan.point)
+    assert list(day["fans"]) == list(record["crps"]) == list(plan.fans)
+    assert list(day["intervals"]) == list(record["hits"]) == list(plan.intervals)
+    assert list(day["ensembles"]) == list(plan.ensemble_methods)
+    assert list(record["ranks"]) == list(plan.ranks)
+    assert list(day["decisions"]) == list(plan.decisions[:-1])
+    assert list(record["decisions"]) == list(plan.decisions)
+    # QR serves every level but 0.95, whose tails are off the 1% grid
+    served = {(v, level) for v in cfg.qr_variables for level in cfg.interval_levels
+              if level != 0.95}
+    assert {(v, level) for m, v, level in plan.intervals if m == "qr"} == (
+        served if "qr" in cfg.methods else set())

@@ -5,9 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from splitcast.backtest import _STREAM_MS_CORR, _stream, run_backtest
-from splitcast.config import MAX_MEMBERS, ExperimentConfig, config_from_raw, parse_config_text
+from splitcast.config import (
+    MAX_MEMBERS,
+    METHOD_NAMES,
+    ExperimentConfig,
+    config_from_raw,
+    parse_config_text,
+)
 from splitcast.ensembles import random_split
 from splitcast.errors import ConfigError, PanelIntegrityError
 from splitcast.panel import SyntheticConfig, generate_synthetic_panel, load_panel, write_panel
@@ -36,9 +43,39 @@ def test_window_bound_follows_methods_and_variables():
         replace(cfg, methods=("hist",), inner_window=41, calibration_window_days=100).validate()
 
 
+def test_ms_window_bound_leaves_two_members():
+    """At split ratio 0.98 a window of w days leaves one split w - round(0.98 w)
+    calibration days: 76 is the first window that gives 2 members."""
+    cfg = ExperimentConfig(methods=("ms",), ms_modes=("corr",), split_ratio=0.98, n_splits=1)
+    assert cfg.min_calibration_window() == 76
+    for window in range(43, 76):
+        with pytest.raises(ConfigError, match="needs at least 76 days"):
+            replace(cfg, calibration_window_days=window).validate()
+    replace(cfg, calibration_window_days=76).validate()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(0.05, 0.99), st.integers(1, 40),
+       st.sets(st.sampled_from(METHOD_NAMES), min_size=1), st.none() | st.integers(42, 150))
+def test_min_calibration_window_is_the_shortest_that_validates(ratio, splits, methods,
+                                                               inner_window):
+    cfg = ExperimentConfig(split_ratio=ratio, n_splits=splits, methods=tuple(sorted(methods)),
+                           inner_window=inner_window, trading=False)
+    need = cfg.min_calibration_window()
+    inner = need // 2 if inner_window is None else inner_window
+    assume(splits * (need - round(ratio * need)) <= MAX_MEMBERS and need - inner <= MAX_MEMBERS)
+    replace(cfg, calibration_window_days=need).validate()
+    with pytest.raises(ConfigError, match=f"needs at least {need} days"):
+        replace(cfg, calibration_window_days=need - 1).validate()
+
+
 def test_validate_checks_derived_parents_and_the_trading_method():
     with pytest.raises(ConfigError, match="derived RL needs variable L"):
         ExperimentConfig(variables=("DA", "ID", "W"), derived=("RL",),
+                         mv_variables=("DA",)).validate()
+    # SP is also a model kind: as both it would name two fans (ms_corr, SP)
+    with pytest.raises(ConfigError, match="derived SP is also an ensemble variable"):
+        ExperimentConfig(variables=("DA", "ID", "SP", "W"), derived=("SP",),
                          mv_variables=("DA",)).validate()
     # without ensembles nothing is derived
     ExperimentConfig(variables=("DA", "ID", "W"), derived=("RL",), mv_variables=("DA",),

@@ -39,6 +39,8 @@ PRUNED = (
     # key parses by its ExperimentConfig annotation
     "_load_block", "_daily_price_block", "_forecast_triple", "_CASTERS", "_SCHEMA_FIELDS",
     "_tuple_of",
+    # backtest: the run plan names every method label
+    "method_labels", "ensemble_method_labels",
 )
 
 
@@ -66,8 +68,8 @@ def test_numba_flag_is_recorded():
 
 def test_pruned_names_stay_gone():
     modules = [splitcast] + [importlib.import_module(f"splitcast.{name}") for name in
-                             ("config", "ensembles", "errors", "features", "models", "panel",
-                              "quantreg", "scores", "trading")]
+                             ("backtest", "config", "ensembles", "errors", "features", "models",
+                              "panel", "quantreg", "scores", "trading")]
     for name in PRUNED:
         for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
