@@ -4,16 +4,17 @@ Run from the repository root::
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 
-Sizes mirror backtest days.  The domination counts (packed prefix
-bitsets) run on pool + observation of 4 variables at 184 points (a
-historical simulation pool), at 1,261 points (the 1,260 member pool of the
-``paper_ensembles`` benchmark workload), the same rounded to one decimal
-(ties in every component) and at 3,661 points (the paper's 20 splits x 183
-days).  The pinball batch scores two years of hourly fans,
-the profit pools price 3,660 members on the 101 point bid grid, and the fan
-is the 99 tau quantile regression of one (variable, hour) on a 365 day
-window with the 21 price regressors, alone and in a stack of 24 such
-designs (one day's 24 hours, solved in one call) with its time per fan.
+Sizes mirror backtest days.  The domination counts (``scores.preranks``,
+packed prefix bitsets) run on pool + observation of 4 variables at 184
+points (a historical simulation pool), at 1,261 points (the 1,260 member
+pool of the ``paper_ensembles`` benchmark workload), the same rounded to
+one decimal (ties in every component) and at 3,661 points (the paper's 20
+splits x 183 days).  ``scores.crps_fan_matrix`` scores two years of hourly
+fans, ``trading.profit_pools`` prices 3,660 members on the 101 point bid
+grid, and the fan is the 99 tau quantile regression of one (variable,
+hour) on a 365 day window with the 21 price regressors, alone and in a
+stack of 24 such designs (one day's 24 hours, solved in one call) with its
+time per fan.
 The historical simulation set is the 184 least squares fits of one
 (variable, hour) on a default day: 183 inner windows of 182 days and the
 final window, in a 365 day sample with 21 regressors, fitted one by one
@@ -43,12 +44,12 @@ import datetime as dt
 
 import numpy as np
 
-from splitcast import _kernels as K
 from splitcast.ensembles import ForecastEnsemble, _hours_per_block
 from splitcast.features import MarketData
 from splitcast.models import ols_fit, ols_fits
 from splitcast.panel import SyntheticConfig, generate_synthetic_panel, load_panel, write_panel
 from splitcast.quantreg import qr_fit_fan
+from splitcast.scores import crps_fan_matrix, preranks
 from splitcast.trading import STRATEGIES, choose_q, profit_pools, stopping_rule
 
 
@@ -116,22 +117,22 @@ def main():
         if decimals is not None:
             points = np.round(points, decimals)
             size += f", {decimals} decimal"
-        _report("preranks", size, lambda: K.preranks(points), repeats=30)
+        _report("preranks", size, lambda: preranks(points), repeats=30)
 
     fans = np.sort(rng.normal(size=(730 * 24, 99)), axis=1)
     ys = rng.normal(size=730 * 24)
     taus = np.round(np.arange(1, 100) / 100.0, 2)
-    _report("crps_fan_batch", f"{730 * 24} fans x 99 taus",
-            lambda: K.crps_fan_batch(fans, ys, taus))
+    _report("crps_fan_matrix", f"{730 * 24} fans x 99 taus",
+            lambda: crps_fan_matrix(fans, ys, taus))
 
     da = rng.normal(40.0, 15.0, size=3660)
     idp = rng.normal(40.0, 18.0, size=3660)
     w = np.abs(rng.normal(8.0, 3.0, size=3660))
     q_grid = np.round(np.arange(101) / 100.0, 2)
-    _report("profit_pools", "3660 members x 101 q",
-            lambda: K.profit_pools(da, idp, w, 8.0, q_grid, 10.0))
     ens = ForecastEnsemble(variables=("DA", "ID", "W"), members=np.column_stack([da, idp, w]),
                            target_date=dt.date(2021, 1, 1), hour=12, meta={})
+    _report("profit_pools", "3660 members x 101 q",
+            lambda: profit_pools(ens, 8.0, q_grid, 10.0))
     taus = (0.05, 0.3, 0.5, 0.7, 0.95)
     _report("trading hour", "3660 members, 3 x 5 taus",
             lambda: _trading_hour(ens, 8.0, q_grid, taus))

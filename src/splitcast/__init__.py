@@ -26,7 +26,7 @@ _MODULE_OF = {
                      "crps_from_fan", "interval_hits", "kupiec", "multivariate_rank",
                      "reliability_index", "univariate_rank"), "scores"),
     **dict.fromkeys(("StrategyOutcome", "TradeDecision", "choose_q", "evaluate_strategy",
-                     "naive_decision", "profit_per_mwh", "profit_pools", "realized_profit",
+                     "naive_decision", "profit_pools", "realized_profit",
                      "stopping_rule"), "trading"),
     **dict.fromkeys(("ExperimentConfig", "load_config"), "config"),
     **dict.fromkeys(("BacktestResult", "RunPlan", "forecast_day", "leakage_check",

@@ -307,9 +307,15 @@ class BacktestResult:
 
 
 def evaluation_day_indices(panel, cfg):
+    """The panel days from ``evaluation_start`` (default: the last
+    ``evaluation_days``), each with a full calibration window of history."""
     n = panel.n_days
     if cfg.evaluation_start is not None:
-        start = panel.day_index(cfg.evaluation_start)
+        try:
+            start = panel.day_index(cfg.evaluation_start)
+        except KeyError:
+            raise ConfigError(f"evaluation_start {cfg.evaluation_start} is not a day of the "
+                              f"panel") from None
     else:
         start = n - cfg.evaluation_days
     end = start + cfg.evaluation_days

@@ -152,19 +152,6 @@ def _forecast_config(args):
                    mv_variables=()).validate()
 
 
-def _forecast_days(data, cfg, start, end):
-    from .features import MAX_LAG
-
-    first = _panel_day(data.panel, start, "--start")
-    last = _panel_day(data.panel, end, "--end")
-    if last < first:
-        raise ConfigError("end date precedes start date")
-    need = cfg.calibration_window_days + MAX_LAG + 1
-    if first < need:
-        raise ConfigError(f"need {need} days of history before {start}")
-    return list(range(first, last + 1))
-
-
 def _write_members_file(path, ens_by_hour):
     variables = ens_by_hour[1].variables
     with open(path, "w", newline="") as fh:
@@ -175,7 +162,7 @@ def _write_members_file(path, ens_by_hour):
 
 
 def _cmd_forecast(args):
-    from .backtest import forecast_day, run_plan
+    from .backtest import evaluation_day_indices, forecast_day, run_plan
     from .features import MarketData
     from .panel import load_panel
     from .quantreg import TAU_GRID
@@ -187,7 +174,12 @@ def _cmd_forecast(args):
     plan = run_plan(cfg)
     panel = load_panel(cfg.input_path, cfg.schema or None)
     data = MarketData.from_panel(panel)
-    day_indices = _forecast_days(data, cfg, args.start, args.end)
+    first = _panel_day(panel, args.start, "--start")
+    last = _panel_day(panel, args.end, "--end")
+    if last < first:
+        raise ConfigError("end date precedes start date")
+    day_indices = evaluation_day_indices(panel, replace(
+        cfg, evaluation_start=panel.dates[first], evaluation_days=last - first + 1))
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     if args.method == "point":
@@ -278,6 +270,9 @@ def _cmd_evaluate(args):
     for variable in sorted({v for (_, v) in fans}):
         if variable not in data.hourly:
             raise ConfigError(f"{args.fans}: variable {variable!r} is not a series of the panel")
+        absent = [d for d in dates if (d, variable) not in fans]
+        if absent:
+            raise ConfigError(f"{args.fans}: no fans for {variable} on {absent[0]}")
         stack = np.stack([fans[(d, variable)] for d in dates])  # (n, 24, 99)
         if np.isnan(stack).any():
             raise ConfigError(f"fans for {variable} have missing day/hour rows")

@@ -21,7 +21,7 @@ ENV_CONFIG = "SPLITCAST_CONFIG"
 METHOD_NAMES = ("point", "qr", "hist", "ms")
 # members of one (day, hour) ensemble at most.  The multivariate rank of M
 # members holds three (M + 1, ceil((M + 1) / 64)) uint64 bitsets
-# (``_kernels.preranks``): about 0.4 GB at this bound, and about 5 MB at the
+# (``scores.preranks``): about 0.4 GB at this bound, and about 5 MB at the
 # paper's 3,660 members (20 splits of 183 calibration days).
 MAX_MEMBERS = 2 ** 15
 

@@ -55,9 +55,15 @@ _ROUNDS_PER_ROW = 20  # cap on the pivot rounds of a stack, per observation
 
 
 def pinball(y, q, tau):
-    """Pinball (check) loss of quantile forecast ``q`` against outcome ``y``."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau {tau} outside (0, 1)")
+    """Pinball (check) loss of quantile forecast ``q`` against outcome ``y``.
+
+    ``tau`` is one level or an array of levels that broadcasts against
+    ``y - q``, each inside (0, 1).
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    inside = (tau > 0.0) & (tau < 1.0)
+    if not inside.all():
+        raise ValueError(f"tau {tau[~inside].flat[0]} outside (0, 1)")
     diff = np.asarray(y, dtype=np.float64) - q
     return np.where(diff < 0.0, (tau - 1.0) * diff, tau * diff)
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import math
 import numpy as np
 
-from . import _kernels
 from .errors import EmptyEnsembleError, MisalignedError
-from .quantreg import TAU_GRID
+from .quantreg import TAU_GRID, pinball
 
 # 5% critical value of the chi squared distribution with one degree of freedom
 KUPIEC_CRITICAL = 3.841459
@@ -133,16 +132,16 @@ def crps_from_fan(fan, y):
         raise MisalignedError("fan values and taus differ in length")
     if np.any(np.diff(values) < 0.0):
         raise ValueError("fan values must be non decreasing; sort the fan first")
-    return float(_kernels.crps_fan_batch(values[None, :], np.array([float(y)]), taus)[0])
+    return float(crps_fan_matrix(values[None, :], np.array([float(y)]), taus)[0])
 
 
 def crps_fan_matrix(fans, ys, taus=TAU_GRID):
     """Batch CRPS: one fan per row of ``fans`` against ``ys``."""
     fans = np.ascontiguousarray(fans, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
     if fans.shape[0] != ys.shape[0]:
         raise MisalignedError("one observation per fan required")
-    return _kernels.crps_fan_batch(fans, ys, np.ascontiguousarray(taus, dtype=np.float64))
+    return pinball(ys[:, None], fans, taus).mean(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -155,6 +154,53 @@ def univariate_rank(members, y):
     if members.ndim != 1 or members.size == 0:
         raise EmptyEnsembleError("univariate rank needs a non empty 1-D member array")
     return float(np.count_nonzero(members <= y) / members.size)
+
+
+def preranks(points):
+    """Componentwise domination counts for each row of ``points``.
+
+    ``counts[j]`` is the number of rows i (including j itself) with
+    ``points[i, d] <= points[j, d]`` for every component d.  ``points``
+    must have at least one component and hold no NaN.
+
+    Each row set is a bitset of ``ceil(M / 64)`` words.  Per component the
+    rows are sorted and a prefix matrix is built by OR-accumulating one bit
+    per sorted row, so prefix row t holds the first t + 1 rows of the order.
+    Row j's set ``{i : points[i, d] <= points[j, d]}`` is the prefix row at
+    the end of j's run of ties; any sort serves, since that row holds the
+    whole run.  The gathered sets of all components are ANDed and counted,
+    so the work is about ``K * M * M / 64`` word operations for M rows of
+    K components, in three ``(M, ceil(M / 64))`` arrays.
+    """
+    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    m1 = cols.shape[1]
+    rows = np.arange(m1)
+    word = rows // 64
+    bit = np.left_shift(np.uint64(1), (rows % 64).astype(np.uint64))
+    # one allocation for the three bitset arrays: three separate ones of a
+    # few MB were handed back to the OS and faulted in again on every call
+    prefix, acc, gathered = np.empty((3, m1, -(-m1 // 64)), dtype=np.uint64)
+    run_end = np.empty(m1, dtype=np.intp)
+    last = np.empty(m1, dtype=np.intp)
+    for d, col in enumerate(cols):
+        order = np.argsort(col)
+        ordered = col[order]
+        prefix.fill(0)
+        prefix[rows, word[order]] = bit[order]
+        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+        # sorted position of the last tie of each sorted position
+        run_end.fill(m1)
+        ends = np.flatnonzero(ordered[1:] != ordered[:-1])
+        run_end[ends] = ends
+        run_end[-1:] = m1 - 1
+        last[order] = np.minimum.accumulate(run_end[::-1])[::-1]
+        # the indices are in range; "clip" spares the checked mode's buffer
+        if d == 0:
+            np.take(prefix, last, axis=0, out=acc, mode="clip")
+        else:
+            np.take(prefix, last, axis=0, out=gathered, mode="clip")
+            acc &= gathered
+    return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
 
 
 def multivariate_rank(members, y0, rng):
@@ -176,7 +222,7 @@ def multivariate_rank(members, y0, rng):
     points = np.vstack([y0[None, :], members])
     if np.isnan(points).any():
         raise ValueError("multivariate rank is undefined for NaN members or observation")
-    counts = _kernels.preranks(points)
+    counts = preranks(points)
     rho0 = counts[0]
     s = int(np.count_nonzero(counts < rho0))
     u = int(np.count_nonzero(counts == rho0))

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .errors import EmptyEnsembleError, MisalignedError
 from .ensembles import interpolated_quantile, interpolated_quantiles
 
@@ -34,19 +33,29 @@ STRATEGIES = ("epi", "var", "sr")
 NAIVE_MODES = ("naive", "limited")
 
 
-def profit_per_mwh(q, w_hat_ratio, da, idp, c_om=C_OM_DEFAULT):
-    """Per MWh profit; ``w_hat_ratio`` None or NaN marks zero wind."""
-    if w_hat_ratio is None or np.isnan(w_hat_ratio):
-        return 0.0
-    qw = q * w_hat_ratio
-    return (qw * da + (1.0 - qw) * idp) - c_om
+def _per_mwh(q, w_hat, w, da, idp, c_om):
+    """Per MWh profit ``q (w_hat / w) DA + (1 - q w_hat / w) ID - c_om``,
+    exactly zero unless ``w > 0``.
+
+    The arguments broadcast against each other, ``w`` is 1-D along the
+    result's last axis, and ``q`` times ``w`` takes the result's shape.
+    The result is computed in place, in it and one more array of its shape.
+    """
+    pos = w > 0.0
+    ratio = np.divide(w_hat, w, out=np.zeros(np.broadcast(w_hat, w).shape), where=pos)
+    qw = np.multiply(q, ratio)
+    profit = np.multiply(qw, da)
+    np.subtract(1.0, qw, out=qw)
+    qw *= idp
+    profit += qw
+    profit -= c_om
+    profit[..., ~pos] = 0.0
+    return profit
 
 
 def realized_profit(q, w_hat, w, da, idp, c_om=C_OM_DEFAULT):
     """Per MWh profit from realized wind; zero wind yields exactly zero."""
-    if w <= 0.0:
-        return 0.0
-    return profit_per_mwh(q, w_hat / w, da, idp, c_om)
+    return float(_per_mwh(*np.atleast_1d(q, w_hat, w, da, idp), c_om)[0])
 
 
 def plant_profit(q, w_hat, w, da, idp, c_om=C_OM_DEFAULT):
@@ -56,11 +65,9 @@ def plant_profit(q, w_hat, w, da, idp, c_om=C_OM_DEFAULT):
 
 def profit_pools(ens, w_hat, q_grid=Q_GRID_DEFAULT, c_om=C_OM_DEFAULT):
     """Member profits for every candidate q; shape (len(q_grid), M)."""
-    da = np.ascontiguousarray(ens.column("DA"))
-    idp = np.ascontiguousarray(ens.column("ID"))
-    w = np.ascontiguousarray(ens.column("W"))
-    return _kernels.profit_pools(da, idp, w, float(w_hat),
-                                 np.ascontiguousarray(q_grid, dtype=np.float64), float(c_om))
+    da, idp, w = (np.ascontiguousarray(ens.column(v)) for v in ("DA", "ID", "W"))
+    q = np.asarray(q_grid, dtype=np.float64)[:, None]
+    return _per_mwh(q, float(w_hat), w, da, idp, float(c_om))
 
 
 @dataclass(frozen=True)
@@ -166,13 +173,10 @@ def evaluate_strategy(decisions, da, idp, w, w_hat, c_om=C_OM_DEFAULT):
     n = da.size
     if not (idp.size == w.size == w_hat.size == n and len(decisions) == n):
         raise MisalignedError("decision stream and realized arrays differ in length")
-    profits = np.zeros(n)
-    traded = np.zeros(n, dtype=bool)
-    for i, dec in enumerate(decisions):
-        if dec.curtail:
-            continue
-        traded[i] = True
-        profits[i] = realized_profit(dec.q, w_hat[i], w[i], da[i], idp[i], c_om)
+    traded = np.array([not dec.curtail for dec in decisions], dtype=bool)
+    profits = _per_mwh(np.array([dec.q for dec in decisions], dtype=np.float64),
+                       w_hat, w, da, idp, c_om)
+    profits[~traded] = 0.0
     n_trades = int(traded.sum())
     if n_trades == 0:
         per_trade = float("nan")

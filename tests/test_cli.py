@@ -352,6 +352,22 @@ def test_evaluate_rejects_a_variable_the_panel_lacks(fan_dir, panel_csv, tmp_pat
     assert not out.exists()
 
 
+def test_evaluate_rejects_a_variable_without_fans_on_a_date(fan_dir, panel_csv, tmp_path,
+                                                             capsys):
+    lines = (fan_dir / "fans.csv").read_text().splitlines()
+    date = load_panel(str(panel_csv)).dates[151].isoformat()
+    kept = [line for line in lines if not line.startswith(f"{date},") or
+            line.split(",")[2] != "ID"]
+    assert len(kept) == len(lines) - 24
+    bad = tmp_path / "gap_fans.csv"
+    bad.write_text("\n".join(kept) + "\n")
+    out = tmp_path / "scores"
+    assert main(["evaluate", "--fans", str(bad), "--input", str(panel_csv),
+                 "--out", str(out)]) == 2
+    assert f"no fans for ID on {date}" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_backtest_cli_runs(panel_csv, tmp_path, capsys):
     out = tmp_path / "bt"
     code = main(["backtest", "--input", str(panel_csv), "--out", str(out),
@@ -364,6 +380,15 @@ def test_backtest_cli_runs(panel_csv, tmp_path, capsys):
     for name in ("coverage.csv", "crps.csv", "reliability.csv", "run_config.cfg", "summary.txt"):
         assert (out / name).exists()
     assert not (out / "strategy.csv").exists()
+
+
+def test_backtest_rejects_an_evaluation_start_off_the_panel(panel_csv, tmp_path, capsys):
+    out = tmp_path / "bt"
+    assert main(["backtest", "--input", str(panel_csv), "--out", str(out), "--window", "100",
+                 "--eval-days", "2", "--set", "methods=point", "--no-trading",
+                 "--set", "evaluation_start=1999-01-01"]) == 2
+    assert "evaluation_start 1999-01-01 is not a day of the panel" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_backtest_cli_rejects_bad_overrides(panel_csv, tmp_path, capsys):

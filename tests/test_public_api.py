@@ -3,7 +3,9 @@
 ``pipebench/tracer.py`` rebinds a list of package functions by module and
 attribute name for its per-layer timings, and ``pipebench/run.py`` records
 ``_kernels.USE_NUMBA``.  A prune that drops one of them breaks ``--trace 1``,
-so this file checks them against the tracer's own list.  ``import splitcast``
+so this file checks them against the tracer's own list.  The scripts under
+``benchmarks/`` import package names at load time, so each is loaded here
+without running it.  ``import splitcast``
 binds its exports lazily, so the last tests check that they resolve to the
 modules' own objects.
 """
@@ -17,7 +19,9 @@ import pytest
 import splitcast
 from splitcast import _kernels
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "pipebench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "pipebench" / "tracer.py"
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 
 PRUNED = (
     # quantreg
@@ -41,6 +45,8 @@ PRUNED = (
     "_tuple_of",
     # backtest: the run plan names every method label
     "method_labels", "ensemble_method_labels",
+    # scores and trading: pinball and the per MWh profit are each written once
+    "crps_fan_batch", "profit_per_mwh",
 )
 
 
@@ -62,14 +68,26 @@ def test_every_traced_layer_resolves():
         assert callable(target), layer
 
 
+@pytest.mark.parametrize("path", BENCHMARKS, ids=lambda path: path.name)
+def test_benchmark_scripts_load(path):
+    # each script runs only under its ``__main__`` guard, so loading it runs
+    # its imports and definitions alone
+    spec = importlib.util.spec_from_file_location(f"benchmark_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
+
+
 def test_numba_flag_is_recorded():
     assert isinstance(_kernels.USE_NUMBA, bool)
+    # the flag is all the module holds: each kernel lives beside its caller
+    assert [name for name in vars(_kernels) if not name.startswith("__")] == ["USE_NUMBA"]
 
 
 def test_pruned_names_stay_gone():
     modules = [splitcast] + [importlib.import_module(f"splitcast.{name}") for name in
-                             ("backtest", "config", "ensembles", "errors", "features", "models",
-                              "panel", "quantreg", "scores", "trading")]
+                             ("_kernels", "backtest", "config", "ensembles", "errors", "features",
+                              "models", "panel", "quantreg", "scores", "trading")]
     for name in PRUNED:
         for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -104,6 +104,16 @@ def test_pinball_known_values():
         pinball(1.0, 0.0, 1.0)
 
 
+def test_pinball_takes_an_array_of_taus():
+    got = pinball(np.array([[1.0], [-2.0]]), 0.0, np.array([0.25, 0.5, 0.9]))
+    np.testing.assert_allclose(got, [[0.25, 0.5, 0.9], [1.5, 1.0, 0.2]], rtol=1e-15)
+    for bad in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            pinball(1.0, 0.0, np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="outside"):
+        pinball(1.0, 0.0, float("nan"))
+
+
 def test_tau_grid():
     assert TAU_GRID.shape == (99,)
     assert TAU_GRID[0] == 0.01 and TAU_GRID[-1] == 0.99

@@ -17,7 +17,6 @@ from splitcast.trading import (
     evaluate_strategy,
     naive_decision,
     plant_profit,
-    profit_per_mwh,
     profit_pools,
     realized_profit,
     relative_pct,
@@ -38,19 +37,26 @@ def _joint(rng, m=60, id_equals_da=False, price_loc=40.0, price_scale=15.0):
     )
 
 
-def test_profit_per_mwh_values():
+def _per_mwh_loop(q, w_hat, w, da, idp, c_om=10.0):
+    """The per MWh profit of one member or hour, written out."""
+    if w <= 0.0:
+        return 0.0
+    qw = q * (w_hat / w)
+    return (qw * da + (1.0 - qw) * idp) - c_om
+
+
+def test_realized_profit_values():
     # q w_hat/w = 0.4: 0.4*50 + 0.6*30 - 10
-    assert profit_per_mwh(0.5, 0.8, 50.0, 30.0) == pytest.approx(28.0, rel=1e-12)
-    assert profit_per_mwh(0.0, 0.8, 50.0, 30.0) == pytest.approx(20.0, rel=1e-12)
-    assert profit_per_mwh(0.5, None, 50.0, 30.0) == 0.0
-    assert profit_per_mwh(0.5, float("nan"), 50.0, 30.0) == 0.0
+    assert realized_profit(0.5, 8.0, 10.0, 50.0, 30.0) == pytest.approx(28.0, rel=1e-12)
+    assert realized_profit(0.0, 8.0, 10.0, 50.0, 30.0) == pytest.approx(20.0, rel=1e-12)
+    assert realized_profit(0.5, 8.0, float("nan"), 50.0, 30.0) == 0.0
 
 
 def test_realized_profit_zero_wind_is_exactly_zero():
     assert realized_profit(0.7, 10.0, 0.0, 55.0, 44.0) == 0.0
     assert realized_profit(0.7, 10.0, -3.0, 55.0, 44.0) == 0.0
     got = realized_profit(0.7, 10.0, 8.0, 55.0, 44.0)
-    assert got == profit_per_mwh(0.7, 10.0 / 8.0, 55.0, 44.0)
+    assert got == _per_mwh_loop(0.7, 10.0, 8.0, 55.0, 44.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -75,15 +81,18 @@ def test_plant_profit_zero_wind():
 
 
 def test_profit_pools_matches_scalar_oracle(rng):
-    ens = _joint(rng, m=40)
-    w_hat = 9.5
-    pools = profit_pools(ens, w_hat)
-    assert pools.shape == (Q_GRID_DEFAULT.size, 40)
-    da, idp, w = (ens.column(v) for v in ("DA", "ID", "W"))
-    for j in range(0, Q_GRID_DEFAULT.size, 7):
-        for i in range(40):
-            want = realized_profit(Q_GRID_DEFAULT[j], w_hat, w[i], da[i], idp[i])
-            assert pools[j, i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    m = 120
+    da = rng.normal(35.0, 20.0, m)
+    idp = da + rng.normal(0.0, 9.0, m)
+    w = rng.normal(8.0, 6.0, m)  # some members land at w <= 0
+    w[::17] = 0.0
+    ens = ForecastEnsemble(variables=("DA", "ID", "W"), members=np.column_stack([da, idp, w]),
+                           target_date=dt.date(2020, 3, 14), hour=4, meta={})
+    pools = profit_pools(ens, 7.5)
+    assert pools.shape == (Q_GRID_DEFAULT.size, m)
+    for j in range(Q_GRID_DEFAULT.size):
+        for i in range(m):
+            assert pools[j, i] == _per_mwh_loop(Q_GRID_DEFAULT[j], 7.5, w[i], da[i], idp[i])
 
 
 def test_profit_pools_zero_wind_members_exact(rng):
@@ -302,6 +311,29 @@ def test_evaluate_strategy_misaligned():
         evaluate_strategy(decisions, [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0])
     with pytest.raises(MisalignedError):
         evaluate_strategy(decisions, [1.0] * 3, [1.0] * 3, [1.0] * 2, [1.0] * 3)
+
+
+_HOURS = st.lists(st.tuples(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),  # q
+    st.booleans(),  # curtail
+    st.one_of(st.just(0.0), st.floats(-20.0, -1e-3), st.floats(1e-3, 40.0)),  # w
+    st.floats(0.0, 40.0),  # w_hat
+    st.floats(-300.0, 300.0),  # DA
+    st.floats(-300.0, 300.0),  # ID
+), min_size=1, max_size=30)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_HOURS)
+def test_evaluate_strategy_equals_an_hourly_loop(hours):
+    """The hourly profits are, bit for bit, the written-out formula of each
+    traded hour and exactly zero for curtailed and windless hours."""
+    q, curtail, w, w_hat, da, idp = map(list, zip(*hours))
+    decisions = [TradeDecision(strategy="epi", q=qi, curtail=c) for qi, c in zip(q, curtail)]
+    out = evaluate_strategy(decisions, da, idp, w, w_hat)
+    want = [0.0 if c else _per_mwh_loop(qi, wh, wi, d, i) for qi, c, wi, wh, d, i in hours]
+    assert out.profits.tolist() == want
+    assert out.traded.tolist() == [not c for c in curtail]
 
 
 def test_profits_equal_when_both_markets_settle_identically(rng):
