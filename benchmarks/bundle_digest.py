@@ -15,6 +15,7 @@ The output directory must be new or empty.  In it the script writes a
 400 day synthetic panel (seed 11) and runs, each in a child interpreter on
 the given ``src`` with one BLAS thread and no ``SPLITCAST_CONFIG``:
 
+* ``validate`` of the panel, its stdout kept as ``validate.txt``;
 * the default configuration backtest of the last 3 days, ``workers=1``;
 * a ``point,hist,ms`` backtest of the same days, ``workers=2``;
 * ``forecast`` with ``ms --members`` over the last two days, and with
@@ -23,7 +24,7 @@ the given ``src`` with one BLAS thread and no ``SPLITCAST_CONFIG``:
 * ``forecast_day`` at the default configuration on the last two days.
 
 It then prints one ``sha256  path`` line per file, paths relative to the
-output directory.  Console output is not digested.  The last line,
+output directory.  Other console output is not digested.  The last line,
 ``sha256  forecast_day.float64``, digests the raw float64 bytes of the two
 ``forecast_day`` results, which the 6 digit report files do not pin down:
 per day the point forecasts, the fans, the interval bounds and every
@@ -66,13 +67,15 @@ def digest_lines(src, out):
     env = {k: v for k, v in os.environ.items() if k != "SPLITCAST_CONFIG"}
     env.update(PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
 
-    def cli(*argv):
+    def cli(*argv, stdout=subprocess.DEVNULL):
         subprocess.run([sys.executable, "-m", "splitcast", *argv], cwd=out, env=env,
-                       check=True, stdout=subprocess.DEVNULL)
+                       check=True, stdout=stdout)
 
     last, second_last = (str(START + dt.timedelta(days=DAYS - k)) for k in (1, 2))
     cli("synth", "--days", str(DAYS), "--seed", "11", "--start-date", str(START),
         "--out", "panel.csv")
+    with open(os.path.join(out, "validate.txt"), "w") as fh:
+        cli("validate", "panel.csv", stdout=fh)
     backtest = ("backtest", "--input", "panel.csv", "--eval-days", "3")
     cli(*backtest, "--workers", "1", "--out", "backtest_default")
     cli(*backtest, "--workers", "2", "--set", "methods=point,hist,ms", "--out", "backtest_phm")

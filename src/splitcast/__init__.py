@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 # public name -> the module that defines it
 _MODULE_OF = {
     **dict.fromkeys(("MarketPanel", "SyntheticConfig", "dst_normalize",
-                     "generate_synthetic_panel", "load_panel", "validate_panel",
-                     "write_panel"), "panel"),
+                     "generate_synthetic_panel", "load_panel", "write_panel"), "panel"),
     **dict.fromkeys(("KINDS", "MarketData", "ModelSpec", "design_rows", "row_length",
                      "targets"), "features"),
     "ols_fit": "models",

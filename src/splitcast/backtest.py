@@ -318,6 +318,9 @@ def evaluation_day_indices(panel, cfg):
                               f"panel") from None
     else:
         start = n - cfg.evaluation_days
+        if start < 0:
+            raise ConfigError(f"evaluation_days = {cfg.evaluation_days} is more than the {n} "
+                              f"days of the panel")
     end = start + cfg.evaluation_days
     if end > n:
         raise ConfigError(f"evaluation window [{start}, {end}) leaves the {n} day panel")

@@ -34,8 +34,8 @@ class NegativeGenerationError(PanelError):
 
 
 class PanelIntegrityError(PanelError):
-    """The panel violates a structural invariant (non consecutive dates,
-    inconsistent composite series, NaN after normalization, ...)."""
+    """The panel violates a structural invariant or a value rule (non
+    consecutive dates, a non finite reading, a composite off its parts, ...)."""
 
 
 class InvalidDGPError(PanelError):

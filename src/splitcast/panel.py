@@ -1,4 +1,4 @@
-"""Hourly market data panel: loading, validation, DST repair, the series tables.
+"""Hourly market data panel: its value rules, loading, DST repair, the series tables.
 
 The panel is a dense grid of consecutive calendar days times 24 delivery
 hours.  Hour ``h`` in 1..24 is stored in column ``h - 1``.  Hourly series:
@@ -77,7 +77,7 @@ DEFAULT_SCHEMA = {
     "C": "coal",
     "G": "gas",
 }
-# written by write_panel, validated against W + S when present in a file
+# written by write_panel; when a file has them MarketPanel checks them against W + S
 OPTIONAL_SCHEMA = {"RES": "res", "FRES": "res_fc"}
 
 
@@ -88,9 +88,15 @@ class MarketPanel:
     ``missing_cells`` holds ``(day_index, hour_index)`` pairs (0 based hour
     index) where at least one hourly series is NaN, e.g. a spring forward
     DST gap.  ``duplicate_cells`` maps such pairs to the second reading of a
-    fall back duplicated hour.  A normalized panel has neither.  A composite
-    absent from ``hourly`` is computed; a given one is kept for
-    :func:`validate_panel` to check.
+    fall back duplicated hour.  A normalized panel has neither.
+
+    Every panel meets the value rules, however it is built: each hourly
+    series is finite but for NaN at a missing cell or in a second reading,
+    the ``GENERATION_SERIES`` are non-negative, the daily series are finite,
+    and each composite is stored as the sum of its parts, which a given one
+    must match within ``COMPOSITE_TOL``.  A violation raises
+    :class:`NegativeGenerationError` or :class:`PanelIntegrityError` naming
+    the series, date and hour.
     """
 
     dates: tuple
@@ -100,21 +106,36 @@ class MarketPanel:
     duplicate_cells: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "hourly", _with_composites(self.hourly))
-        n = len(self.dates)
-        for name in HOURLY_SERIES:
-            arr = self.hourly[name]
-            if arr.shape != (n, 24):
-                raise PanelIntegrityError(f"{name}: expected shape {(n, 24)}, got {arr.shape}")
-            arr.flags.writeable = False
-        for name in DAILY_SERIES:
-            arr = self.daily[name]
-            if arr.shape != (n,):
-                raise PanelIntegrityError(f"{name}: expected shape {(n,)}, got {arr.shape}")
-            arr.flags.writeable = False
-        for a, b in zip(self.dates, self.dates[1:]):
+        dates, n = self.dates, len(self.dates)
+        for a, b in zip(dates, dates[1:]):
             if (b - a).days != 1:
                 raise PanelIntegrityError(f"dates not consecutive: {a} -> {b}")
+        for series, names, shape in ((self.hourly, HOURLY_SERIES, (n, 24)),
+                                     (self.daily, DAILY_SERIES, (n,))):
+            for name in names:
+                if name in series and series[name].shape != shape:
+                    raise PanelIntegrityError(
+                        f"{name}: expected shape {shape}, got {series[name].shape}")
+        for name in DAILY_SERIES:
+            arr = self.daily[name]
+            if not np.isfinite(arr).all():
+                day = int(np.argmin(np.isfinite(arr)))
+                raise PanelIntegrityError(f"non finite value in {name} on {dates[day]}: {arr[day]}")
+            arr.flags.writeable = False
+
+        nan_ok = np.zeros((n, 24), dtype=bool)
+        nan_ok.flat[[24 * day + hour for day, hour in self.missing_cells]] = True
+        hourly = _checked(self.hourly, nan_ok, lambda i: f"{dates[i // 24]} h{i % 24 + 1}")
+        for arr in hourly.values():
+            arr.flags.writeable = False
+        object.__setattr__(self, "hourly", hourly)
+
+        cells = list(self.duplicate_cells)
+        second = _checked({name: np.array([self.duplicate_cells[c][name] for c in cells])
+                           for name in READ_SERIES}, True,
+                          lambda i: f"{dates[cells[i][0]]} h{cells[i][1] + 1} (second reading)")
+        object.__setattr__(self, "duplicate_cells", {
+            c: {name: float(arr[i]) for name, arr in second.items()} for i, c in enumerate(cells)})
 
     @property
     def n_days(self):
@@ -135,12 +156,30 @@ class MarketPanel:
         return np.array([d.weekday() for d in self.dates], dtype=np.intp)
 
 
-def _with_composites(series):
-    """A copy of the ``series`` dict with each composite it lacks computed."""
-    out = dict(series)
+def _checked(series, nan_ok, where):
+    """The read series of ``series`` and each composite as the sum of its
+    parts, once all meet the value rules of :class:`MarketPanel`.  ``nan_ok``
+    marks the readings that may be NaN, ``where(i)`` names flat cell ``i``."""
+    def first(name, bad):
+        i = int(np.argmax(bad))
+        return f"{name} at {where(i)}", series[name].flat[i]
+
+    for name in READ_SERIES:
+        bad = ~(np.isfinite(series[name]) | np.isnan(series[name]) & nan_ok)
+        if bad.any():
+            cell, value = first(name, bad)
+            raise PanelIntegrityError(f"non finite value in {cell}: {value}")
+    for name in GENERATION_SERIES:
+        if name in series and (series[name] < 0.0).any():
+            cell, value = first(name, series[name] < 0.0)
+            raise NegativeGenerationError(f"negative value in {cell}: {value}")
+    out = {name: series[name] for name in READ_SERIES}
     for name, (a, b) in COMPOSITES.items():
-        if name not in out:
-            out[name] = out[a] + out[b]
+        out[name] = out[a] + out[b]
+        if name in series:  # a NaN on either side is a reading to fill, not a mismatch
+            off = np.abs(series[name] - out[name]) > COMPOSITE_TOL
+            if off.any():
+                raise PanelIntegrityError(f"{first(name, off)[0]} is not wind + solar")
     return out
 
 
@@ -185,6 +224,8 @@ def load_panel(path, schema=None):
     missing cells, a doubled (date, hour) row becomes a flagged duplicate
     holding the second reading; both are resolved by :func:`dst_normalize`.
     Fuel gaps (blank ``C``/``G``) are forward filled from the last quoted day.
+    Given ``RES``/``FRES`` columns go to :class:`MarketPanel`, whose value
+    rules every loaded panel meets; this function checks the file format.
     """
     colmap = dict(DEFAULT_SCHEMA)
     if schema:
@@ -202,7 +243,7 @@ def load_panel(path, schema=None):
         colmap = {**OPTIONAL_SCHEMA, **colmap}
         index = {col: i for i, col in enumerate(header)}  # a repeated name reads its last column
         given = [name for name in OPTIONAL_SCHEMA if colmap[name] in index]
-        names = (*READ_SERIES, *DAILY_SERIES, *given)
+        names = (*READ_SERIES, *given, *DAILY_SERIES)
         cols = [index[colmap[name]] for name in names]
         idate, ihour = index[colmap["date"]], index[colmap["hour"]]
         # a row's key is date ordinal * 24 + hour - 1; each distinct text is parsed once
@@ -242,33 +283,17 @@ def load_panel(path, schema=None):
     filled, first = np.unique(cells, return_index=True)
     grid = np.full((len(names), 24 * n), np.nan)
     grid[:, filled] = values[first].T
-    hourly = dict(zip(READ_SERIES, grid[:len(READ_SERIES)].reshape(-1, n, 24)))
+    # a given RES or FRES goes in too, for MarketPanel to check against its parts
+    hourly = dict(zip(names[:-len(DAILY_SERIES)], grid.reshape(-1, n, 24)))
     missing = np.flatnonzero(np.isnan(grid[:len(READ_SERIES)]).any(axis=0))
 
-    for name in ("L", "W", "S", "FL", "FW", "FS"):
-        arr = hourly[name]
-        if np.any(arr[np.isfinite(arr)] < 0.0):
-            raise NegativeGenerationError(f"negative values in generation series {name}")
-
-    hourly = _with_composites(hourly)
-    if given:
-        stated = grid[-len(given):]
-        computed = np.stack([hourly[name].ravel() for name in given])
-        bad = np.isfinite(stated) & np.isfinite(computed)
-        bad[bad] = np.abs(stated[bad] - computed[bad]) > COMPOSITE_TOL
-        if bad.any():
-            cell, j = divmod(int(np.argmax(bad.T)), len(given))
-            raise PanelIntegrityError(
-                f"{given[j]} at {dates[cell // 24]} h{cell % 24 + 1} is not wind + solar")
-
-    duplicates = {}
     later = np.ones(cells.size, dtype=bool)
     later[first] = False
-    for cell, row in zip(cells[later].tolist(), values[later, :len(READ_SERIES)].tolist()):
-        duplicates[divmod(cell, 24)] = _with_composites(dict(zip(READ_SERIES, row)))
+    duplicates = {divmod(cell, 24): dict(zip(READ_SERIES, row)) for cell, row in
+                  zip(cells[later].tolist(), values[later, :len(READ_SERIES)].tolist())}
 
     daily = {}
-    for j, name in enumerate(DAILY_SERIES, start=len(READ_SERIES)):
+    for j, name in enumerate(DAILY_SERIES, start=len(names) - len(DAILY_SERIES)):
         quoted = ~np.isnan(values[:, j])
         quote, quote_day = values[quoted, j], cells[quoted] // 24
         days, first_quote = np.unique(quote_day, return_index=True)
@@ -278,7 +303,7 @@ def load_panel(path, schema=None):
         if changed.size:
             raise PanelIntegrityError(f"{name} not constant within {dates[quote_day[changed[0]]]}")
         if math.isnan(col[0]):
-            raise GapAtBoundaryError(f"{name} missing on first panel day")
+            raise GapAtBoundaryError(f"{name} has no quote on the first panel day, {dates[0]}")
         # weekend and holiday gaps carry the last quoted closing price
         daily[name] = col[np.maximum.accumulate(np.where(np.isnan(col), 0, np.arange(n)))]
 
@@ -319,7 +344,7 @@ def write_panel(panel, path, schema=None):
 
 
 # --------------------------------------------------------------------------
-# DST repair and validation
+# DST repair
 
 
 def dst_normalize(panel):
@@ -350,37 +375,14 @@ def dst_normalize(panel):
             while after < flat.size and math.isnan(flat[after]):
                 after += 1
             if before < 0 or after >= flat.size:
-                raise GapAtBoundaryError(
-                    f"{name}: gap at flat position {pos} touches the panel boundary")
+                raise GapAtBoundaryError(f"{name} at {panel.dates[pos // 24]} h{pos % 24 + 1} "
+                                         f"is missing and touches the panel boundary")
             flat[pos] = (flat[before] + flat[after]) / 2.0
         hourly[name] = flat.reshape(panel.hourly[name].shape)
 
     daily = {name: panel.daily[name].copy() for name in DAILY_SERIES}
     return MarketPanel(dates=panel.dates, hourly=hourly, daily=daily,
                        missing_cells=frozenset(), duplicate_cells={})
-
-
-def validate_panel(panel):
-    """Run integrity checks; returns a list of problem descriptions."""
-    problems = []
-    for name, (a, b) in COMPOSITES.items():
-        err = np.max(np.abs(panel.hourly[name] - (panel.hourly[a] + panel.hourly[b])))
-        if not (np.isnan(err) or err <= COMPOSITE_TOL):
-            problems.append(f"{name} deviates from {a} + {b} by up to {err:g}")
-    for name in GENERATION_SERIES:
-        arr = panel.hourly[name]
-        if np.any(arr[np.isfinite(arr)] < 0.0):
-            problems.append(f"negative values in {name}")
-    for name in DAILY_SERIES:
-        if not np.all(np.isfinite(panel.daily[name])):
-            problems.append(f"non finite fuel series {name}")
-    flagged = panel.missing_cells
-    for name in READ_SERIES:
-        nan_cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(np.isnan(panel.hourly[name])))}
-        stray = nan_cells - set(flagged)
-        if stray:
-            problems.append(f"{name}: NaN at unflagged cells {sorted(stray)[:3]}")
-    return problems
 
 
 # --------------------------------------------------------------------------

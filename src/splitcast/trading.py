@@ -30,7 +30,6 @@ Q_GRID_DEFAULT = np.round(np.arange(101) / 100.0, 2)
 Q_GRID_DEFAULT.flags.writeable = False
 
 STRATEGIES = ("epi", "var", "sr")
-NAIVE_MODES = ("naive", "limited")
 
 
 def _per_mwh(q, w_hat, w, da, idp, c_om):

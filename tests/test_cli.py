@@ -70,7 +70,7 @@ def test_validate_clean_panel(panel_csv, capsys):
 
 
 def test_validate_rejects_corrupt_file(panel_csv, tmp_path, capsys):
-    # the loader refuses outright broken data before the problem scan runs
+    # a panel is built only from readings that meet the value rules
     lines = panel_csv.read_text().splitlines()
     cells = lines[40].split(",")
     cells[5] = "-5.0"
@@ -78,7 +78,8 @@ def test_validate_rejects_corrupt_file(panel_csv, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["validate", str(bad)]) == 2
-    assert "error: negative values" in capsys.readouterr().err
+    date = lines[40].split(",")[0]
+    assert f"error: negative value in W at {date} h16: -5.0" in capsys.readouterr().err
 
 
 def test_forecast_fan_file_shape(fan_dir, panel_csv):
@@ -388,6 +389,14 @@ def test_backtest_rejects_an_evaluation_start_off_the_panel(panel_csv, tmp_path,
                  "--eval-days", "2", "--set", "methods=point", "--no-trading",
                  "--set", "evaluation_start=1999-01-01"]) == 2
     assert "evaluation_start 1999-01-01 is not a day of the panel" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_backtest_rejects_more_evaluation_days_than_the_panel_has(panel_csv, tmp_path, capsys):
+    out = tmp_path / "bt"
+    assert main(["backtest", "--input", str(panel_csv), "--out", str(out), "--window", "100",
+                 "--eval-days", "200", "--set", "methods=point", "--no-trading"]) == 2
+    assert "evaluation_days = 200 is more than the 160 days of the panel" in _one_line_error(capsys)
     assert not out.exists()
 
 

@@ -231,10 +231,10 @@ def test_hour_blocks_equal_a_per_hour_replay(data_small, monkeypatch):
 
 def _near_copy_of_neighbour_forecast(panel, hour, rng):
     """The panel with FW at ``hour - 1`` a near copy of FW at ``hour``, so the
-    W design of ``hour`` has two nearly collinear columns."""
+    W design of ``hour`` has two nearly collinear columns.  FRES follows FW."""
     fw = panel.hourly["FW"].copy()
     fw[:, hour - 2] = fw[:, hour - 1] * (1.0 + 1e-9 * rng.standard_normal(fw.shape[0]))
-    return dataclasses.replace(panel, hourly=dict(panel.hourly, FW=fw))
+    return dataclasses.replace(panel, hourly=dict(panel.hourly, FW=fw, FRES=fw + panel.hourly["FS"]))
 
 
 def test_near_collinear_design_counts_fallbacks(panel_small):

@@ -1,6 +1,11 @@
 """Panel IO, DST repair, derived series and the synthetic generator."""
 
 import datetime as dt
+import io
+import math
+import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -15,16 +20,21 @@ from splitcast.errors import (
     PanelIntegrityError,
     UnparseableTimestampError,
 )
+from splitcast.cli import main
 from splitcast.features import MarketData
 from splitcast.panel import (
+    COMPOSITES,
+    DAILY_SERIES,
+    DEFAULT_SCHEMA,
     FORECAST_TIME_HOUR,
     HOURLY_SERIES,
     READ_SERIES,
+    OPTIONAL_SCHEMA,
+    MarketPanel,
     SyntheticConfig,
     dst_normalize,
     generate_synthetic_panel,
     load_panel,
-    validate_panel,
     write_panel,
 )
 
@@ -325,21 +335,116 @@ def test_loader_places_mutated_rows(panel_file, tmp_path_factory, data):
         np.testing.assert_array_equal(panel.daily[name], want)
 
 
-def test_validate_panel_clean(panel_small):
-    assert validate_panel(panel_small) == []
+# defect kind -> the series it may hit
+DEFECTS = {
+    "inf": READ_SERIES,
+    "negative": ("L", "W", "S", "FL", "FW", "FS"),
+    "inf fuel": DAILY_SERIES,
+    "res off": tuple(COMPOSITES),
+    "blank end": READ_SERIES,
+}
 
 
-def test_validate_panel_reports_problems(panel_small):
-    bad = {name: panel_small.hourly[name].copy() for name in HOURLY_SERIES}
-    bad["RES"] = bad["RES"] + 1.0
-    bad["W"][3, 3] = -2.0
-    from splitcast.panel import MarketPanel
+def _with_defect(lines, kind, name, cell, doubled, delta):
+    """A written panel's ``lines`` with one defect of ``kind`` in series
+    ``name``: at data row ``cell`` or in a doubled copy of it, or for a fuel
+    on every row of that day.  ``delta`` signs the infinity, sizes the
+    negative reading and shifts the composite."""
+    col = lines[0].split(",").index({**DEFAULT_SCHEMA, **OPTIONAL_SCHEMA}[name])
+    header, rows = lines[0], lines[1:]
+    text = {"inf": repr(math.copysign(math.inf, delta)), "negative": repr(-abs(delta)),
+            "inf fuel": repr(math.copysign(math.inf, delta)), "blank end": "",
+            "res off": repr(float(rows[cell].split(",")[col]) + delta)}[kind]
+    if kind == "inf fuel":
+        return [header, *(_with_field(row, col, text) if i // 24 == cell // 24 else row
+                          for i, row in enumerate(rows))]
+    bad = _with_field(rows[cell], col, text)
+    return [header, *rows[:cell], *([rows[cell], bad] if doubled else [bad]), *rows[cell + 1:]]
 
-    panel = MarketPanel(dates=panel_small.dates, hourly=bad,
-                        daily={k: v.copy() for k, v in panel_small.daily.items()})
-    problems = validate_panel(panel)
-    assert any("RES" in p for p in problems)
-    assert any("negative" in p for p in problems)
+
+def _run_quietly(argv):
+    """``main(argv)``'s exit status and stderr, with every warning an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_named(code, err, source, kind, name, cell):
+    """Exit status 2 and one ``error:`` line naming the series, date and hour."""
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    date = source.dates[cell // 24]
+    where = f"{name} on {date}" if kind == "inf fuel" else f"{name} at {date} h{cell % 24 + 1}"
+    assert re.search(rf"\b{where}\b", err), err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_names_each_injected_defect(panel_file, tmp_path_factory, data):
+    """A ±inf reading, an inf fuel quote, a negative generation reading (first
+    or doubled), a composite off its parts, or a blank first or last cell:
+    ``validate`` exits 2 with one line naming the series, date and hour."""
+    source, lines = panel_file
+    n_cells = 24 * source.n_days
+    kind = data.draw(st.sampled_from(sorted(DEFECTS)))
+    name = data.draw(st.sampled_from(DEFECTS[kind]))
+    ends = st.sampled_from([0, n_cells - 1])
+    cell = data.draw(ends if kind == "blank end" else st.integers(0, n_cells - 1))
+    doubled = kind in ("inf", "negative") and data.draw(st.booleans())
+    delta = data.draw(st.floats(1e-3, 100.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
+    path = tmp_path_factory.mktemp("defect") / "panel.csv"
+    path.write_text("\n".join(_with_defect(lines, kind, name, cell, doubled, delta)) + "\n")
+    _assert_named(*_run_quietly(["validate", str(path)]), source, kind, name, cell)
+
+
+@pytest.mark.parametrize("kind, name, cell, doubled, delta", [
+    ("inf", "L", 30, False, -1.0),
+    ("inf fuel", "C", 50, False, 1.0),
+    ("negative", "W", 40, True, 40.0),
+    ("res off", "FRES", 100, False, 0.5),
+    ("blank end", "DA", 0, False, 1.0),
+])
+def test_backtest_names_each_injected_defect(panel_file, tmp_path, kind, name, cell, doubled,
+                                             delta):
+    """The backtest stops on each kind of defect as ``validate`` does."""
+    source, lines = panel_file
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(_with_defect(lines, kind, name, cell, doubled, delta)) + "\n")
+    argv = ["backtest", "--input", str(path), "--out", str(tmp_path / "bt"), "--window", "100",
+            "--eval-days", "1", "--set", "methods=point", "--no-trading"]
+    _assert_named(*_run_quietly(argv), source, kind, name, cell)
+    assert _run_quietly(["validate", str(path)])[1] == _run_quietly(argv)[1]
+    assert not (tmp_path / "bt").exists()
+
+
+def test_panel_construction_enforces_the_value_rules(panel_small):
+    """However a panel is built, a broken reading raises naming its series,
+    date and hour; NaN is a reading only at a flagged missing cell."""
+    day3 = panel_small.dates[3]
+
+    def build(name, value, missing=frozenset(), daily=None):
+        hourly = {s: panel_small.hourly[s].copy() for s in HOURLY_SERIES}
+        hourly[name][3, 3] = value
+        return MarketPanel(dates=panel_small.dates, hourly=hourly, missing_cells=missing,
+                           daily=daily or {k: v.copy() for k, v in panel_small.daily.items()})
+
+    with pytest.raises(PanelIntegrityError, match=f"^RES at {day3} h4 is not wind [+] solar$"):
+        build("RES", panel_small.hourly["RES"][3, 3] + 1.0)
+    with pytest.raises(NegativeGenerationError, match=f"^negative value in W at {day3} h4: -2.0$"):
+        build("W", -2.0)
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(PanelIntegrityError, match=f"^non finite value in DA at {day3} h4"):
+            build("DA", value)
+    with pytest.raises(PanelIntegrityError, match=f"^non finite value in DA at {day3} h4"):
+        build("DA", np.inf, missing=frozenset({(3, 3)}))
+    assert np.isnan(build("DA", np.nan, missing=frozenset({(3, 3)})).hourly["DA"][3, 3])
+    fuel = {k: v.copy() for k, v in panel_small.daily.items()}
+    fuel["G"][5] = np.inf
+    with pytest.raises(PanelIntegrityError,
+                       match=f"^non finite value in G on {panel_small.dates[5]}: inf$"):
+        build("DA", 1.0, daily=fuel)
 
 
 def test_derive_series_exact(panel_small):
@@ -381,7 +486,6 @@ def test_synthetic_deterministic():
     c = generate_synthetic_panel(cfg, seed=10)
     np.testing.assert_array_equal(a.hourly["DA"], b.hourly["DA"])
     assert not np.array_equal(a.hourly["DA"], c.hourly["DA"])
-    assert validate_panel(a) == []
 
 
 def test_synthetic_invalid_dgp():

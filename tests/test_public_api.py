@@ -47,6 +47,8 @@ PRUNED = (
     "method_labels", "ensemble_method_labels",
     # scores and trading: pinball and the per MWh profit are each written once
     "crps_fan_batch", "profit_per_mwh",
+    # panel and trading: MarketPanel holds the value rules; no code read the naive modes
+    "validate_panel", "NAIVE_MODES",
 )
 
 
