@@ -24,12 +24,17 @@ the given ``src`` with one BLAS thread and no ``SPLITCAST_CONFIG``:
 * ``forecast_day`` at the default configuration on the last two days.
 
 It then prints one ``sha256  path`` line per file, paths relative to the
-output directory.  Other console output is not digested.  The last line,
-``sha256  forecast_day.float64``, digests the raw float64 bytes of the two
-``forecast_day`` results, which the 6 digit report files do not pin down:
-per day the point forecasts, the fans, the interval bounds and every
-ensemble's members, each table in sorted key order.  One run takes about
-40 s on a 2 vCPU host.
+output directory, 32 lines in all.  Other console output is not digested.
+The line ``sha256  forecast_day.float64`` digests the raw float64 bytes of
+the two ``forecast_day`` results, which the 6 digit report files do not pin
+down: per day the point forecasts, the fans, the interval bounds and every
+ensemble's members, each table in sorted key order.  The last line,
+``sha256  clock_change.float64``, covers the loader's repair of clock-change
+cells.  It digests a copy of the panel with a doubled hour whose second
+readings differ, a dropped row and one blank reading in each read series,
+every gap isolated: the ``validate`` stdout of that copy, then the raw
+float64 bytes of the loaded panel's hourly and daily series in sorted key
+order.  One run takes about 40 s on a 2 vCPU host.
 """
 
 import argparse
@@ -60,6 +65,42 @@ for day_idx in (data.n_days - 2, data.n_days - 1):
 print(digest.hexdigest())
 """
 
+# the panel copy with clock-change cells; read series i is blank at day
+# 200 + 7 i, hour 12, well apart from the other gaps
+CLOCK_CHANGE_DIGEST = """
+import contextlib, hashlib, io, os, tempfile
+import numpy as np
+from splitcast import MarketData, load_panel
+from splitcast.cli import main
+from splitcast.panel import DEFAULT_SCHEMA, READ_SERIES
+
+with open("panel.csv") as fh:
+    header, *rows = fh.read().splitlines()
+col = {name: i for i, name in enumerate(header.split(","))}
+cells = [row.split(",") for row in rows]
+for i, name in enumerate(READ_SERIES):
+    cells[24 * (200 + 7 * i) + 11][col[DEFAULT_SCHEMA[name]]] = ""
+spring, autumn = 24 * 88 + 2, 24 * 298 + 2  # 2020-03-29 h3, 2020-10-25 h3
+second = list(cells[autumn])
+second[col["da"]] = repr(float(second[col["da"]]) + 5.0)
+second[col["wind"]] = repr(float(second[col["wind"]]) + 1.0)
+second[col["res"]] = repr(float(second[col["wind"]]) + float(second[col["solar"]]))
+cells = cells[:spring] + cells[spring + 1:autumn + 1] + [second] + cells[autumn + 1:]
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "panel.csv")
+    with open(path, "w") as fh:
+        fh.write("\\n".join([header, *(",".join(row) for row in cells)]) + "\\n")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["validate", path]) == 0
+    panel = MarketData.from_panel(load_panel(path)).panel
+digest = hashlib.sha256(stdout.getvalue().encode())
+for table in (panel.hourly, panel.daily):
+    for key in sorted(table):
+        digest.update(np.ascontiguousarray(table[key], dtype=np.float64).tobytes())
+print(digest.hexdigest())
+"""
+
 
 def digest_lines(src, out):
     """The ``sha256  path`` lines of the runs of ``src`` into ``out``."""
@@ -87,8 +128,12 @@ def digest_lines(src, out):
     cli("evaluate", "--fans", os.path.join("forecast_ms", "fans.csv"), "--input", "panel.csv",
         "--out", "evaluate_ms")
     cli("report", "--backtest-dir", "backtest_default", "--out", "report")
-    raw = subprocess.run([sys.executable, "-c", RAW_DIGEST], cwd=out, env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout.strip()
+
+    def child(script):
+        return subprocess.run([sys.executable, "-c", script], cwd=out, env=env, check=True,
+                              stdout=subprocess.PIPE, text=True).stdout.strip()
+
+    raw, clock_change = child(RAW_DIGEST), child(CLOCK_CHANGE_DIGEST)
 
     lines = []
     for root, dirs, files in os.walk(out):
@@ -99,6 +144,7 @@ def digest_lines(src, out):
                 digest = hashlib.sha256(fh.read()).hexdigest()
             lines.append(f"{digest}  {os.path.relpath(path, out)}")
     lines.append(f"{raw}  forecast_day.float64")
+    lines.append(f"{clock_change}  clock_change.float64")
     return lines
 
 

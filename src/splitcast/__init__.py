@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _MODULE_OF = {
-    **dict.fromkeys(("MarketPanel", "SyntheticConfig", "dst_normalize",
-                     "generate_synthetic_panel", "load_panel", "write_panel"), "panel"),
+    **dict.fromkeys(("MarketPanel", "SyntheticConfig", "generate_synthetic_panel",
+                     "load_panel", "write_panel"), "panel"),
     **dict.fromkeys(("KINDS", "MarketData", "ModelSpec", "design_rows", "row_length",
                      "targets"), "features"),
     "ols_fit": "models",

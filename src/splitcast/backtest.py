@@ -524,9 +524,7 @@ def corrupt_after_cutoff(panel, day_idx, garbage=9.9e9):
         series[day_idx + 1 if name in FORECASTS else day_idx:] = garbage
     for series in daily.values():
         series[day_idx:] = garbage
-    return MarketPanel(dates=panel.dates, hourly=hourly, daily=daily,
-                       missing_cells=panel.missing_cells,
-                       duplicate_cells=dict(panel.duplicate_cells))
+    return MarketPanel(dates=panel.dates, hourly=hourly, daily=daily)
 
 
 def leakage_check(panel, cfg, target_date):

@@ -64,12 +64,12 @@ def _panel_day(panel, text, source):
 
 
 def _cmd_validate(args):
-    from .panel import dst_normalize, load_panel
+    from .panel import _read_panel
 
-    panel = load_panel(args.input, _schema(args))
-    dst_normalize(panel)  # as the backtest does: a gap it cannot fill is an error
+    # the backtest's loader, with the counts of the clock-change cells it resolved
+    panel, n_missing, n_duplicated = _read_panel(args.input, _schema(args))
     print(f"{panel.n_days} days, {panel.dates[0]} .. {panel.dates[-1]}")
-    print(f"missing cells: {len(panel.missing_cells)}, duplicated cells: {len(panel.duplicate_cells)}")
+    print(f"missing cells: {n_missing}, duplicated cells: {n_duplicated}")
     print("ok")
     return 0
 

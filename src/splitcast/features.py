@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientHistoryError, PanelIntegrityError
-from .panel import DERIVED, FORECAST_TIME_HOUR, HOURLY_SERIES, STAND_INS, dst_normalize
+from .panel import DERIVED, FORECAST_TIME_HOUR, HOURLY_SERIES, STAND_INS
 
 DOW_LABELS = ("dow_mon", "dow_tue", "dow_wed", "dow_thu", "dow_fri", "dow_sat", "dow_sun")
 _HOURLY = (*HOURLY_SERIES, *DERIVED)
@@ -87,7 +87,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class MarketData:
-    """Normalized panel bundled with everything the regressors read:
+    """A panel bundled with everything the regressors read:
     ``hourly`` holds every realized (days, 24) series, derived ones included,
     ``starred`` every starred series and ``daily`` every (days,) series."""
 
@@ -99,7 +99,6 @@ class MarketData:
 
     @classmethod
     def from_panel(cls, panel):
-        panel = dst_normalize(panel)
         hourly = dict(panel.hourly)
         for name, (a, b) in DERIVED.items():
             hourly[name] = hourly[a] - hourly[b]

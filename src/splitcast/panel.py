@@ -1,4 +1,4 @@
-"""Hourly market data panel: its value rules, loading, DST repair, the series tables.
+"""Hourly market data panel: its value rules, loading and writing, the series tables.
 
 The panel is a dense grid of consecutive calendar days times 24 delivery
 hours.  Hour ``h`` in 1..24 is stored in column ``h - 1``.  Hourly series:
@@ -85,25 +85,19 @@ OPTIONAL_SCHEMA = {"RES": "res", "FRES": "res_fc"}
 class MarketPanel:
     """Immutable market data grid.
 
-    ``missing_cells`` holds ``(day_index, hour_index)`` pairs (0 based hour
-    index) where at least one hourly series is NaN, e.g. a spring forward
-    DST gap.  ``duplicate_cells`` maps such pairs to the second reading of a
-    fall back duplicated hour.  A normalized panel has neither.
-
     Every panel meets the value rules, however it is built: each hourly
-    series is finite but for NaN at a missing cell or in a second reading,
-    the ``GENERATION_SERIES`` are non-negative, the daily series are finite,
-    and each composite is stored as the sum of its parts, which a given one
-    must match within ``COMPOSITE_TOL``.  A violation raises
-    :class:`NegativeGenerationError` or :class:`PanelIntegrityError` naming
-    the series, date and hour.
+    series is finite, the ``GENERATION_SERIES`` are non-negative, the daily
+    series are finite, and each composite is stored as the sum of its parts,
+    which a given one must match within ``COMPOSITE_TOL``.  A violation
+    raises :class:`NegativeGenerationError` or :class:`PanelIntegrityError`
+    naming the series, date and hour.  A panel holds one value per cell:
+    :func:`load_panel` resolves a file's clock-change cells before it builds
+    one.
     """
 
     dates: tuple
     hourly: dict
     daily: dict
-    missing_cells: frozenset = field(default_factory=frozenset)
-    duplicate_cells: dict = field(default_factory=dict)
 
     def __post_init__(self):
         dates, n = self.dates, len(self.dates)
@@ -123,27 +117,14 @@ class MarketPanel:
                 raise PanelIntegrityError(f"non finite value in {name} on {dates[day]}: {arr[day]}")
             arr.flags.writeable = False
 
-        nan_ok = np.zeros((n, 24), dtype=bool)
-        nan_ok.flat[[24 * day + hour for day, hour in self.missing_cells]] = True
-        hourly = _checked(self.hourly, nan_ok, lambda i: f"{dates[i // 24]} h{i % 24 + 1}")
+        hourly = _checked(self.hourly, False, lambda i: f"{dates[i // 24]} h{i % 24 + 1}")
         for arr in hourly.values():
             arr.flags.writeable = False
         object.__setattr__(self, "hourly", hourly)
 
-        cells = list(self.duplicate_cells)
-        second = _checked({name: np.array([self.duplicate_cells[c][name] for c in cells])
-                           for name in READ_SERIES}, True,
-                          lambda i: f"{dates[cells[i][0]]} h{cells[i][1] + 1} (second reading)")
-        object.__setattr__(self, "duplicate_cells", {
-            c: {name: float(arr[i]) for name, arr in second.items()} for i, c in enumerate(cells)})
-
     @property
     def n_days(self):
         return len(self.dates)
-
-    @property
-    def is_normalized(self):
-        return not self.missing_cells and not self.duplicate_cells
 
     def day_index(self, date):
         idx = (date - self.dates[0]).days
@@ -158,8 +139,9 @@ class MarketPanel:
 
 def _checked(series, nan_ok, where):
     """The read series of ``series`` and each composite as the sum of its
-    parts, once all meet the value rules of :class:`MarketPanel`.  ``nan_ok``
-    marks the readings that may be NaN, ``where(i)`` names flat cell ``i``."""
+    parts, once all meet the value rules of :class:`MarketPanel`.  NaN, a
+    blank reading, passes only if ``nan_ok``; ``where(i)`` names flat cell
+    ``i``."""
     def first(name, bad):
         i = int(np.argmax(bad))
         return f"{name} at {where(i)}", series[name].flat[i]
@@ -214,19 +196,35 @@ def _parse_value(text, where):
         raise PanelIntegrityError(f"bad numeric value {text!r} for {where}") from exc
 
 
+def _last_observed(gaps):
+    """Along the last axis of ``gaps``, the index of the nearest position at
+    or before each one that is not a gap, -1 where there is none."""
+    return np.maximum.accumulate(np.where(gaps, -1, np.arange(gaps.shape[-1])), axis=-1)
+
+
 def load_panel(path, schema=None):
-    """Read a CSV file with one row per (date, hour) into a raw panel.
+    """Read a CSV file with one row per (date, hour) into a :class:`MarketPanel`.
 
     ``schema`` optionally remaps canonical field names (``date``, ``hour``,
     ``DA``, ``ID``, ``L``, ``W``, ``S``, ``FL``, ``FW``, ``FS``, ``C``,
     ``G``, ``RES``, ``FRES``) to the column names used in the file.  Fields
-    absent from a short row read as blank.  Missing rows become flagged
-    missing cells, a doubled (date, hour) row becomes a flagged duplicate
-    holding the second reading; both are resolved by :func:`dst_normalize`.
-    Fuel gaps (blank ``C``/``G``) are forward filled from the last quoted day.
-    Given ``RES``/``FRES`` columns go to :class:`MarketPanel`, whose value
-    rules every loaded panel meets; this function checks the file format.
+    absent from a short row read as blank.  Clock-change cells are resolved
+    as the file is read: every reading is first checked against the value
+    rules of :class:`MarketPanel`, a doubled (date, hour) row's own
+    ``RES``/``FRES`` included; a doubled cell then becomes the mean of its
+    two readings, and a gap (an absent row, or a blank reading in either
+    copy of a cell) the mean of the nearest observed values of the same
+    series before and after it.  A gap at either end of the panel raises
+    :class:`GapAtBoundaryError`.  Fuel gaps (blank ``C``/``G``) are forward
+    filled from the last quoted day.  RES and FRES are the sums of the
+    repaired parts.
     """
+    return _read_panel(path, schema)[0]
+
+
+def _read_panel(path, schema):
+    """:func:`load_panel`'s panel, the number of cells with a blank or
+    absent first reading and the number of doubled cells."""
     colmap = dict(DEFAULT_SCHEMA)
     if schema:
         unknown = set(schema) - set(DEFAULT_SCHEMA) - set(OPTIONAL_SCHEMA)
@@ -271,29 +269,46 @@ def load_panel(path, schema=None):
     n = int(cells.max()) // 24 + 1
     absent = np.flatnonzero(np.bincount(cells // 24) == 0)
     if absent.size:
-        days = [dt.date.fromordinal(start + int(i)) for i in absent[:3]]
-        raise PanelIntegrityError(f"whole days absent from file: {days} ...")
+        first_absent = dt.date.fromordinal(start + int(absent[0]))
+        raise PanelIntegrityError(f"{absent.size} whole day{'s' * (absent.size > 1)} absent "
+                                  f"from file, first {first_absent.isoformat()}")
     dates = tuple(dt.date.fromordinal(start + i) for i in range(n))
     count = np.bincount(cells)
     if count.max() > 2:
         day, hour = divmod(int(np.argmax(count > 2)), 24)
         raise NonHourlyResolutionError(f"cell {dates[day]} h{hour + 1} appears more than twice")
 
-    # the first reading of each cell fills the grid; any later row is its duplicate
+    # the first reading of each cell fills the grid; any later row is its second reading
     filled, first = np.unique(cells, return_index=True)
-    grid = np.full((len(names), 24 * n), np.nan)
-    grid[:, filled] = values[first].T
-    # a given RES or FRES goes in too, for MarketPanel to check against its parts
-    hourly = dict(zip(names[:-len(DAILY_SERIES)], grid.reshape(-1, n, 24)))
-    missing = np.flatnonzero(np.isnan(grid[:len(READ_SERIES)]).any(axis=0))
-
+    n_hourly = len(names) - len(DAILY_SERIES)
+    grid = np.full((n_hourly, 24 * n), np.nan)
+    grid[:, filled] = values[first, :n_hourly].T
     later = np.ones(cells.size, dtype=bool)
     later[first] = False
-    duplicates = {divmod(cell, 24): dict(zip(READ_SERIES, row)) for cell, row in
-                  zip(cells[later].tolist(), values[later, :len(READ_SERIES)].tolist())}
+    doubled, second = cells[later], values[later, :n_hourly].T
+    # every reading meets the value rules before any is averaged or copied into a gap
+    _checked(dict(zip(names, grid.reshape(n_hourly, n, 24))), True,
+             lambda i: f"{dates[i // 24]} h{i % 24 + 1}")
+    _checked(dict(zip(names, second)), True,
+             lambda i: f"{dates[doubled[i] // 24]} h{doubled[i] % 24 + 1} (second reading)")
+
+    read = grid[:len(READ_SERIES)]
+    n_missing = int(np.isnan(read).any(axis=0).sum())
+    read[:, doubled] = (read[:, doubled] + second[:len(READ_SERIES)]) / 2.0
+    gaps = np.isnan(read)
+    if gaps.any():
+        before = _last_observed(gaps)
+        after = 24 * n - 1 - _last_observed(gaps[:, ::-1])[:, ::-1]
+        edge = gaps & ((before < 0) | (after == 24 * n))
+        if edge.any():
+            j, pos = divmod(int(np.argmax(edge)), 24 * n)
+            raise GapAtBoundaryError(f"{READ_SERIES[j]} at {dates[pos // 24]} h{pos % 24 + 1} "
+                                     f"is missing and touches the panel boundary")
+        j, pos = np.nonzero(gaps)
+        read[j, pos] = (read[j, before[j, pos]] + read[j, after[j, pos]]) / 2.0
 
     daily = {}
-    for j, name in enumerate(DAILY_SERIES, start=len(names) - len(DAILY_SERIES)):
+    for j, name in enumerate(DAILY_SERIES, start=n_hourly):
         quoted = ~np.isnan(values[:, j])
         quote, quote_day = values[quoted, j], cells[quoted] // 24
         days, first_quote = np.unique(quote_day, return_index=True)
@@ -305,84 +320,28 @@ def load_panel(path, schema=None):
         if math.isnan(col[0]):
             raise GapAtBoundaryError(f"{name} has no quote on the first panel day, {dates[0]}")
         # weekend and holiday gaps carry the last quoted closing price
-        daily[name] = col[np.maximum.accumulate(np.where(np.isnan(col), 0, np.arange(n)))]
+        daily[name] = col[_last_observed(np.isnan(col))]
 
-    return MarketPanel(dates=dates, hourly=hourly, daily=daily,
-                       missing_cells=frozenset(divmod(c, 24) for c in missing.tolist()),
-                       duplicate_cells=duplicates)
+    hourly = dict(zip(READ_SERIES, read.reshape(len(READ_SERIES), n, 24)))
+    return MarketPanel(dates=dates, hourly=hourly, daily=daily), n_missing, int(doubled.size)
 
 
 def write_panel(panel, path, schema=None):
-    """Write a panel to CSV so that :func:`load_panel` reproduces it exactly.
-
-    Duplicated DST cells are written as doubled rows, missing cells as rows
-    with blank values.  Floats are written with shortest round trip
-    precision.
-    """
+    """Write a panel to CSV, one row per (date, hour) with its given RES and
+    FRES columns, so that :func:`load_panel` reproduces it exactly.  Floats
+    are written with shortest round trip precision."""
     colmap = {**DEFAULT_SCHEMA, **OPTIONAL_SCHEMA, **(schema or {})}
-
-    def fmt(value):
-        return "" if math.isnan(value) else repr(float(value))
-
     header = [colmap[f] for f in ("date", "hour", *READ_SERIES, *DAILY_SERIES, *COMPOSITES)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for di, date in enumerate(panel.dates):
             for hi in range(24):
-                base = [date.isoformat(), str(hi + 1)]
-                row = base + [fmt(panel.hourly[name][di, hi]) for name in READ_SERIES]
-                row += [fmt(panel.daily["C"][di]), fmt(panel.daily["G"][di])]
-                row += [fmt(panel.hourly[name][di, hi]) for name in COMPOSITES]
+                row = [date.isoformat(), str(hi + 1)]
+                row += [repr(float(panel.hourly[name][di, hi])) for name in READ_SERIES]
+                row += [repr(float(panel.daily[name][di])) for name in DAILY_SERIES]
+                row += [repr(float(panel.hourly[name][di, hi])) for name in COMPOSITES]
                 writer.writerow(row)
-                if (di, hi) in panel.duplicate_cells:
-                    extra = panel.duplicate_cells[(di, hi)]
-                    row2 = base + [fmt(extra[name]) for name in READ_SERIES]
-                    row2 += [fmt(panel.daily["C"][di]), fmt(panel.daily["G"][di])]
-                    row2 += [fmt(extra[name]) for name in COMPOSITES]
-                    writer.writerow(row2)
-
-
-# --------------------------------------------------------------------------
-# DST repair
-
-
-def dst_normalize(panel):
-    """Resolve DST artifacts: average duplicated hours, fill missing cells.
-
-    A duplicated cell becomes the arithmetic mean of its two readings.  A
-    missing cell becomes the mean of the temporally nearest preceding and
-    following observed values of the same series.  Idempotent; raises
-    :class:`GapAtBoundaryError` when a gap touches the panel boundary.
-    """
-    if panel.is_normalized:
-        return panel
-
-    hourly = {name: panel.hourly[name].copy() for name in READ_SERIES}
-    for (di, hi), extra in panel.duplicate_cells.items():
-        for name in hourly:
-            first = hourly[name][di, hi]
-            hourly[name][di, hi] = (first + extra[name]) / 2.0
-
-    for name in hourly:
-        flat = hourly[name].reshape(-1)
-        gaps = np.flatnonzero(np.isnan(flat))
-        for pos in gaps:
-            before = pos - 1
-            while before >= 0 and math.isnan(flat[before]):
-                before -= 1
-            after = pos + 1
-            while after < flat.size and math.isnan(flat[after]):
-                after += 1
-            if before < 0 or after >= flat.size:
-                raise GapAtBoundaryError(f"{name} at {panel.dates[pos // 24]} h{pos % 24 + 1} "
-                                         f"is missing and touches the panel boundary")
-            flat[pos] = (flat[before] + flat[after]) / 2.0
-        hourly[name] = flat.reshape(panel.hourly[name].shape)
-
-    daily = {name: panel.daily[name].copy() for name in DAILY_SERIES}
-    return MarketPanel(dates=panel.dates, hourly=hourly, daily=daily,
-                       missing_cells=frozenset(), duplicate_cells={})
 
 
 # --------------------------------------------------------------------------
@@ -436,7 +395,7 @@ def _diurnal_mean(cfg, name):
 
 
 def generate_synthetic_panel(cfg, seed):
-    """Generate a normalized panel from a :class:`SyntheticConfig`.
+    """Generate a panel from a :class:`SyntheticConfig`.
 
     The same seed always yields bit identical output.  Raises
     :class:`InvalidDGPError` for explosive AR coefficients or a non

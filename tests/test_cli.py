@@ -48,7 +48,10 @@ def fan_dir(panel_csv, tmp_path_factory):
 def test_synth_writes_loadable_panel(panel_csv):
     panel = load_panel(str(panel_csv))
     assert panel.n_days == 160
-    assert not panel.missing_cells
+    # one row per cell and no blank reading: nothing for the loader to resolve
+    rows = panel_csv.read_text().splitlines()[1:]
+    assert len(rows) == 24 * 160
+    assert all("" not in row.split(",") for row in rows)
 
 
 def test_synth_generator_overrides(tmp_path, capsys):

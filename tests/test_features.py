@@ -163,6 +163,6 @@ def test_model_spec_validation():
 
 def test_from_panel_normalizes(panel_small):
     data = MarketData.from_panel(panel_small)
-    assert data.panel is panel_small  # already normalized, no copy
+    assert data.panel is panel_small  # the panel it is given, no copy
     np.testing.assert_array_equal(data.daily["FL_ave"], panel_small.hourly["FL"].mean(axis=1))
     np.testing.assert_array_equal(data.daily["DA_max"], panel_small.hourly["DA"].max(axis=1))

@@ -1,4 +1,4 @@
-"""Panel IO, DST repair, derived series and the synthetic generator."""
+"""Panel IO, clock-change repair, derived series and the synthetic generator."""
 
 import datetime as dt
 import io
@@ -32,7 +32,6 @@ from splitcast.panel import (
     OPTIONAL_SCHEMA,
     MarketPanel,
     SyntheticConfig,
-    dst_normalize,
     generate_synthetic_panel,
     load_panel,
     write_panel,
@@ -64,7 +63,6 @@ def test_write_load_round_trip(tmp_path, panel_small):
     write_panel(panel_small, path)
     back = load_panel(path)
     assert back.dates == panel_small.dates
-    assert back.is_normalized
     for name in HOURLY_SERIES:
         np.testing.assert_array_equal(back.hourly[name], panel_small.hourly[name])
     for name in ("C", "G"):
@@ -109,14 +107,11 @@ def test_duplicate_cell_averages(tmp_path):
         return lines[:idx + 1] + [",".join(parts)] + lines[idx + 1:]
 
     panel = load_panel(_tiny_csv(tmp_path / "t.csv", mutate=dup))
-    assert (1, 1) in panel.duplicate_cells
-    assert not panel.is_normalized
-    first = panel.hourly["DA"][1, 1]
-    fixed = dst_normalize(panel)
-    assert fixed.is_normalized
-    assert fixed.hourly["DA"][1, 1] == first + 1.0
+    first = 30 + 1 + 2 / 100.0
+    assert panel.hourly["DA"][1, 1] == (first + (first + 2.0)) / 2.0
     # other series were doubled with identical readings, mean is a no op
-    assert fixed.hourly["L"][1, 1] == panel.hourly["L"][1, 1]
+    assert panel.hourly["L"][1, 1] == 60 + 1 + 2 / 100.0
+    np.testing.assert_array_equal(panel.hourly["RES"], panel.hourly["W"] + panel.hourly["S"])
 
 
 def test_missing_cell_interpolates(tmp_path):
@@ -126,14 +121,11 @@ def test_missing_cell_interpolates(tmp_path):
         return lines[:idx] + [",".join(parts[:2] + [""] * 8 + parts[10:])] + lines[idx + 1:]
 
     panel = load_panel(_tiny_csv(tmp_path / "t.csv", mutate=blank))
-    assert (1, 6) in panel.missing_cells
-    fixed = dst_normalize(panel)
-    assert fixed.is_normalized
     for name in ("DA", "L", "W"):
         expected = (panel.hourly[name][1, 5] + panel.hourly[name][1, 7]) / 2.0
-        assert fixed.hourly[name][1, 6] == expected
+        assert panel.hourly[name][1, 6] == expected
     # composites are recomputed from the repaired parts
-    np.testing.assert_array_equal(fixed.hourly["RES"], fixed.hourly["W"] + fixed.hourly["S"])
+    np.testing.assert_array_equal(panel.hourly["RES"], panel.hourly["W"] + panel.hourly["S"])
 
 
 def test_gap_at_boundary(tmp_path):
@@ -141,13 +133,13 @@ def test_gap_at_boundary(tmp_path):
         parts = lines[1].split(",")
         return lines[:1] + [",".join(parts[:2] + [""] * 8 + parts[10:])] + lines[2:]
 
-    panel = load_panel(_tiny_csv(tmp_path / "t.csv", mutate=blank_first))
-    with pytest.raises(GapAtBoundaryError):
-        dst_normalize(panel)
-
-
-def test_dst_normalize_idempotent(panel_small):
-    assert dst_normalize(panel_small) is panel_small
+    with pytest.raises(GapAtBoundaryError,
+                       match="^DA at 2021-03-01 h1 is missing and touches the panel boundary$"):
+        load_panel(_tiny_csv(tmp_path / "t.csv", mutate=blank_first))
+    # the last two rows dropped: a gap run that reaches the end of the last day
+    with pytest.raises(GapAtBoundaryError,
+                       match="^DA at 2021-03-09 h23 is missing and touches the panel boundary$"):
+        load_panel(_tiny_csv(tmp_path / "t.csv", mutate=lambda ls: ls[:-2]))
 
 
 def test_cell_tripled_rejected(tmp_path):
@@ -159,7 +151,13 @@ def test_cell_tripled_rejected(tmp_path):
 def test_whole_day_absent_rejected(tmp_path):
     path = _tiny_csv(tmp_path / "t.csv",
                      mutate=lambda ls: ls[:1 + 24] + ls[1 + 48:])
-    with pytest.raises(PanelIntegrityError, match="whole days absent"):
+    with pytest.raises(PanelIntegrityError,
+                       match="^1 whole day absent from file, first 2021-03-02$"):
+        load_panel(path)
+    path = _tiny_csv(tmp_path / "t.csv",
+                     mutate=lambda ls: ls[:1 + 24] + ls[1 + 48:1 + 72] + ls[1 + 96:])
+    with pytest.raises(PanelIntegrityError,
+                       match="^2 whole days absent from file, first 2021-03-02$"):
         load_panel(path)
 
 
@@ -240,7 +238,7 @@ def _with_field(line, i, text):
 
 def test_short_rows_read_blank(tmp_path):
     """Fields absent from a short row read as blank: an absent hour or date
-    is an unparseable timestamp, absent readings make a missing cell."""
+    is an unparseable timestamp, absent readings are filled."""
     with pytest.raises(UnparseableTimestampError, match="bad hour ''"):
         load_panel(_tiny_csv(tmp_path / "t.csv",
                              mutate=lambda ls: ls[:1] + ["2021-03-01"] + ls[2:]))
@@ -256,9 +254,8 @@ def test_short_rows_read_blank(tmp_path):
     cut = ",".join(lines[30].split(",")[:3])  # day 2, 06:00, up to its DA reading
     path = _tiny_csv(tmp_path / "t3.csv", mutate=lambda ls: ls[:30] + [cut] + ls[31:])
     panel = load_panel(path)
-    assert panel.missing_cells == {(1, 5)}
     assert panel.hourly["DA"][1, 5] == float(cut.split(",")[2])
-    assert np.isnan(panel.hourly["ID"][1, 5])
+    assert panel.hourly["ID"][1, 5] == (panel.hourly["ID"][1, 4] + panel.hourly["ID"][1, 6]) / 2.0
     assert panel.daily["C"][1] == 70.0
 
 
@@ -278,13 +275,54 @@ def panel_file(tmp_path_factory):
     return panel, path.read_text().splitlines()
 
 
+def _filled(flat):
+    """``flat`` with each NaN replaced by the mean of the nearest non-NaN
+    value before it and the nearest one after it, where it has both."""
+    out = flat.copy()
+    observed = np.flatnonzero(~np.isnan(flat))
+    for pos in np.flatnonzero(np.isnan(flat)):
+        before, after = observed[observed < pos], observed[observed > pos]
+        if before.size and after.size:
+            out[pos] = (flat[before[-1]] + flat[after[0]]) / 2.0
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gap_runs_fill_from_their_observed_neighbours(panel_file, tmp_path_factory, data):
+    """Blank runs of 1 to 4 consecutive cells of one series at interior
+    positions: every cell of a run reads the mean of the last observed value
+    before the run and the first one after it, and no other cell changes."""
+    source, lines = panel_file
+    n_cells = 24 * source.n_days
+    name = data.draw(st.sampled_from(READ_SERIES))
+    runs = data.draw(st.lists(st.tuples(st.integers(1, n_cells - 5), st.integers(1, 4)),
+                              min_size=1, max_size=4))
+    blank = {cell for start, length in runs for cell in range(start, start + length)}
+    col = 2 + READ_SERIES.index(name)
+    rows = [_with_field(line, col, "") if cell in blank else line
+            for cell, line in enumerate(lines[1:n_cells + 1])]
+    path = tmp_path_factory.mktemp("runs") / "panel.csv"
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+    panel = load_panel(path)
+
+    flat = source.hourly[name].ravel().copy()
+    flat[sorted(blank)] = np.nan
+    np.testing.assert_array_equal(panel.hourly[name].ravel(), _filled(flat))
+    for other in set(READ_SERIES) - {name}:
+        np.testing.assert_array_equal(panel.hourly[other], source.hourly[other])
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_loader_places_mutated_rows(panel_file, tmp_path_factory, data):
-    """Drop rows, double rows with one changed reading, blank one reading and
-    blank one day's fuel in a written panel: every untouched cell reads as the
-    source, the flagged cells are exactly the mutated ones, a duplicate holds
-    the second reading, and the blank fuel day carries the previous quote."""
+    """Drop rows, double rows with one changed reading (and the copy's RES or
+    FRES rewritten to match), blank one reading and blank one day's fuel in
+    a written panel: a doubled cell reads the mean of its two readings, a
+    dropped or blanked one the mean of its nearest observed neighbours, every
+    other cell reads as the source, and the blank fuel day carries the
+    previous quote.  A gap with no observed neighbour on one side is an
+    error naming the first such cell."""
     source, lines = panel_file
     n_cells = 24 * source.n_days
     mutations = data.draw(st.lists(
@@ -293,46 +331,57 @@ def test_loader_places_mutated_rows(panel_file, tmp_path_factory, data):
         max_size=8, unique_by=lambda m: m[0]))
     fuel_day = data.draw(st.integers(1, source.n_days - 1) | st.none())
     by_cell = {cell: (kind, name, value) for cell, kind, name, value in mutations}
+    header = lines[0].split(",")
 
     rows = [lines[0]]
+    want = {s: source.hourly[s].ravel().copy() for s in READ_SERIES}
     for cell, line in enumerate(lines[1:n_cells + 1]):
         if cell // 24 == fuel_day:
             line = _with_field(_with_field(line, 10, ""), 11, "")
         kind, name, value = by_cell.get(cell, (None, None, None))
         col = 2 + READ_SERIES.index(name) if name else None
         if kind == "drop":
+            for s in READ_SERIES:
+                want[s][cell] = np.nan
             continue
-        rows.append(_with_field(line, col, "") if kind == "blank" else line)
+        if kind == "blank":
+            want[name][cell] = np.nan
+            line = _with_field(line, col, "")
+        rows.append(line)
         if kind == "double":
-            rows.append(_with_field(line, col, repr(value)))
+            copy = _with_field(line, col, repr(value))
+            second = {s: source.hourly[s].flat[cell] for s in READ_SERIES}
+            second[name] = value
+            for composite, (a, b) in COMPOSITES.items():
+                if name in (a, b):
+                    copy = _with_field(copy, header.index(OPTIONAL_SCHEMA[composite]),
+                                       repr(float(second[a] + second[b])))
+            rows.append(copy)
+            want[name][cell] = (want[name][cell] + value) / 2.0
     path = tmp_path_factory.mktemp("mutated") / "panel.csv"
     path.write_text("\n".join(rows) + "\n")
+    want = {s: _filled(flat) for s, flat in want.items()}
+
+    unfillable = [s for s in READ_SERIES if np.isnan(want[s]).any()]
+    if unfillable:
+        cell = int(np.argmax(np.isnan(want[unfillable[0]])))
+        with pytest.raises(GapAtBoundaryError, match=(
+                f"^{unfillable[0]} at {source.dates[cell // 24]} h{cell % 24 + 1} "
+                "is missing and touches the panel boundary$")):
+            load_panel(path)
+        return
     panel = load_panel(path)
 
     assert panel.dates == source.dates
-    assert panel.missing_cells == {divmod(c, 24) for c, (k, _, _) in by_cell.items()
-                                   if k in ("drop", "blank")}
-    doubled = {c: m for c, m in by_cell.items() if m[0] == "double"}
-    assert set(panel.duplicate_cells) == {divmod(c, 24) for c in doubled}
-    for cell, (_, name, value) in doubled.items():
-        second = {s: source.hourly[s].flat[cell] for s in READ_SERIES}
-        second[name] = value
-        second["RES"] = second["W"] + second["S"]
-        second["FRES"] = second["FW"] + second["FS"]
-        assert panel.duplicate_cells[divmod(cell, 24)] == second
     for s in READ_SERIES:
-        want = source.hourly[s].ravel().copy()
-        for cell, (kind, name, _) in by_cell.items():
-            if kind == "drop" or (kind == "blank" and name == s):
-                want[cell] = np.nan
-        np.testing.assert_array_equal(panel.hourly[s].ravel(), want)
+        np.testing.assert_array_equal(panel.hourly[s].ravel(), want[s])
     np.testing.assert_array_equal(panel.hourly["RES"], panel.hourly["W"] + panel.hourly["S"])
     np.testing.assert_array_equal(panel.hourly["FRES"], panel.hourly["FW"] + panel.hourly["FS"])
     for name in ("C", "G"):
-        want = source.daily[name].copy()
+        want_fuel = source.daily[name].copy()
         if fuel_day is not None:
-            want[fuel_day] = want[fuel_day - 1]
-        np.testing.assert_array_equal(panel.daily[name], want)
+            want_fuel[fuel_day] = want_fuel[fuel_day - 1]
+        np.testing.assert_array_equal(panel.daily[name], want_fuel)
 
 
 # defect kind -> the series it may hit
@@ -371,32 +420,36 @@ def _run_quietly(argv):
     return code, err.getvalue()
 
 
-def _assert_named(code, err, source, kind, name, cell):
-    """Exit status 2 and one ``error:`` line naming the series, date and hour."""
+def _assert_named(code, err, source, kind, name, cell, doubled):
+    """Exit status 2 and one ``error:`` line naming the series, date and hour,
+    and the second reading of a doubled row."""
     assert code == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     date = source.dates[cell // 24]
     where = f"{name} on {date}" if kind == "inf fuel" else f"{name} at {date} h{cell % 24 + 1}"
-    assert re.search(rf"\b{where}\b", err), err
+    if doubled:
+        where += r" \(second reading\)"
+    assert re.search(rf"\b{where}(?! \(second)", err), err
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_validate_names_each_injected_defect(panel_file, tmp_path_factory, data):
-    """A ±inf reading, an inf fuel quote, a negative generation reading (first
-    or doubled), a composite off its parts, or a blank first or last cell:
-    ``validate`` exits 2 with one line naming the series, date and hour."""
+    """A ±inf reading, an inf fuel quote, a negative generation reading, a
+    composite off its parts (each but the fuel in a first reading or in a
+    doubled copy), or a blank first or last cell: ``validate`` exits 2 with
+    one line naming the series, date and hour."""
     source, lines = panel_file
     n_cells = 24 * source.n_days
     kind = data.draw(st.sampled_from(sorted(DEFECTS)))
     name = data.draw(st.sampled_from(DEFECTS[kind]))
     ends = st.sampled_from([0, n_cells - 1])
     cell = data.draw(ends if kind == "blank end" else st.integers(0, n_cells - 1))
-    doubled = kind in ("inf", "negative") and data.draw(st.booleans())
+    doubled = kind in ("inf", "negative", "res off") and data.draw(st.booleans())
     delta = data.draw(st.floats(1e-3, 100.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
     path = tmp_path_factory.mktemp("defect") / "panel.csv"
     path.write_text("\n".join(_with_defect(lines, kind, name, cell, doubled, delta)) + "\n")
-    _assert_named(*_run_quietly(["validate", str(path)]), source, kind, name, cell)
+    _assert_named(*_run_quietly(["validate", str(path)]), source, kind, name, cell, doubled)
 
 
 @pytest.mark.parametrize("kind, name, cell, doubled, delta", [
@@ -404,6 +457,7 @@ def test_validate_names_each_injected_defect(panel_file, tmp_path_factory, data)
     ("inf fuel", "C", 50, False, 1.0),
     ("negative", "W", 40, True, 40.0),
     ("res off", "FRES", 100, False, 0.5),
+    ("res off", "RES", 60, True, 999.0),
     ("blank end", "DA", 0, False, 1.0),
 ])
 def test_backtest_names_each_injected_defect(panel_file, tmp_path, kind, name, cell, doubled,
@@ -414,20 +468,20 @@ def test_backtest_names_each_injected_defect(panel_file, tmp_path, kind, name, c
     path.write_text("\n".join(_with_defect(lines, kind, name, cell, doubled, delta)) + "\n")
     argv = ["backtest", "--input", str(path), "--out", str(tmp_path / "bt"), "--window", "100",
             "--eval-days", "1", "--set", "methods=point", "--no-trading"]
-    _assert_named(*_run_quietly(argv), source, kind, name, cell)
+    _assert_named(*_run_quietly(argv), source, kind, name, cell, doubled)
     assert _run_quietly(["validate", str(path)])[1] == _run_quietly(argv)[1]
     assert not (tmp_path / "bt").exists()
 
 
 def test_panel_construction_enforces_the_value_rules(panel_small):
     """However a panel is built, a broken reading raises naming its series,
-    date and hour; NaN is a reading only at a flagged missing cell."""
+    date and hour; NaN is never a reading."""
     day3 = panel_small.dates[3]
 
-    def build(name, value, missing=frozenset(), daily=None):
+    def build(name, value, daily=None):
         hourly = {s: panel_small.hourly[s].copy() for s in HOURLY_SERIES}
         hourly[name][3, 3] = value
-        return MarketPanel(dates=panel_small.dates, hourly=hourly, missing_cells=missing,
+        return MarketPanel(dates=panel_small.dates, hourly=hourly,
                            daily=daily or {k: v.copy() for k, v in panel_small.daily.items()})
 
     with pytest.raises(PanelIntegrityError, match=f"^RES at {day3} h4 is not wind [+] solar$"):
@@ -437,9 +491,6 @@ def test_panel_construction_enforces_the_value_rules(panel_small):
     for value in (np.inf, -np.inf, np.nan):
         with pytest.raises(PanelIntegrityError, match=f"^non finite value in DA at {day3} h4"):
             build("DA", value)
-    with pytest.raises(PanelIntegrityError, match=f"^non finite value in DA at {day3} h4"):
-        build("DA", np.inf, missing=frozenset({(3, 3)}))
-    assert np.isnan(build("DA", np.nan, missing=frozenset({(3, 3)})).hourly["DA"][3, 3])
     fuel = {k: v.copy() for k, v in panel_small.daily.items()}
     fuel["G"][5] = np.inf
     with pytest.raises(PanelIntegrityError,

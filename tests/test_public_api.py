@@ -10,6 +10,7 @@ binds its exports lazily, so the last tests check that they resolve to the
 modules' own objects.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -49,6 +50,8 @@ PRUNED = (
     "crps_fan_batch", "profit_per_mwh",
     # panel and trading: MarketPanel holds the value rules; no code read the naive modes
     "validate_panel", "NAIVE_MODES",
+    # panel: load_panel resolves the clock-change cells as it reads
+    "dst_normalize",
 )
 
 
@@ -93,7 +96,9 @@ def test_pruned_names_stay_gone():
     for name in PRUNED:
         for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert not hasattr(splitcast.MarketPanel, "series")
+    fields = {field.name for field in dataclasses.fields(splitcast.MarketPanel)}
+    for name in ("series", "missing_cells", "duplicate_cells", "is_normalized"):
+        assert not hasattr(splitcast.MarketPanel, name) and name not in fields, name
 
 
 def test_the_day_engine_is_public():
