@@ -18,8 +18,8 @@ the given ``src`` with one BLAS thread and no ``SPLITCAST_CONFIG``:
 * ``validate`` of the panel, its stdout kept as ``validate.txt``;
 * the default configuration backtest of the last 3 days, ``workers=1``;
 * a ``point,hist,ms`` backtest of the same days, ``workers=2``;
-* ``forecast`` with ``ms --members`` over the last two days, and with
-  ``hist --members``, ``point`` and ``qr`` on the last day;
+* ``forecast`` with ``ms --members`` over the last two days, ``workers=2``,
+  and with ``hist --members``, ``point`` and ``qr`` on the last day;
 * ``evaluate`` of the ``ms`` fans, and ``report`` of the default backtest;
 * ``forecast_day`` at the default configuration on the last two days.
 
@@ -121,7 +121,8 @@ def digest_lines(src, out):
     cli(*backtest, "--workers", "1", "--out", "backtest_default")
     cli(*backtest, "--workers", "2", "--set", "methods=point,hist,ms", "--out", "backtest_phm")
     forecast = ("forecast", "--input", "panel.csv", "--end", last)
-    cli(*forecast, "--method", "ms", "--members", "--start", second_last, "--out", "forecast_ms")
+    cli(*forecast, "--method", "ms", "--members", "--start", second_last, "--set", "workers=2",
+        "--out", "forecast_ms")
     cli(*forecast, "--method", "hist", "--members", "--start", last, "--out", "forecast_hist")
     cli(*forecast, "--method", "point", "--start", last, "--out", "forecast_point")
     cli(*forecast, "--method", "qr", "--start", last, "--out", "forecast_qr")

@@ -27,7 +27,7 @@ from .ensembles import (
     interpolated_quantiles,
     ms_ensembles_for_day,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SplitcastError
 from .features import KINDS, MAX_LAG, MarketData, ModelSpec, design_rows, targets
 from .models import expert_design, ols_fit
 from .panel import DAILY_SERIES, FORECASTS, READ_SERIES, MarketPanel, load_panel
@@ -257,37 +257,57 @@ def score_day(data, cfg, day_idx, forecast):
 
 
 # --------------------------------------------------------------------------
-# parallel driver
+# the day driver
 
-# the (data, cfg) of a worker process, installed once by the pool initializer,
-# so that it reaches workers under every start method (fork, spawn, forkserver)
-_worker_inputs = None
-
-
-def _init_worker(data, cfg):
-    global _worker_inputs
-    _worker_inputs = (data, cfg)
-
-
-def _day_task(day_idx, data=None, cfg=None):
-    """A day's :func:`score_day` record (in a pool worker, on the
-    initializer's inputs), so that fans and members never leave the process
-    that built them and at most one day's are held at a time."""
-    if data is None:
-        data, cfg = _worker_inputs
+def _scored_day(data, cfg, day_idx):
+    """The backtest's day task: the day's :func:`score_day` record, so that
+    fans and members never leave the process that built them and at most one
+    day's are held at a time."""
     return score_day(data, cfg, day_idx, forecast_day(data, cfg, day_idx))
 
 
-def _run_days(data, cfg, day_indices):
+# the (data, cfg, task) of a worker process, installed once by the pool
+# initializer, so that it reaches workers under every start method (fork,
+# spawn, forkserver)
+_worker_inputs = None
+
+
+def _init_worker(data, cfg, task):
+    global _worker_inputs
+    _worker_inputs = (data, cfg, task)
+
+
+def _dated_day(data, cfg, task, day_idx):
+    """``task(data, cfg, day_idx)``.  A package error raised in it is raised
+    again, of the same class, with the day's date first: here, in the process
+    that ran the day, so that the date survives a pool's pickling."""
+    try:
+        return task(data, cfg, day_idx)
+    except SplitcastError as exc:
+        raise type(exc)(f"{data.panel.dates[day_idx].isoformat()}: {exc}") from exc
+
+
+def _pooled_day(day_idx):
+    """A pool worker's day, on the inputs its initializer installed."""
+    return _dated_day(*_worker_inputs, day_idx)
+
+
+def _run_days(data, cfg, day_indices, task):
+    """The one day driver: yields ``task(data, cfg, day)`` for each of
+    ``day_indices``, in day order, over a pool of ``cfg.workers`` processes
+    when both the workers and the days number more than one.  ``task`` must
+    be a module level function (or a partial of one) so that it pickles."""
     if cfg.workers <= 1 or len(day_indices) < 2:
-        return [_day_task(d, data, cfg) for d in day_indices]
+        for day_idx in day_indices:
+            yield _dated_day(data, cfg, task, day_idx)
+        return
     # imported here: it loads multiprocessing, which a serial run never needs
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
-                             initargs=(data, cfg)) as pool:
+                             initargs=(data, cfg, task)) as pool:
         chunk = max(1, len(day_indices) // (4 * cfg.workers))
-        return list(pool.map(_day_task, day_indices, chunksize=chunk))
+        yield from pool.map(_pooled_day, day_indices, chunksize=chunk)
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +368,7 @@ def run_backtest(cfg, panel=None):
     plan = run_plan(cfg)
     data = MarketData.from_panel(panel)
     day_indices = evaluation_day_indices(data.panel, cfg)
-    records = _run_days(data, cfg, day_indices)
+    records = list(_run_days(data, cfg, day_indices, _scored_day))
     dates = [data.panel.dates[d].isoformat() for d in day_indices]
 
     def stacked(field, key):

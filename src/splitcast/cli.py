@@ -12,6 +12,11 @@ Subcommands::
 A config file may also come from the SPLITCAST_CONFIG environment
 variable; explicit flags override file values.
 
+``backtest`` and ``forecast`` run their days through one driver,
+``backtest._run_days``, so both honour the ``workers`` setting with output
+identical to a serial run, and an error raised while a day is computed
+names that day's date.
+
 Each subcommand imports the modules it runs when it runs, so that a
 process loads no more than its command needs: ``validate`` reads the panel
 module alone, ``evaluate`` never loads the ensembles or trading, and
@@ -21,6 +26,7 @@ module alone, ``evaluate`` never loads the ensembles or trading, and
 import argparse
 import csv
 import datetime as dt
+import functools
 import math
 import os
 import sys
@@ -157,17 +163,31 @@ def _write_members_file(path, ens_by_hour):
                 fh.write(f"{hour},{m},{','.join(map(repr, row))}\n")
 
 
+def _forecast_arrays(members_dir, data, cfg, day_idx):
+    """``forecast``'s day task: the day's point forecasts (kind -> 24 values)
+    for ``point``, its fans ((method, variable) -> (24, 99)) otherwise.  With
+    ``members_dir`` the day's members are written there as
+    ``members_<date>.csv``, by the process that built them."""
+    from .backtest import forecast_day, run_plan
+
+    forecast = forecast_day(data, cfg, day_idx)
+    if members_dir:
+        date = data.panel.dates[day_idx].isoformat()
+        _write_members_file(os.path.join(members_dir, f"members_{date}.csv"),
+                            forecast["ensembles"][run_plan(cfg).ensemble_methods[0]])
+    return forecast["point" if cfg.methods == ("point",) else "fans"]
+
+
 def _cmd_forecast(args):
-    from .backtest import evaluation_day_indices, forecast_day, run_plan
+    from .backtest import _run_days, evaluation_day_indices
     from .features import MarketData
     from .panel import load_panel
     from .quantreg import TAU_GRID
-    from .tables import format_cell
+    from .tables import write_csv
 
     if args.members and args.method not in ("hist", "ms"):
         raise ConfigError(f"--members needs --method hist or ms, not {args.method}")
     cfg = _forecast_config(args)
-    plan = run_plan(cfg)
     panel = load_panel(cfg.input_path, cfg.schema or None)
     data = MarketData.from_panel(panel)
     first = _panel_day(panel, args.start, "--start")
@@ -178,35 +198,23 @@ def _cmd_forecast(args):
         cfg, evaluation_start=panel.dates[first], evaluation_days=last - first + 1))
     os.makedirs(cfg.output_dir, exist_ok=True)
 
+    task = functools.partial(_forecast_arrays, cfg.output_dir if args.members else None)
+    days = zip((panel.dates[d].isoformat() for d in day_indices),
+               _run_days(data, cfg, day_indices, task))
     if args.method == "point":
         path = os.path.join(cfg.output_dir, "point_forecasts.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("date,hour,kind,forecast\n")
-            for day_idx in day_indices:
-                date = data.panel.dates[day_idx].isoformat()
-                point = forecast_day(data, cfg, day_idx)["point"]
-                for kind in plan.point:
-                    for h in range(24):
-                        fh.write(f"{date},{h + 1},{kind},{format_cell(point[kind][h])}\n")
-        print(f"wrote {path}")
-        return 0
-
-    fan_keys = sorted(plan.fans)  # the one method's fans, in variable order
-    fan_path = os.path.join(cfg.output_dir, "fans.csv")
-    header = "date,hour,variable," + ",".join(f"p{int(round(t * 100)):02d}" for t in TAU_GRID)
-    with open(fan_path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for day_idx in day_indices:
-            date = data.panel.dates[day_idx].isoformat()
-            r = forecast_day(data, cfg, day_idx)
-            for key in fan_keys:
-                for h, fan in enumerate(r["fans"][key], start=1):
-                    fh.write(f"{date},{h},{key[1]},{','.join(map(format_cell, fan))}\n")
-            if args.members:
-                _write_members_file(os.path.join(cfg.output_dir, f"members_{date}.csv"),
-                                    r["ensembles"][plan.ensemble_methods[0]])
-            del r  # the day's members: no more than one day's are held
-    print(f"wrote {fan_path}")
+        write_csv(path, ("date", "hour", "kind", "forecast"),
+                  ((date, h, kind, value) for date, point in days
+                   for kind, values in point.items() for h, value in enumerate(values, start=1)))
+    else:
+        path = os.path.join(cfg.output_dir, "fans.csv")
+        # the one method's fans, in variable order
+        write_csv(path, ("date", "hour", "variable",
+                         *(f"p{int(round(t * 100)):02d}" for t in TAU_GRID)),
+                  ((date, h, variable, *fan) for date, fans in days
+                   for (_, variable), matrix in sorted(fans.items())
+                   for h, fan in enumerate(matrix, start=1)))
+    print(f"wrote {path}")
     return 0
 
 

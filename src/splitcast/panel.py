@@ -217,7 +217,7 @@ def load_panel(path, schema=None):
     series before and after it.  A gap at either end of the panel raises
     :class:`GapAtBoundaryError`.  Fuel gaps (blank ``C``/``G``) are forward
     filled from the last quoted day.  RES and FRES are the sums of the
-    repaired parts.
+    repaired parts.  A literal ``nan`` is a non finite reading, not a gap.
     """
     return _read_panel(path, schema)[0]
 
@@ -248,6 +248,7 @@ def _read_panel(path, schema):
         day_key = functools.cache(lambda text: _parse_date(text).toordinal() * 24)
         hour_key = functools.cache(lambda text: _parse_hour(text) - 1)
         keys, readings = array("q"), array("d")
+        blanks = array("q")  # the flat positions in readings of the blank ones
         for row in reader:
             if not row:
                 continue  # a blank line
@@ -256,6 +257,7 @@ def _read_panel(path, schema):
             try:
                 readings.extend([float(row[i]) for i in cols])
             except ValueError:  # a blank reading, or a bad one
+                blanks.extend(len(readings) + j for j, i in enumerate(cols) if not row[i].strip())
                 where = f"{_parse_date(row[idate])} h{_parse_hour(row[ihour])}"
                 readings.extend([_parse_value(row[i], f"{name}@{where}")
                                  for name, i in zip(names, cols)])
@@ -285,6 +287,15 @@ def _read_panel(path, schema):
     grid[:, filled] = values[first, :n_hourly].T
     later = np.ones(cells.size, dtype=bool)
     later[first] = False
+    # only a blank reading is a gap: a literal nan is a non finite reading
+    literal_nan = np.isnan(values)
+    literal_nan.flat[np.frombuffer(blanks, dtype=np.int64)] = False
+    if literal_nan.any():
+        r, j = divmod(int(np.argmax(literal_nan)), len(names))
+        day, hour = divmod(int(cells[r]), 24)
+        where = (f"on {dates[day]}" if names[j] in DAILY_SERIES else
+                 f"at {dates[day]} h{hour + 1}{' (second reading)' * bool(later[r])}")
+        raise PanelIntegrityError(f"non finite value in {names[j]} {where}: nan")
     doubled, second = cells[later], values[later, :n_hourly].T
     # every reading meets the value rules before any is averaged or copied into a gap
     _checked(dict(zip(names, grid.reshape(n_hourly, n, 24))), True,

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from splitcast.backtest import (
     _run_days,
+    _scored_day,
     corrupt_after_cutoff,
     evaluation_day_indices,
     forecast_day,
@@ -247,7 +248,7 @@ def test_only_forecast_day_returns_ensembles(panel_small, tmp_path):
     assert set(day) == {"point", "fans", "intervals", "decisions", "ensembles"}
     assert set(day["ensembles"]) == {"hist", "ms_corr", "ms_uncorr"}
     assert sorted(day["ensembles"]["hist"]) == list(range(1, 25))
-    [record] = _run_days(data, cfg, [130])
+    [record] = _run_days(data, cfg, [130], _scored_day)
     for leaf in _leaves(record):
         assert not isinstance(leaf, ForecastEnsemble)
         assert np.shape(leaf) != (24, 99)

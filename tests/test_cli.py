@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,25 @@ BASE_SET = [
     "--set", "qr_variables=",
     "--set", "mv_variables=DA,ID",
 ]
+
+
+# runs ``splitcast`` on argv[1:] with process pools started by spawn, so that
+# whatever a worker needs must reach it pickled
+_SPAWN_MAIN = textwrap.dedent("""
+    import multiprocessing, sys
+    from splitcast.cli import main
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        sys.exit(main(sys.argv[1:]))
+""")
+
+
+def _spawned_main(tmp_path, *argv):
+    script = tmp_path / "spawn_main.py"
+    script.write_text(_SPAWN_MAIN)
+    return subprocess.run([sys.executable, str(script), *argv],
+                          capture_output=True, text=True, timeout=600)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +208,25 @@ def test_forecast_members_built_once_per_day(panel_csv, tmp_path, monkeypatch, m
         name = f"members_{panel.dates[d].isoformat()}.csv"
         cli._write_members_file(tmp_path / name, _members_rebuilt(data, cfg, d, method))
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("method", [["ms", "--members"], ["point"]])
+def test_spawned_forecast_workers_match_serial(panel_csv, tmp_path, method):
+    """forecast --set workers=2 runs its days in a spawn-started pool and
+    writes the bytes of the serial run: fans.csv, each members_<date>.csv
+    and point_forecasts.csv."""
+    panel = load_panel(str(panel_csv))
+    args = ["forecast", "--method", *method, "--input", str(panel_csv),
+            "--start", panel.dates[150].isoformat(), "--end", panel.dates[151].isoformat(),
+            "--splits", "4", "--window", "100", *BASE_SET]
+    assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+    out = _spawned_main(tmp_path, *args, "--out", str(tmp_path / "spawn"), "--set", "workers=2")
+    assert out.returncode == 0, out.stderr
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "spawn").iterdir())
+    assert len(names) == (3 if method[0] == "ms" else 1)
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "spawn" / name).read_bytes(), name
 
 
 def test_forecast_rejects_bad_ranges(panel_csv, tmp_path, capsys):
@@ -430,6 +469,41 @@ def test_backtest_rejects_var_level_outside_the_unit_interval(panel_csv, tmp_pat
                  "--window", "100", "--eval-days", "1", "--set", "var_level=1.5"]) == 2
     assert "var_level 1.5 outside (0, 1)" in _one_line_error(capsys)
     assert not (tmp_path / "x").exists()
+
+
+@pytest.fixture(scope="module")
+def degenerate_csv(tmp_path_factory):
+    """A 140 day panel (seed 3) whose load forecast is one constant from day
+    21 on, so that the QR design of each evaluation day has rank 20 of 21."""
+    path = tmp_path_factory.mktemp("degenerate") / "panel.csv"
+    assert main(["synth", "--days", "140", "--seed", "3", "--out", str(path)]) == 0
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    col = header.index("load_fc")
+    for row in rows[24 * 21:]:
+        row[col] = "50.0"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
+DEGENERATE_ERROR = "error: 2020-05-15: design of rank 20 with 21 columns\n"
+
+
+def test_an_error_in_a_day_names_its_date(degenerate_csv, tmp_path, capsys):
+    """An error raised while a day is computed names the day first: in a
+    serial backtest, in a spawn-started worker and in forecast."""
+    backtest = ["backtest", "--input", str(degenerate_csv), "--out", str(tmp_path / "bt"),
+                "--window", "100", "--eval-days", "5", "--set", "methods=point,qr",
+                "--no-trading"]
+    assert main(backtest + ["--workers", "1"]) == 2
+    assert capsys.readouterr().err == DEGENERATE_ERROR
+    spawned = _spawned_main(tmp_path, *backtest, "--workers", "2")
+    assert spawned.returncode == 2 and spawned.stderr == DEGENERATE_ERROR, spawned.stderr
+    assert main(["forecast", "--method", "qr", "--input", str(degenerate_csv),
+                 "--out", str(tmp_path / "fc"), "--window", "100",
+                 "--start", "2020-05-15", "--end", "2020-05-16"]) == 2
+    assert capsys.readouterr().err == DEGENERATE_ERROR
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ Every case runs in a child interpreter with this environment and this
 checkout's package first on the path, then lists its ``sys.modules``.
 """
 
+import datetime as dt
 import json
 import os
 import pathlib
@@ -103,3 +104,17 @@ def test_serial_backtest_starts_no_process_pool(panel, tmp_path):
     assert (tmp_path / "out" / "summary.txt").exists()
     assert "splitcast.backtest" in modules
     assert POOL not in modules
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_forecast_starts_a_process_pool_only_with_workers(panel, tmp_path, workers):
+    """``forecast`` runs its days through the backtest's driver: a serial
+    run loads no pool, and ``workers=2`` over two days does."""
+    path, last = panel
+    start = (dt.date.fromisoformat(last) - dt.timedelta(days=1)).isoformat()
+    modules = _command("forecast", "--method", "point", "--input", path, "--window", "100",
+                       "--start", start, "--end", last, "--out", str(tmp_path / "out"),
+                       "--set", f"workers={workers}")
+    assert (tmp_path / "out" / "point_forecasts.csv").exists()
+    assert "splitcast.backtest" in modules
+    assert (POOL in modules) == (workers > 1)

@@ -387,8 +387,10 @@ def test_loader_places_mutated_rows(panel_file, tmp_path_factory, data):
 # defect kind -> the series it may hit
 DEFECTS = {
     "inf": READ_SERIES,
+    "nan": READ_SERIES,
     "negative": ("L", "W", "S", "FL", "FW", "FS"),
     "inf fuel": DAILY_SERIES,
+    "nan fuel": DAILY_SERIES,
     "res off": tuple(COMPOSITES),
     "blank end": READ_SERIES,
 }
@@ -403,8 +405,9 @@ def _with_defect(lines, kind, name, cell, doubled, delta):
     header, rows = lines[0], lines[1:]
     text = {"inf": repr(math.copysign(math.inf, delta)), "negative": repr(-abs(delta)),
             "inf fuel": repr(math.copysign(math.inf, delta)), "blank end": "",
+            "nan": "nan", "nan fuel": "nan",
             "res off": repr(float(rows[cell].split(",")[col]) + delta)}[kind]
-    if kind == "inf fuel":
+    if kind.endswith("fuel"):
         return [header, *(_with_field(row, col, text) if i // 24 == cell // 24 else row
                           for i, row in enumerate(rows))]
     bad = _with_field(rows[cell], col, text)
@@ -426,7 +429,7 @@ def _assert_named(code, err, source, kind, name, cell, doubled):
     assert code == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     date = source.dates[cell // 24]
-    where = f"{name} on {date}" if kind == "inf fuel" else f"{name} at {date} h{cell % 24 + 1}"
+    where = f"{name} on {date}" if kind.endswith("fuel") else f"{name} at {date} h{cell % 24 + 1}"
     if doubled:
         where += r" \(second reading\)"
     assert re.search(rf"\b{where}(?! \(second)", err), err
@@ -435,17 +438,17 @@ def _assert_named(code, err, source, kind, name, cell, doubled):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_validate_names_each_injected_defect(panel_file, tmp_path_factory, data):
-    """A ±inf reading, an inf fuel quote, a negative generation reading, a
-    composite off its parts (each but the fuel in a first reading or in a
-    doubled copy), or a blank first or last cell: ``validate`` exits 2 with
-    one line naming the series, date and hour."""
+    """A ±inf or literal nan reading, an inf or nan fuel quote, a negative
+    generation reading, a composite off its parts (each but the fuel in a
+    first reading or in a doubled copy), or a blank first or last cell:
+    ``validate`` exits 2 with one line naming the series, date and hour."""
     source, lines = panel_file
     n_cells = 24 * source.n_days
     kind = data.draw(st.sampled_from(sorted(DEFECTS)))
     name = data.draw(st.sampled_from(DEFECTS[kind]))
     ends = st.sampled_from([0, n_cells - 1])
     cell = data.draw(ends if kind == "blank end" else st.integers(0, n_cells - 1))
-    doubled = kind in ("inf", "negative", "res off") and data.draw(st.booleans())
+    doubled = kind in ("inf", "nan", "negative", "res off") and data.draw(st.booleans())
     delta = data.draw(st.floats(1e-3, 100.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
     path = tmp_path_factory.mktemp("defect") / "panel.csv"
     path.write_text("\n".join(_with_defect(lines, kind, name, cell, doubled, delta)) + "\n")
@@ -454,7 +457,10 @@ def test_validate_names_each_injected_defect(panel_file, tmp_path_factory, data)
 
 @pytest.mark.parametrize("kind, name, cell, doubled, delta", [
     ("inf", "L", 30, False, -1.0),
+    ("nan", "DA", 80, False, 1.0),
+    ("nan", "FW", 90, True, 1.0),
     ("inf fuel", "C", 50, False, 1.0),
+    ("nan fuel", "G", 70, False, 1.0),
     ("negative", "W", 40, True, 40.0),
     ("res off", "FRES", 100, False, 0.5),
     ("res off", "RES", 60, True, 999.0),
