@@ -18,7 +18,7 @@ time per fan.
 The historical simulation set is the 184 least squares fits of one
 (variable, hour) on a default day: 183 inner windows of 182 days and the
 final window, in a 365 day sample with 21 regressors, fitted one by one
-with ``ols_fit`` and batched with ``ols_fits``; the stacked set is those
+with ``ols_fit`` and batched with ``window_fits``; the stacked set is those
 fits for one variable's 24 hours, at 21 and at 5 regressors, taken in the
 hour blocks that the ensemble builders use, with its time per hour.  The
 trading hour prices 3,660 members and picks the ``epi``, ``var`` and
@@ -46,7 +46,7 @@ import numpy as np
 
 from splitcast.ensembles import ForecastEnsemble, _hours_per_block
 from splitcast.features import MarketData
-from splitcast.models import ols_fit, ols_fits
+from splitcast.models import ols_fit, window_fits
 from splitcast.panel import SyntheticConfig, generate_synthetic_panel, load_panel, write_panel
 from splitcast.quantreg import qr_fit_fan
 from splitcast.scores import crps_fan_matrix, preranks
@@ -88,10 +88,10 @@ def _report(name, size, fn, repeats=7, fans=None, unit="fan"):
     print(f"{name:15s} {size:28s} {t * 1e3:9.3f} ms{per_fan}")
 
 
-def _stacked_fits(X, y, masks):
-    """The fits of every hour of ``X`` (hours, n, p), in the ensembles' hour blocks."""
-    size = _hours_per_block(X.shape[1], X.shape[2], len(masks))
-    return [ols_fits(X[s:s + size], y[s:s + size], masks) for s in range(0, len(X), size)]
+def _stacked_fits(X, y, inner):
+    """The window fits of every hour of ``X`` (hours, n, p), in the ensembles' hour blocks."""
+    size = _hours_per_block(X.shape[1], X.shape[2], X.shape[1] - inner + 1)
+    return [window_fits(X[s:s + size], y[s:s + size], inner) for s in range(0, len(X), size)]
 
 
 def _trading_hour(ens, w_hat, q_grid, taus):
@@ -148,17 +148,16 @@ def main():
             fans=24)
 
     inner = 182
-    starts = np.arange(365 - inner + 1)[:, None]
-    windows = (np.arange(365) >= starts) & (np.arange(365) < starts + inner)
     _report("hist ols_fit", "184 windows, n=365, p=21",
-            lambda: [ols_fit(X[j:j + inner], y[j:j + inner]) for j in range(starts.size)])
-    _report("hist ols_fits", "184 windows, n=365, p=21", lambda: ols_fits(X, y, windows))
+            lambda: [ols_fit(X[j:j + inner], y[j:j + inner]) for j in range(365 - inner + 1)])
+    _report("hist windows", "184 windows, n=365, p=21",
+            lambda: window_fits(X[None], y[None], inner))
     for p in (21, 5):
         Xs = rng.normal(size=(24, 365, p))
         Xs[:, :, 0] = 1.0
         ys = np.einsum("hnp,hp->hn", Xs, rng.normal(size=(24, p))) + rng.normal(size=(24, 365))
-        _report("hist ols_fits", f"24 x 184 windows, n=365, p={p}",
-                lambda: _stacked_fits(Xs, ys, windows), repeats=5, fans=24, unit="hour")
+        _report("hist windows", f"24 x 184 windows, n=365, p={p}",
+                lambda: _stacked_fits(Xs, ys, inner), repeats=5, fans=24, unit="hour")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "panel.csv")

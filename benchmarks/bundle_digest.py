@@ -19,12 +19,14 @@ the given ``src`` with one BLAS thread and no ``SPLITCAST_CONFIG``:
 * the default configuration backtest of the last 3 days, ``workers=1``;
 * a ``point,hist,ms`` backtest of the same days, ``workers=2``;
 * ``forecast`` with ``ms --members`` over the last two days, ``workers=2``,
-  and with ``hist --members``, ``point`` and ``qr`` on the last day;
+  with ``hist --members`` over the last two days, ``workers=1``, so that
+  the second day reuses the first day's window fits, and with ``point`` and
+  ``qr`` on the last day;
 * ``evaluate`` of the ``ms`` fans, and ``report`` of the default backtest;
 * ``forecast_day`` at the default configuration on the last two days.
 
 It then prints one ``sha256  path`` line per file, paths relative to the
-output directory, 32 lines in all.  Other console output is not digested.
+output directory, 33 lines in all.  Other console output is not digested.
 The line ``sha256  forecast_day.float64`` digests the raw float64 bytes of
 the two ``forecast_day`` results, which the 6 digit report files do not pin
 down: per day the point forecasts, the fans, the interval bounds and every
@@ -123,7 +125,8 @@ def digest_lines(src, out):
     forecast = ("forecast", "--input", "panel.csv", "--end", last)
     cli(*forecast, "--method", "ms", "--members", "--start", second_last, "--set", "workers=2",
         "--out", "forecast_ms")
-    cli(*forecast, "--method", "hist", "--members", "--start", last, "--out", "forecast_hist")
+    cli(*forecast, "--method", "hist", "--members", "--start", second_last, "--set", "workers=1",
+        "--out", "forecast_hist")
     cli(*forecast, "--method", "point", "--start", last, "--out", "forecast_point")
     cli(*forecast, "--method", "qr", "--start", last, "--out", "forecast_qr")
     cli("evaluate", "--fans", os.path.join("forecast_ms", "fans.csv"), "--input", "panel.csv",

@@ -155,21 +155,19 @@ def forecast_day(data, cfg, day_idx):
         out["fans"][("qr", variable)] = fan_matrix
 
     ens_by_method = {}
-    for method in plan.ensemble_methods:
-        if method == "hist":
-            ens_by_method[method] = historical_ensembles_for_day(
-                data, cfg.variables, window, day_idx, hours, cfg.inner_window)
-        elif method == "ms_corr":
-            rng = _stream(cfg.master_seed, _STREAM_MS_CORR, day_idx)
-            ens_by_method[method] = ms_ensembles_for_day(
-                data, cfg.variables, window, day_idx, hours,
-                cfg.n_splits, cfg.split_ratio, rng, mode="corr")
-        else:
-            rngs = [_stream(cfg.master_seed, _STREAM_MS_UNCORR, day_idx, vi)
-                    for vi in range(len(cfg.variables))]
-            ens_by_method[method] = ms_ensembles_for_day(
-                data, cfg.variables, window, day_idx, hours,
-                cfg.n_splits, cfg.split_ratio, rngs, mode="uncorr")
+    if "hist" in plan.ensemble_methods:
+        ens_by_method["hist"] = historical_ensembles_for_day(
+            data, cfg.variables, window, day_idx, hours, cfg.inner_window)
+    # every ms mode from one pass over the designs
+    modes = tuple(m[3:] for m in plan.ensemble_methods if m.startswith("ms_"))
+    if modes:
+        streams = [_stream(cfg.master_seed, _STREAM_MS_CORR, day_idx) if mode == "corr" else
+                   [_stream(cfg.master_seed, _STREAM_MS_UNCORR, day_idx, vi)
+                    for vi in range(len(cfg.variables))] for mode in modes]
+        by_mode = ms_ensembles_for_day(data, cfg.variables, window, day_idx, hours,
+                                       cfg.n_splits, cfg.split_ratio, streams, mode=modes)
+        ens_by_method.update((f"ms_{mode}", by_mode[mode]) for mode in modes)
+    ens_by_method = {method: ens_by_method[method] for method in plan.ensemble_methods}
 
     # the fan, then each interval level's (lo, 1 - lo), from one sort per member column
     tails = [(1.0 - level) / 2.0 for level in cfg.interval_levels]

@@ -199,6 +199,7 @@ def _cmd_forecast(args):
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     task = functools.partial(_forecast_arrays, cfg.output_dir if args.members else None)
+    # the days run as write_csv takes their rows; its file appears once every day has succeeded
     days = zip((panel.dates[d].isoformat() for d in day_indices),
                _run_days(data, cfg, day_indices, task))
     if args.method == "point":
@@ -242,6 +243,8 @@ def _read_fans(path):
                                   f"and 99 fan values")
             grid = fans.setdefault((date, variable), np.full((24, 99), np.nan))
             grid[hour - 1] = values
+    if not fans:
+        raise ConfigError(f"{path} holds no fans")
     return fans
 
 

@@ -21,12 +21,13 @@ correlation.
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyEnsembleError, TooFewRowsError
 from .features import KINDS, ModelSpec, row_length
-from .models import expert_design, ols_fits
+from .models import expert_design, ols_fits, packed_products, window_fits
 from .panel import DERIVED
 
 # floats of one block of hours' packed products, Gram matrices and residuals
@@ -126,21 +127,22 @@ def _hours_per_block(n, p, n_fits):
     return max(1, _BLOCK_FLOATS // (n * p * (p + 1) // 2 + n_fits * (p * p + n)))
 
 
-def _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_fits, n_members,
-                       members_of, meta):
-    """``{hour: ForecastEnsemble}`` of ``n_members`` members per hour.
+def _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_fits, outputs,
+                       members_of):
+    """One ``{hour: ForecastEnsemble}`` per entry ``(n_members, meta)`` of
+    ``outputs``.
 
     Each variable's hours are taken in blocks that share a row length and
     fit ``_BLOCK_FLOATS``, each block's designs over the sample and the
     target day (its last row) built into one (hours, days, p) stack and
-    validated once per hour.  ``members_of(v, X, y)`` gives the members of
-    variable ``v`` at the block's hours, (hours, n_members), and the count
-    of each hour's fits sent to ``ols_fit``; ``meta["ols_fallbacks"]`` sums
-    the counts of an hour."""
+    validated once per hour.  ``members_of(v, block_hours, X, y)`` gives,
+    for each output, the members of variable ``v`` at the block's hours,
+    (hours, n_members), and the count of each hour's fits sent to
+    ``ols_fit``; ``meta["ols_fallbacks"]`` sums the counts of an hour."""
     all_days = np.append(sample_days, target_day)
     hours = [int(h) for h in hours]
-    members = [np.empty((n_members, len(variables))) for _ in hours]
-    fallbacks = [0] * len(hours)
+    members = [[np.empty((n_members, len(variables))) for _ in hours] for n_members, _ in outputs]
+    fallbacks = [[0] * len(hours) for _ in outputs]
     for vi, v in enumerate(variables):
         by_p = {}
         for k, hour in enumerate(hours):
@@ -153,14 +155,17 @@ def _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_fits, 
                 y = np.empty((len(block), all_days.size))
                 for j, k in enumerate(block):
                     _, y[j] = expert_design(ModelSpec(v, hours[k]), data, all_days, X[j])
-                columns, counts = members_of(v, X, y)
-                for k, column, count in zip(block, columns, counts):
-                    members[k][:, vi] = column
-                    fallbacks[k] += int(count)
+                results = members_of(v, [hours[k] for k in block], X, y)
+                for out_members, out_fallbacks, (columns, counts) in zip(members, fallbacks,
+                                                                         results):
+                    for k, column, count in zip(block, columns, counts):
+                        out_members[k][:, vi] = column
+                        out_fallbacks[k] += int(count)
     target_date = data.panel.dates[int(target_day)]
-    return {hour: ForecastEnsemble(variables=variables, members=m, target_date=target_date,
-                                   hour=hour, meta=dict(meta, ols_fallbacks=f))
-            for hour, m, f in zip(hours, members, fallbacks)}
+    return [{hour: ForecastEnsemble(variables=variables, members=m, target_date=target_date,
+                                    hour=hour, meta=dict(meta, ols_fallbacks=f))
+             for hour, m, f in zip(hours, out_members, out_fallbacks)}
+            for (_, meta), out_members, out_fallbacks in zip(outputs, members, fallbacks)]
 
 
 def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
@@ -171,15 +176,26 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
     all hours, matching the whole day split granularity.  ``rng`` is a
     Generator in ``corr`` mode and a sequence of per variable Generators in
     ``uncorr`` mode.  Returns ``{hour: ForecastEnsemble}``.
+
+    ``mode`` may also be a tuple of modes, with ``rng`` the sequence of
+    their streams in that order.  Then it returns ``{mode: {hour:
+    ForecastEnsemble}}``, each mode's equal to its own call, bit for bit:
+    every (variable, hour block) design and its products are built once,
+    and each mode's split plans are fitted on them.
     """
     variables = _check_variables(variables)
     sample_days = np.sort(np.asarray(sample_days, dtype=np.intp))
     if n_splits < 1:
         raise ValueError("need at least one split")
-    if mode not in ("corr", "uncorr"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "uncorr" and len(rng) != len(variables):
-        raise ValueError("uncorr mode needs one rng stream per variable")
+    single = isinstance(mode, str)
+    modes, rngs = ((mode,), (rng,)) if single else (tuple(mode), tuple(rng))
+    if not modes or len(set(modes)) != len(modes) or len(rngs) != len(modes):
+        raise ValueError(f"modes {modes} need one rng each and no repeats")
+    for m, stream in zip(modes, rngs):
+        if m not in ("corr", "uncorr"):
+            raise ValueError(f"unknown mode {m!r}")
+        if m == "uncorr" and len(stream) != len(variables):
+            raise ValueError("uncorr mode needs one rng stream per variable")
     n_estim = round(ratio * sample_days.size)
     _check_fit_rows(n_estim, variables, hours, "split estimation side")
 
@@ -192,22 +208,39 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
             fit[i, np.searchsorted(sample_days, plan.estimation_days)] = True
         return fit, np.nonzero(~fit)[1].reshape(n_splits, -1)
 
-    if mode == "corr":
-        shared = masks(rng)
-        plans = {v: shared for v in variables}
-    else:
-        plans = {v: masks(stream) for v, stream in zip(variables, rng)}
+    plans = []  # per mode: variable -> masks
+    for m, stream in zip(modes, rngs):
+        if m == "corr":
+            shared = masks(stream)
+            plans.append({v: shared for v in variables})
+        else:
+            plans.append({v: masks(s) for v, s in zip(variables, stream)})
 
-    def members_of(v, X, y):
-        fit, calib = plans[v]
-        betas, fallbacks = ols_fits(X[:, :-1], y[:, :-1], fit)  # (hours, splits, p)
-        resid = y[:, None, :-1] - betas @ X[:, :-1].transpose(0, 2, 1)
-        errors = np.take_along_axis(resid, calib[None], axis=2)
-        return (betas @ X[:, -1, :, None] + errors).reshape(len(X), -1), fallbacks
+    def members_of(v, block_hours, X, y):
+        sample_X, sample_y = X[:, :-1], y[:, :-1]
+        products = packed_products(sample_X)
+        for plan in plans:
+            fit, calib = plan[v]
+            betas, fallbacks = ols_fits(sample_X, sample_y, fit, products)  # (hours, splits, p)
+            resid = sample_y[:, None] - betas @ sample_X.transpose(0, 2, 1)
+            errors = np.take_along_axis(resid, calib[None], axis=2)
+            yield (betas @ X[:, -1, :, None] + errors).reshape(len(X), -1), fallbacks
 
     n_calib = sample_days.size - n_estim
-    return _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_splits,
-                              n_splits * n_calib, members_of, {"calibration_size": int(n_calib)})
+    meta = {"calibration_size": int(n_calib)}
+    by_mode = _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_splits,
+                                 [(n_splits * n_calib, meta)] * len(modes), members_of)
+    return by_mode[0] if single else dict(zip(modes, by_mode))
+
+
+class _Windows(NamedTuple):
+    """One (variable, hour)'s historical simulation window fits of a day:
+    window ``j`` covers the ``inner`` days from ``first_day + j`` on."""
+
+    first_day: int
+    inner: int
+    coef: np.ndarray  # (windows, p)
+    fallback: np.ndarray  # (windows,) bool: refitted by ols_fit
 
 
 def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
@@ -218,6 +251,12 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
     floored) slides over the training days; each position is fitted and the
     next day's joint forecast error becomes one member.  The target point
     forecast comes from the window ending on the last training day.
+
+    A window's fit depends on its own days alone (:func:`models.window_fits`).
+    When ``train_days`` are consecutive, the fits are kept in
+    ``data.hist_windows``, one day's per (variable, hour), and a later call
+    on the same ``data`` takes the windows it shares with them from there,
+    at any shift of the days, and fits only the others.
     """
     variables = _check_variables(variables)
     train_days = np.sort(np.asarray(train_days, dtype=np.intp))
@@ -228,16 +267,43 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
     _check_fit_rows(inner, variables, hours, "inner window")
 
     # window j covers sample rows j .. j + inner - 1; the last one gives the point forecast
-    starts = np.arange(n - inner + 1)[:, None]
-    windows = (np.arange(n) >= starts) & (np.arange(n) < starts + inner)
+    n_windows = n - inner + 1
+    first_day = int(train_days[0])
+    carry = data.hist_windows if train_days[-1] - first_day == n - 1 else None
 
-    def members_of(v, X, y):
-        betas, fallbacks = ols_fits(X[:, :n], y[:, :n], windows)  # (hours, windows, p)
+    def kept_windows(v, block_hours):
+        """The windows [lo, hi) of this call that the carry holds for ``v``
+        at every hour of the block; (0, 0) when there are none."""
+        lo, hi = 0, n_windows
+        for hour in block_hours:
+            kept = None if carry is None else carry.get((v, hour))
+            if kept is None or kept.inner != inner:
+                return 0, 0
+            shift = first_day - kept.first_day
+            lo, hi = max(lo, -shift), min(hi, len(kept.coef) - shift)
+        return (lo, hi) if lo < hi else (0, 0)
+
+    def members_of(v, block_hours, X, y):
+        betas = np.empty((len(block_hours), n_windows, X.shape[2]))
+        fallback = np.empty((len(block_hours), n_windows), dtype=bool)
+        lo, hi = kept_windows(v, block_hours)
+        for k, hour in enumerate(block_hours if lo < hi else ()):
+            kept = carry[(v, hour)]
+            at = slice(lo + first_day - kept.first_day, hi + first_day - kept.first_day)
+            betas[k, lo:hi], fallback[k, lo:hi] = kept.coef[at], kept.fallback[at]
+        for a, b in ((0, lo), (hi, n_windows)):  # the windows fitted here
+            if a < b:
+                rows = slice(a, b + inner - 1)
+                betas[:, a:b], fallback[:, a:b] = window_fits(X[:, rows], y[:, rows], inner)
+        if carry is not None:
+            for k, hour in enumerate(block_hours):
+                carry[(v, hour)] = _Windows(first_day, inner, betas[k].copy(), fallback[k].copy())
         errors = y[:, inner:n] - np.einsum("hij,hij->hi", X[:, inner:n], betas[:, :-1])
-        return (X[:, -1, None, :] @ betas[:, -1, :, None])[:, 0] + errors, fallbacks
+        members = (X[:, -1, None, :] @ betas[:, -1, :, None])[:, 0] + errors
+        return [(members, np.count_nonzero(fallback, axis=1))]
 
-    return _ensembles_by_hour(data, variables, train_days, target_day, hours, len(windows),
-                              n - inner, members_of, {})
+    return _ensembles_by_hour(data, variables, train_days, target_day, hours, n_windows,
+                              [(n - inner, {})], members_of)[0]
 
 
 # --------------------------------------------------------------------------

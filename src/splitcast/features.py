@@ -21,7 +21,7 @@ carry no separate intercept; the dummy block spans it.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -89,13 +89,18 @@ class ModelSpec:
 class MarketData:
     """A panel bundled with everything the regressors read:
     ``hourly`` holds every realized (days, 24) series, derived ones included,
-    ``starred`` every starred series and ``daily`` every (days,) series."""
+    ``starred`` every starred series and ``daily`` every (days,) series.
+
+    ``hist_windows`` holds the latest target day's historical simulation
+    window fits, per (variable, hour), for the next day's
+    ``ensembles.historical_ensembles_for_day`` on this data to reuse."""
 
     panel: object
     hourly: dict
     starred: dict
     daily: dict
     dow: np.ndarray
+    hist_windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_panel(cls, panel):

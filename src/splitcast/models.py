@@ -2,11 +2,13 @@
 
 The ensembles refit one small design on many row subsets: a window per
 historical simulation step, an estimation side per random split.
-:func:`ols_fits` batches those refits through the normal equations, with a
-guard that sends each ill-conditioned one to :func:`ols_fit`.
+:func:`window_fits` and :func:`ols_fits` batch those refits through the
+normal equations, with a guard that sends each ill-conditioned one to
+:func:`ols_fit`.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
 from .features import design_rows, targets
@@ -80,31 +82,75 @@ def packed_products(X):
     return XX, unpack
 
 
-def ols_fits(X, y, masks):
+def ols_fits(X, y, masks, products=None):
     """Least squares coefficients of ``y`` on ``X`` over the rows each 0/1 row
     of ``masks`` selects.  For one design ``X`` (n, p) with targets ``y`` (n,)
     it returns ``(coefficients of shape (len(masks), p), number of fits sent
     to ols_fit)``; for a stack ``X`` (H, n, p) with targets ``y`` (H, n),
     whose designs share the masks, ``(coefficients (H, len(masks), p), fits
-    sent to ols_fit per design (H,))``.
+    sent to ols_fit per design (H,))``.  ``products`` is the stack's
+    :func:`packed_products`, when the caller fits several sets of masks on it.
 
-    Every fit of the stack solves its normal equations, scaled to a unit
-    diagonal, in one batched solve, so the caller bounds the stack's size.
-    A column that is zero on all of a fit's rows gets a unit pivot and a
-    zero right hand side, so its coefficient is 0: the minimum norm answer
-    of :func:`ols_fit`.  A fit whose Cholesky factor fails or has a pivot
-    below ``_MIN_PIVOT`` is refitted by :func:`ols_fit` on its rows.
+    Every fit of the stack is solved by :func:`_solve_normal_equations`, in
+    one batched solve, so the caller bounds the stack's size.
 
     Unchecked, like :func:`ols_fit`.
     """
     stacked = X.ndim == 3
     if not stacked:
         X, y = X[None], y[None]
-    p = X.shape[2]
-    XX, unpack = packed_products(X)
+    XX, unpack = packed_products(X) if products is None else products
     m = np.asarray(masks, dtype=np.float64)
     gram = _masked_sums(m, XX)[..., unpack]  # (H, fits, p, p)
-    del XX  # as large as the Gram matrices: freed before they are factorized
+    del XX  # as large as the Gram matrices: when made here, freed before they are factorized
+    # zero on a dead column: its products are exact zeros
+    rhs = _masked_sums(m, X * y[:, :, None])
+
+    def refit(h, i):
+        rows = m[i] != 0.0
+        return ols_fit(X[h, rows], y[h, rows])
+
+    coef, bad = _solve_normal_equations(gram, rhs, refit)
+    fallbacks = np.count_nonzero(bad, axis=1)
+    return (coef, fallbacks) if stacked else (coef[0], int(fallbacks[0]))
+
+
+def window_fits(X, y, inner):
+    """Least squares coefficients of ``y`` on ``X`` over every window of
+    ``inner`` consecutive rows, for a stack ``X`` (H, n, p) with targets
+    ``y`` (H, n): ``(coefficients (H, n - inner + 1, p), fallback flags
+    (H, n - inner + 1))``, window ``j`` covering rows ``j .. j + inner - 1``
+    and flagged where :func:`ols_fit` refitted it.
+
+    A window's normal equations are one product of its own rows alone, so
+    its fit does not depend on the rows around it: the same rows give the
+    same bits alone, in a longer run of rows, and at any offset.
+
+    Unchecked, like :func:`ols_fit`.
+    """
+    windows = sliding_window_view(X, inner, axis=1)  # (H, windows, p, inner), no copy
+    gram = windows @ windows.swapaxes(-1, -2)  # one product per window
+    rhs = (windows @ sliding_window_view(y, inner, axis=1)[..., None])[..., 0]
+
+    def refit(h, j):
+        return ols_fit(X[h, j:j + inner], y[h, j:j + inner])
+
+    return _solve_normal_equations(gram, rhs, refit)
+
+
+def _solve_normal_equations(gram, rhs, refit):
+    """Coefficients of the normal equations ``gram`` (H, fits, p, p) and
+    ``rhs`` (H, fits, p), and the (H, fits) flags of the fits that
+    ``refit(h, i)`` redid.
+
+    All fits are scaled to a unit diagonal and solved in one batched solve.
+    A column that is zero on all of a fit's rows gets a unit pivot and a
+    zero right hand side, so its coefficient is 0: the minimum norm answer
+    of :func:`ols_fit`.  A fit whose Cholesky factor fails or has a pivot
+    below ``_MIN_PIVOT`` is refitted by ``refit``, :func:`ols_fit` on its
+    rows.  ``gram`` is overwritten.
+    """
+    p = gram.shape[-1]
     diag = gram.reshape(*gram.shape[:2], p * p)[..., ::p + 1]
     scale = np.sqrt(diag)
     scale[scale == 0.0] = 1.0
@@ -112,16 +158,12 @@ def ols_fits(X, y, masks):
     gram /= scale[..., None, :]
     diag[...] = 1.0  # the unit pivot of a dead column; 1 up to rounding elsewhere
     bad = ~_well_conditioned(gram)
-    gram[bad] = np.eye(p)  # a solvable stand-in: ols_fit redoes these fits
-    # zero on a dead column: its products are exact zeros
-    rhs = _masked_sums(m, X * y[:, :, None]) / scale
-    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    gram[bad] = np.eye(p)  # a solvable stand-in: refit redoes these fits
+    coef = np.linalg.solve(gram, (rhs / scale)[..., None])[..., 0]
     coef /= scale
     for h, i in zip(*np.nonzero(bad)):
-        rows = m[i] != 0.0
-        coef[h, i] = ols_fit(X[h, rows], y[h, rows])
-    fallbacks = np.count_nonzero(bad, axis=1)
-    return (coef, fallbacks) if stacked else (coef[0], int(fallbacks[0]))
+        coef[h, i] = refit(h, i)
+    return coef, bad
 
 
 def _masked_sums(m, A):

@@ -5,6 +5,8 @@ rerun with the same seed is byte identical.  The module imports no numpy:
 ``report`` reformats a bundle without loading the engine.
 """
 
+import os
+
 COVERAGE_HEADER = ("method", "variable", "level", "hour", "picp", "kupiec_lr", "kupiec_reject")
 CRPS_HEADER = ("method", "variable", "hour", "crps")
 
@@ -28,8 +30,19 @@ def format_cell(x):
 
 
 def write_csv(path, header, rows):
-    """A report CSV: the header line, then each row's cells through :func:`format_cell`."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(format_cell, row)) + "\n")
+    """A report CSV: the header line, then each row's cells through :func:`format_cell`.
+
+    The lines go to the sibling file ``path + ".part"``, which replaces
+    ``path`` once every row is written and is removed when ``rows`` raises:
+    a run that fails part way leaves no truncated table behind."""
+    part = path + ".part"
+    try:
+        with open(part, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(format_cell, row)) + "\n")
+        os.replace(part, path)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise

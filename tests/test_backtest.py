@@ -27,8 +27,14 @@ from splitcast.backtest import (
 from splitcast.config import ExperimentConfig
 from splitcast.ensembles import ForecastEnsemble
 from splitcast.errors import ConfigError
-from splitcast.features import MarketData
-from splitcast.panel import DAILY_SERIES, FORECASTS, READ_SERIES
+from splitcast.features import MarketData, row_length
+from splitcast.panel import (
+    DAILY_SERIES,
+    FORECASTS,
+    READ_SERIES,
+    SyntheticConfig,
+    generate_synthetic_panel,
+)
 from splitcast.scores import crps_fan_matrix, interval_hits
 
 WINDOW = 100
@@ -201,6 +207,61 @@ def test_spawned_workers_match_serial(tmp_path):
                          capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("identical")
+
+
+_HIST_CFG = dict(calibration_window_days=60, evaluation_days=3, n_splits=3,
+                 variables=("L", "RES", "W"), derived=(), qr_variables=(),
+                 mv_variables=("L", "W"), methods=("point", "hist", "ms"), trading=False)
+
+_HIST_SCRIPT = textwrap.dedent("""
+    import multiprocessing, sys
+    import numpy as np
+    from splitcast import ExperimentConfig, MarketData, forecast_day
+    from splitcast.backtest import _run_days
+    from splitcast.panel import SyntheticConfig, generate_synthetic_panel
+
+
+    def hist_members(data, cfg, day_idx):
+        by_hour = forecast_day(data, cfg, day_idx)["ensembles"]["hist"]
+        return np.stack([by_hour[h].members for h in range(1, 25)])
+
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        panel = generate_synthetic_panel(SyntheticConfig(days=80), seed=3)
+        cfg = ExperimentConfig(**%r)
+        days = [77, 78, 79]
+        serial = list(_run_days(MarketData.from_panel(panel), cfg, days, hist_members))
+        fresh = [hist_members(MarketData.from_panel(panel), cfg, d) for d in days]
+        spawned = list(_run_days(MarketData.from_panel(panel), ExperimentConfig(
+            **dict(%r, workers=2)), days, hist_members))
+        for a, b, c in zip(serial, fresh, spawned):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+        print("identical", len(serial))
+""" % (_HIST_CFG, _HIST_CFG))
+
+
+def test_hist_members_do_not_depend_on_the_carried_windows(tmp_path):
+    """A serial run keeps each day's window fits for the next day; a fresh
+    MarketData per day and a spawn-started pool of 2 fit them anew.  The hist
+    members are the same bits, and the serial run ends with one day's
+    windows per (variable, hour)."""
+    script = tmp_path / "hist_run.py"
+    script.write_text(_HIST_SCRIPT)
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("identical 3")
+    panel = generate_synthetic_panel(SyntheticConfig(days=80), seed=3)
+    cfg = ExperimentConfig(**_HIST_CFG)
+    data = MarketData.from_panel(panel)
+    for day in (77, 78, 79):
+        forecast_day(data, cfg, day)
+    assert sorted(data.hist_windows) == sorted((v, h) for v in cfg.variables for h in range(1, 25))
+    for (v, h), kept in data.hist_windows.items():
+        assert (kept.first_day, kept.inner) == (79 - 60, 30)
+        assert kept.coef.shape == (60 - 30 + 1, row_length(v, h))
+        assert kept.fallback.shape == (60 - 30 + 1,) and not kept.fallback.any()
 
 
 def test_evaluation_day_indices(panel_small):

@@ -506,6 +506,25 @@ def test_an_error_in_a_day_names_its_date(degenerate_csv, tmp_path, capsys):
     assert capsys.readouterr().err == DEGENERATE_ERROR
 
 
+def test_a_forecast_that_fails_part_way_leaves_no_table(degenerate_csv, tmp_path, capsys):
+    """The first day's QR fans succeed and the second day's fail: forecast
+    exits 2 and writes no fans file, neither a truncated one nor its part;
+    evaluate rejects a fans file with a header and no rows."""
+    out = tmp_path / "fc"
+    assert main(["forecast", "--method", "qr", "--input", str(degenerate_csv),
+                 "--out", str(out), "--window", "100",
+                 "--start", "2020-04-26", "--end", "2020-04-27"]) == 2
+    assert capsys.readouterr().err == "error: 2020-04-27: design of rank 8 with 9 columns\n"
+    assert list(out.iterdir()) == []
+    header_only = tmp_path / "fans.csv"
+    header_only.write_text(",".join(["date", "hour", "variable",
+                                     *(f"p{k:02d}" for k in range(1, 100))]) + "\n")
+    assert main(["evaluate", "--fans", str(header_only), "--input", str(degenerate_csv),
+                 "--out", str(tmp_path / "scores")]) == 2
+    assert _one_line_error(capsys) == f"error: {header_only} holds no fans\n"
+    assert not (tmp_path / "scores").exists()
+
+
 @pytest.fixture(scope="module")
 def traded_backtest(panel_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("traded")

@@ -22,8 +22,8 @@ from splitcast.ensembles import (
     random_split,
 )
 from splitcast.errors import EmptyEnsembleError, TooFewRowsError
-from splitcast.features import MarketData, ModelSpec, design_rows, targets
-from splitcast.models import ols_fit
+from splitcast.features import KINDS, MarketData, ModelSpec, design_rows, row_length, targets
+from splitcast.models import ols_fit, window_fits
 from splitcast.quantreg import TAU_GRID
 
 
@@ -187,7 +187,7 @@ def test_fits_do_not_depend_on_the_other_requests(data_small):
     np.testing.assert_array_equal(joint[12].column("DA"), alone[12].column("DA"))
 
 
-def test_hour_blocks_equal_a_per_hour_replay(data_small, monkeypatch):
+def test_hour_blocks_equal_a_per_hour_replay(panel_small, monkeypatch):
     """With a budget that splits each variable's hours into several blocks,
     hist and ms members at edge and interior hours of W and DA equal a
     replay that fits every (hour, window or split) alone with lstsq."""
@@ -195,27 +195,37 @@ def test_hour_blocks_equal_a_per_hour_replay(data_small, monkeypatch):
     # DA: one hour per block
     monkeypatch.setattr(splitcast.ensembles, "_BLOCK_FLOATS", 14_000)
     stacks = []
-    fits = splitcast.ensembles.ols_fits
+    fits, windows = splitcast.ensembles.ols_fits, splitcast.ensembles.window_fits
 
-    def recording_fits(X, y, masks):
-        stacks.append(X.shape[0])
-        return fits(X, y, masks)
+    def recording_fits(X, y, masks, products=None):
+        stacks.append(("masks", X.shape[0]))
+        return fits(X, y, masks, products)
+
+    def recording_windows(X, y, inner):
+        stacks.append(("windows", X.shape[0]))
+        return windows(X, y, inner)
 
     monkeypatch.setattr(splitcast.ensembles, "ols_fits", recording_fits)
+    monkeypatch.setattr(splitcast.ensembles, "window_fits", recording_windows)
+    data = MarketData.from_panel(panel_small)  # no window fits kept from other tests
     train = np.arange(20, 110)
     days = np.append(train, 110)
     hours = (1, 2, 12, 23, 24)
-    hist = historical_ensembles_for_day(data_small, ("W", "DA"), train, 110, hours)
-    assert stacks == [2, 2, 1] + [1] * 5  # W at 1 and 24, at 2 and 12, at 23; DA hour by hour
-    ms = ms_ensembles_for_day(data_small, ("W", "DA"), train, 110, hours, 4, 0.5,
+    hist = historical_ensembles_for_day(data, ("W", "DA"), train, 110, hours)
+    # W at 1 and 24, at 2 and 12, at 23; DA hour by hour
+    assert stacks == [("windows", k) for k in [2, 2, 1] + [1] * 5]
+    stacks.clear()
+    ms = ms_ensembles_for_day(data, ("W", "DA"), train, 110, hours, 4, 0.5,
                               np.random.default_rng(7))
+    # 4 fits an hour leave room for W at 2, 12 and 23 in one block
+    assert stacks == [("masks", k) for k in [2, 3] + [1] * 5]
     stream = np.random.default_rng(7)
     plans = [random_split(train, 0.5, stream) for _ in range(4)]
     for v in ("W", "DA"):
         for hour in hours:
             spec = ModelSpec(v, hour)
-            X, _ = design_rows(spec, data_small, days)
-            y = targets(spec, data_small, days)
+            X, _ = design_rows(spec, data, days)
+            y = targets(spec, data, days)
             lstsq = lambda rows: np.linalg.lstsq(X[rows], y[rows], rcond=None)[0]  # noqa: E731
             point = X[-1] @ lstsq(slice(45, 90))
             errors = [y[pos] - X[pos] @ lstsq(slice(pos - 45, pos)) for pos in range(45, 90)]
@@ -259,6 +269,117 @@ def test_near_collinear_design_counts_fallbacks(panel_small):
     np.testing.assert_allclose(hist[12].column("W"), point + np.array(errors), rtol=1e-7)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(KINDS), st.integers(1, 24), st.integers(50, 110), st.floats(0.0, 1.0))
+def test_a_window_fit_depends_on_its_rows_alone(data_small, kind, hour, n, share):
+    """Each window of an n-day sample is fitted to the same bits alone, in a
+    block of hours, and in the sample moved on by 1 and by 7 days."""
+    p = row_length(kind, hour)
+    inner = 2 * p + int(share * (n - 1 - 2 * p))
+    days = np.arange(14, 14 + n + 7)
+    other = next(h for h in range(1, 25) if h != hour and row_length(kind, h) == p)
+    specs = [ModelSpec(kind, h) for h in (other, hour)]  # a block of two hours
+    X = np.stack([design_rows(spec, data_small, days)[0] for spec in specs])
+    y = np.stack([targets(spec, data_small, days) for spec in specs])
+    coef, fallback = window_fits(X[1:, :n], y[1:, :n], inner)
+    n_windows = n - inner + 1
+    assert coef.shape == (1, n_windows, p) and not fallback.any()
+    np.testing.assert_array_equal(window_fits(X[:, :n], y[:, :n], inner)[0][1:], coef)
+    for shift in (1, 7):
+        moved, _ = window_fits(X[1:, shift:shift + n], y[1:, shift:shift + n], inner)
+        shared = max(0, n_windows - shift)
+        np.testing.assert_array_equal(moved[:, :shared], coef[:, shift:])
+    for j in sorted({0, n_windows // 2, n_windows - 1}):
+        alone, _ = window_fits(X[1:, j:j + inner], y[1:, j:j + inner], inner)
+        np.testing.assert_array_equal(alone[:, 0], coef[:, j])
+
+
+def test_window_fits_match_lstsq_and_flag_fallbacks(rng):
+    """Every window's fit is lstsq on its rows; a window whose two columns
+    agree on all of its rows is refitted by ols_fit and flagged."""
+    X = rng.standard_normal((2, 60, 4))
+    X[:, :, 0] = 1.0
+    X[1, 40:, 3] = X[1, 40:, 2]  # design 1: windows from row 40 on are singular
+    y = rng.standard_normal((2, 60))
+    coef, fallback = window_fits(X, y, 20)
+    assert fallback.tolist() == [[False] * 41, [False] * 40 + [True]]
+    for h in range(2):
+        for j in range(41):
+            oracle = np.linalg.lstsq(X[h, j:j + 20], y[h, j:j + 20], rcond=None)[0]
+            np.testing.assert_allclose(coef[h, j], oracle, rtol=1e-9, atol=1e-12)
+    np.testing.assert_array_equal(coef[1, 40], ols_fit(X[1, 40:], y[1, 40:]))
+
+
+def test_a_carried_day_equals_a_fresh_one(panel_small, monkeypatch):
+    """The window fits of one target day serve the next calls on the same
+    data at any shift: only the windows not kept are fitted, and every
+    call's members equal those of a fresh ``MarketData``, bit for bit."""
+    rows = []
+    fits = splitcast.ensembles.window_fits
+    monkeypatch.setattr(splitcast.ensembles, "window_fits",
+                        lambda X, y, inner: rows.append(X.shape[1]) or fits(X, y, inner))
+    data = MarketData.from_panel(panel_small)
+    variables, hours = ("DA", "W"), (1, 12)
+    # (target day, rows of each block's window_fits call): the first day fits
+    # all 46 windows of 45 days, the others only those they do not share
+    for day, fitted in ((110, 90), (111, 45), (104, 51), (111, 51), (139, 72)):
+        train = np.arange(day - 90, day)
+        rows.clear()
+        carried = historical_ensembles_for_day(data, variables, train, day, hours)
+        assert rows == [fitted] * 3  # DA at 1 and 12, W at 1, W at 12
+        fresh = historical_ensembles_for_day(MarketData.from_panel(panel_small), variables,
+                                             train, day, hours)
+        for hour in hours:
+            np.testing.assert_array_equal(carried[hour].members, fresh[hour].members)
+        assert sorted(data.hist_windows) == [(v, h) for v in variables for h in hours]
+        assert {w.first_day for w in data.hist_windows.values()} == {day - 90}
+    # a sample that skips a day is fitted in full and leaves the kept windows alone
+    gappy = np.delete(np.arange(40, 131), 50)
+    rows.clear()
+    historical_ensembles_for_day(data, ("W",), gappy, 131, (12,))
+    assert rows == [gappy.size] and data.hist_windows[("W", 12)].first_day == 49
+
+
+def test_a_carried_day_counts_the_fallbacks_of_its_windows(panel_small):
+    """A near collinear (variable, hour) reports the same ``ols_fallbacks``
+    on a day whose windows were mostly kept as on a fresh one."""
+    panel = _near_copy_of_neighbour_forecast(panel_small, 12, np.random.default_rng(3))
+    data = MarketData.from_panel(panel)
+    historical_ensembles_for_day(data, ("DA", "W"), np.arange(19, 109), 109, (6, 12))
+    carried = historical_ensembles_for_day(data, ("DA", "W"), np.arange(20, 110), 110, (6, 12))
+    fresh = historical_ensembles_for_day(MarketData.from_panel(panel), ("DA", "W"),
+                                         np.arange(20, 110), 110, (6, 12))
+    assert carried[12].meta["ols_fallbacks"] == fresh[12].meta["ols_fallbacks"] == 45 + 1
+    assert carried[6].meta["ols_fallbacks"] == fresh[6].meta["ols_fallbacks"] == 0
+    for hour in (6, 12):
+        np.testing.assert_array_equal(carried[hour].members, fresh[hour].members)
+
+
+def test_two_modes_in_one_call_equal_two_calls(data_small):
+    """Both ms modes from one pass over the designs equal each mode's own
+    call bit for bit, in either order."""
+    sample = np.arange(20, 120)
+    args = (data_small, ("DA", "W"), sample, 120, (1, 12, 24), 4, 0.5)
+
+    def streams():
+        return {"corr": np.random.default_rng(3),
+                "uncorr": [np.random.default_rng(4), np.random.default_rng(5)]}
+
+    alone = {mode: ms_ensembles_for_day(*args, rng, mode=mode) for mode, rng in streams().items()}
+    for modes in (("corr", "uncorr"), ("uncorr", "corr")):
+        rngs = streams()
+        both = ms_ensembles_for_day(*args, [rngs[m] for m in modes], mode=modes)
+        assert tuple(both) == modes
+        for mode in modes:
+            for hour in (1, 12, 24):
+                np.testing.assert_array_equal(both[mode][hour].members, alone[mode][hour].members)
+                assert both[mode][hour].meta == alone[mode][hour].meta
+    for modes, rngs in ((("corr", "corr"), [streams()["corr"]] * 2),
+                        (("corr", "uncorr"), [streams()["corr"]])):
+        with pytest.raises(ValueError):
+            ms_ensembles_for_day(*args, rngs, mode=modes)
+
+
 _THREADS_SCRIPT = textwrap.dedent("""
     import hashlib
     import numpy as np
@@ -280,9 +401,10 @@ _THREADS_SCRIPT = textwrap.dedent("""
 
 
 def test_members_do_not_depend_on_the_blas_thread_count():
-    """At a 365-day window a hist hour's 184 masked Gram sums would be one
+    """At a 365-day window the masked Gram sums of an ms hour would be one
     product large enough for OpenBLAS to split over threads; the fits take
-    them a few masks at a time, so the members keep their bits."""
+    them a few masks at a time, and each hist window is a product of its
+    own 182 rows, so the members keep their bits."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(splitcast.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     digests = set()
@@ -299,7 +421,10 @@ def test_members_do_not_depend_on_the_blas_thread_count():
 def no_fits(monkeypatch):
     """The builders' least squares fits, batched or single, counted instead of run."""
     calls = []
-    monkeypatch.setattr(splitcast.ensembles, "ols_fits", lambda X, y, masks: calls.append(X.shape))
+    monkeypatch.setattr(splitcast.ensembles, "ols_fits",
+                        lambda X, y, masks, products=None: calls.append(X.shape))
+    monkeypatch.setattr(splitcast.ensembles, "window_fits",
+                        lambda X, y, inner: calls.append(X.shape))
     monkeypatch.setattr(splitcast.models, "ols_fit", lambda X, y: calls.append(X.shape))
     return calls
 
