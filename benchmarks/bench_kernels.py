@@ -21,9 +21,12 @@ final window, in a 365 day sample with 21 regressors, fitted one by one
 with ``ols_fit`` and batched with ``window_fits``; the stacked set is those
 fits for one variable's 24 hours, at 21 and at 5 regressors, taken in the
 hour blocks that the ensemble builders use, with its time per hour.  The
-trading hour prices 3,660 members and picks the ``epi``, ``var`` and
-``sr`` bids with 5 stopping taus each, as the backtest does for one hour:
-one sort of the pools serves every quantile.  The panel load reads a 381
+multiple split set is the 20 split fits of each of those 24 hours, each on
+182 random estimation days of the 365 (``ols_fits``), in the builders' hour
+blocks, with its time per hour.  The trading hour prices 3,660 members
+and picks the ``epi``, ``var`` and ``sr`` bids with 5 stopping taus each,
+as the backtest does for one hour: one sort of the pools serves every
+quantile.  The panel load reads a 381
 day synthetic panel CSV, written by ``write_panel`` with its RES columns,
 and builds its ``MarketData``.  The cold imports are the median of 7 fresh
 interpreters importing ``splitcast`` alone and the modules each command
@@ -46,7 +49,7 @@ import numpy as np
 
 from splitcast.ensembles import ForecastEnsemble, _hours_per_block
 from splitcast.features import MarketData
-from splitcast.models import ols_fit, window_fits
+from splitcast.models import ols_fit, ols_fits, window_fits
 from splitcast.panel import SyntheticConfig, generate_synthetic_panel, load_panel, write_panel
 from splitcast.quantreg import qr_fit_fan
 from splitcast.scores import crps_fan_matrix, preranks
@@ -92,6 +95,13 @@ def _stacked_fits(X, y, inner):
     """The window fits of every hour of ``X`` (hours, n, p), in the ensembles' hour blocks."""
     size = _hours_per_block(X.shape[1], X.shape[2], X.shape[1] - inner + 1)
     return [window_fits(X[s:s + size], y[s:s + size], inner) for s in range(0, len(X), size)]
+
+
+def _split_fits(X, y, rows):
+    """The split fits of every hour of ``X`` (hours, n, p) on the estimation
+    rows ``rows`` (splits, k), in the ensembles' hour blocks."""
+    size = _hours_per_block(X.shape[1], X.shape[2], len(rows), rows.shape[1])
+    return [ols_fits(X[s:s + size], y[s:s + size], rows) for s in range(0, len(X), size)]
 
 
 def _trading_hour(ens, w_hat, q_grid, taus):
@@ -158,6 +168,9 @@ def main():
         ys = np.einsum("hnp,hp->hn", Xs, rng.normal(size=(24, p))) + rng.normal(size=(24, 365))
         _report("hist windows", f"24 x 184 windows, n=365, p={p}",
                 lambda: _stacked_fits(Xs, ys, inner), repeats=5, fans=24, unit="hour")
+        rows = np.sort([rng.permutation(365)[:182] for _ in range(20)], axis=1)
+        _report("ms splits", f"24 x 20 splits, n=365, p={p}",
+                lambda: _split_fits(Xs, ys, rows), repeats=5, fans=24, unit="hour")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "panel.csv")

@@ -27,11 +27,12 @@ import numpy as np
 
 from .errors import EmptyEnsembleError, TooFewRowsError
 from .features import KINDS, ModelSpec, row_length
-from .models import expert_design, ols_fits, packed_products, window_fits
+from .models import expert_design, ols_fits, window_fits
 from .panel import DERIVED
 
-# floats of one block of hours' packed products, Gram matrices and residuals
-# (about 1 MB); a block holds at least one whole hour
+# floats of one block of hours' fits (about 1 MB): its designs, gathered rows,
+# Gram matrices and residuals (``_hours_per_block``); a block holds at least
+# one whole hour
 _BLOCK_FLOATS = 1 << 17
 
 
@@ -121,21 +122,45 @@ def _check_fit_rows(n_rows, variables, hours, what):
             f"{what} of {n_rows} rows for {p} regressors, need at least {2 * p}")
 
 
-def _hours_per_block(n, p, n_fits):
-    """Hours of one block of fits at ``n`` sample rows, ``p`` regressors and
-    ``n_fits`` fits per hour: as many as ``_BLOCK_FLOATS`` holds, at least one."""
-    return max(1, _BLOCK_FLOATS // (n * p * (p + 1) // 2 + n_fits * (p * p + n)))
+def _check_sample(days, target_day):
+    """The sample ``days`` sorted; a day it repeats, or one at or after
+    ``target_day``, raises ValueError."""
+    days = np.sort(np.asarray(days, dtype=np.intp))
+    repeated = days[1:][days[1:] == days[:-1]]
+    if repeated.size:
+        raise ValueError(f"sample day {repeated[0]} appears more than once")
+    late = days[days >= target_day]
+    if late.size:
+        raise ValueError(f"sample day {late[0]} is not before the target day {target_day}")
+    return days
 
 
-def _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_fits, outputs,
-                       members_of):
+def _hours_per_block(n, p, n_fits, fit_rows=None):
+    """Hours of one block of ``n_fits`` fits per hour at ``n`` sample rows and
+    ``p`` regressors: as many as ``_BLOCK_FLOATS`` holds, at least one.
+
+    A split fit (``fit_rows`` estimation rows) counts the hour's design and
+    targets, (n + 1)(p + 1) floats, and per fit its gathered rows and
+    targets, its Gram matrix and Cholesky factor, and its residuals on the
+    ``n`` rows with the product they come from.  Window fits (``fit_rows``
+    None) are views of the design; their blocks are sized at
+    n p (p + 1) / 2 + n_fits (p^2 + n) floats an hour."""
+    if fit_rows is None:
+        return max(1, _BLOCK_FLOATS // (n * p * (p + 1) // 2 + n_fits * (p * p + n)))
+    per_fit = fit_rows * (p + 1) + 2 * p * p + 2 * n
+    return max(1, _BLOCK_FLOATS // ((n + 1) * (p + 1) + n_fits * per_fit))
+
+
+def _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_fits, fit_rows,
+                       outputs, members_of):
     """One ``{hour: ForecastEnsemble}`` per entry ``(n_members, meta)`` of
     ``outputs``.
 
     Each variable's hours are taken in blocks that share a row length and
-    fit ``_BLOCK_FLOATS``, each block's designs over the sample and the
-    target day (its last row) built into one (hours, days, p) stack and
-    validated once per hour.  ``members_of(v, block_hours, X, y)`` gives,
+    fit ``_BLOCK_FLOATS`` (``_hours_per_block`` of ``n_fits`` and
+    ``fit_rows``), each block's designs over the sample and the target day
+    (its last row) built into one (hours, days, p) stack and validated once
+    per hour.  ``members_of(v, block_hours, X, y)`` gives,
     for each output, the members of variable ``v`` at the block's hours,
     (hours, n_members), and the count of each hour's fits sent to
     ``ols_fit``; ``meta["ols_fallbacks"]`` sums the counts of an hour."""
@@ -148,7 +173,7 @@ def _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_fits, 
         for k, hour in enumerate(hours):
             by_p.setdefault(row_length(v, hour), []).append(k)
         for p, ks in by_p.items():
-            size = _hours_per_block(sample_days.size, p, n_fits)
+            size = _hours_per_block(sample_days.size, p, n_fits, fit_rows)
             for start in range(0, len(ks), size):
                 block = ks[start:start + size]
                 X = np.empty((len(block), all_days.size, p))
@@ -180,11 +205,14 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
     ``mode`` may also be a tuple of modes, with ``rng`` the sequence of
     their streams in that order.  Then it returns ``{mode: {hour:
     ForecastEnsemble}}``, each mode's equal to its own call, bit for bit:
-    every (variable, hour block) design and its products are built once,
-    and each mode's split plans are fitted on them.
+    every (variable, hour block) design is built once, and each mode's
+    split plans are fitted on it.
+
+    ``sample_days`` must hold distinct days before ``target_day``, else
+    ValueError.
     """
     variables = _check_variables(variables)
-    sample_days = np.sort(np.asarray(sample_days, dtype=np.intp))
+    sample_days = _check_sample(sample_days, target_day)
     if n_splits < 1:
         raise ValueError("need at least one split")
     single = isinstance(mode, str)
@@ -199,37 +227,35 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
     n_estim = round(ratio * sample_days.size)
     _check_fit_rows(n_estim, variables, hours, "split estimation side")
 
-    def masks(stream):
-        """Estimation masks over the sample, (splits, days), and the sorted
-        calibration row positions of each split, (splits, calibration days)."""
-        fit = np.zeros((n_splits, sample_days.size), dtype=bool)
-        for i in range(n_splits):
-            plan = random_split(sample_days, ratio, stream)
-            fit[i, np.searchsorted(sample_days, plan.estimation_days)] = True
-        return fit, np.nonzero(~fit)[1].reshape(n_splits, -1)
+    def split_rows(stream):
+        """The sorted estimation and calibration row positions of each split
+        in the sample, (splits, estimation days) and (splits, calibration days)."""
+        splits = [random_split(sample_days, ratio, stream) for _ in range(n_splits)]
+        return (np.searchsorted(sample_days, [plan.estimation_days for plan in splits]),
+                np.searchsorted(sample_days, [plan.calibration_days for plan in splits]))
 
-    plans = []  # per mode: variable -> masks
+    plans = []  # per mode: variable -> row positions
     for m, stream in zip(modes, rngs):
         if m == "corr":
-            shared = masks(stream)
+            shared = split_rows(stream)
             plans.append({v: shared for v in variables})
         else:
-            plans.append({v: masks(s) for v, s in zip(variables, stream)})
+            plans.append({v: split_rows(s) for v, s in zip(variables, stream)})
 
     def members_of(v, block_hours, X, y):
         sample_X, sample_y = X[:, :-1], y[:, :-1]
-        products = packed_products(sample_X)
         for plan in plans:
             fit, calib = plan[v]
-            betas, fallbacks = ols_fits(sample_X, sample_y, fit, products)  # (hours, splits, p)
+            betas, refitted = ols_fits(sample_X, sample_y, fit)  # (hours, splits, p)
             resid = sample_y[:, None] - betas @ sample_X.transpose(0, 2, 1)
             errors = np.take_along_axis(resid, calib[None], axis=2)
-            yield (betas @ X[:, -1, :, None] + errors).reshape(len(X), -1), fallbacks
+            yield ((betas @ X[:, -1, :, None] + errors).reshape(len(X), -1),
+                   np.count_nonzero(refitted, axis=1))
 
     n_calib = sample_days.size - n_estim
     meta = {"calibration_size": int(n_calib)}
     by_mode = _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_splits,
-                                 [(n_splits * n_calib, meta)] * len(modes), members_of)
+                                 n_estim, [(n_splits * n_calib, meta)] * len(modes), members_of)
     return by_mode[0] if single else dict(zip(modes, by_mode))
 
 
@@ -257,9 +283,12 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
     ``data.hist_windows``, one day's per (variable, hour), and a later call
     on the same ``data`` takes the windows it shares with them from there,
     at any shift of the days, and fits only the others.
+
+    ``train_days`` must hold distinct days before ``target_day``, else
+    ValueError.
     """
     variables = _check_variables(variables)
-    train_days = np.sort(np.asarray(train_days, dtype=np.intp))
+    train_days = _check_sample(train_days, target_day)
     n = train_days.size
     inner = n // 2 if inner_window is None else int(inner_window)
     if not 0 < inner < n:
@@ -302,7 +331,7 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
         members = (X[:, -1, None, :] @ betas[:, -1, :, None])[:, 0] + errors
         return [(members, np.count_nonzero(fallback, axis=1))]
 
-    return _ensembles_by_hour(data, variables, train_days, target_day, hours, n_windows,
+    return _ensembles_by_hour(data, variables, train_days, target_day, hours, n_windows, None,
                               [(n - inner, {})], members_of)[0]
 
 

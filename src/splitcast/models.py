@@ -3,8 +3,8 @@
 The ensembles refit one small design on many row subsets: a window per
 historical simulation step, an estimation side per random split.
 :func:`window_fits` and :func:`ols_fits` batch those refits through the
-normal equations, with a guard that sends each ill-conditioned one to
-:func:`ols_fit`.
+normal equations, each fit's from one product of its own rows, with a
+guard that sends each ill-conditioned fit to :func:`ols_fit`.
 """
 
 import numpy as np
@@ -13,9 +13,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
 from .features import design_rows, targets
 
-# multiply-adds of one masked product: with OpenBLAS 0.3.31 a product of about
-# 1.02e6 or more comes out with other bits on 2 threads than on 1; half that
-_PRODUCT_SIZE = 1 << 19
 # smallest Cholesky pivot of a unit diagonal Gram matrix that stays batched; a
 # pivot is 1 - R^2 of its column on the columns before it, within the fit's rows
 _MIN_PIVOT = 1e-6
@@ -65,91 +62,47 @@ def ols_fit(X, y):
     return np.linalg.lstsq(X, y, rcond=None)[0]
 
 
-def packed_products(X):
-    """Column products of ``X`` (..., n, p) packed one column per pair i <= j,
-    and the (p, p) index array that unpacks a row of them into a symmetric
-    matrix: ``(w @ XX)[..., unpack]`` is the Gram matrix of the rows weighted
-    by ``w``."""
-    *lead, n, p = X.shape
-    XX = np.empty((*lead, n, p * (p + 1) // 2))
-    k = 0
-    for i in range(p):  # slice by slice: no gathered (n, pairs) temporaries
-        np.multiply(X[..., i:i + 1], X[..., i:], out=XX[..., k:k + p - i])
-        k += p - i
-    iu = np.triu_indices(p)
-    unpack = np.empty((p, p), dtype=np.intp)
-    unpack[iu] = unpack.T[iu] = np.arange(iu[0].size)
-    return XX, unpack
-
-
-def ols_fits(X, y, masks, products=None):
-    """Least squares coefficients of ``y`` on ``X`` over the rows each 0/1 row
-    of ``masks`` selects.  For one design ``X`` (n, p) with targets ``y`` (n,)
-    it returns ``(coefficients of shape (len(masks), p), number of fits sent
-    to ols_fit)``; for a stack ``X`` (H, n, p) with targets ``y`` (H, n),
-    whose designs share the masks, ``(coefficients (H, len(masks), p), fits
-    sent to ols_fit per design (H,))``.  ``products`` is the stack's
-    :func:`packed_products`, when the caller fits several sets of masks on it.
-
-    Every fit of the stack is solved by :func:`_solve_normal_equations`, in
-    one batched solve, so the caller bounds the stack's size.
+def ols_fits(X, y, rows):
+    """Least squares coefficients of ``y`` on ``X`` over each row of ``rows``,
+    for a stack ``X`` (H, n, p) with targets ``y`` (H, n) and the sorted
+    sample rows of each fit, (fits, k): ``(coefficients (H, fits, p),
+    fallback flags (H, fits))``, flagged where :func:`ols_fit` refitted
+    the fit.  The fits' rows are gathered, H * fits * k * (p + 1) floats,
+    so the caller bounds the stack's size.
 
     Unchecked, like :func:`ols_fit`.
     """
-    stacked = X.ndim == 3
-    if not stacked:
-        X, y = X[None], y[None]
-    XX, unpack = packed_products(X) if products is None else products
-    m = np.asarray(masks, dtype=np.float64)
-    gram = _masked_sums(m, XX)[..., unpack]  # (H, fits, p, p)
-    del XX  # as large as the Gram matrices: when made here, freed before they are factorized
-    # zero on a dead column: its products are exact zeros
-    rhs = _masked_sums(m, X * y[:, :, None])
-
-    def refit(h, i):
-        rows = m[i] != 0.0
-        return ols_fit(X[h, rows], y[h, rows])
-
-    coef, bad = _solve_normal_equations(gram, rhs, refit)
-    fallbacks = np.count_nonzero(bad, axis=1)
-    return (coef, fallbacks) if stacked else (coef[0], int(fallbacks[0]))
+    return _fits(np.take(X, rows, axis=1).swapaxes(-1, -2), np.take(y, rows, axis=1))
 
 
 def window_fits(X, y, inner):
     """Least squares coefficients of ``y`` on ``X`` over every window of
     ``inner`` consecutive rows, for a stack ``X`` (H, n, p) with targets
     ``y`` (H, n): ``(coefficients (H, n - inner + 1, p), fallback flags
-    (H, n - inner + 1))``, window ``j`` covering rows ``j .. j + inner - 1``
-    and flagged where :func:`ols_fit` refitted it.
-
-    A window's normal equations are one product of its own rows alone, so
-    its fit does not depend on the rows around it: the same rows give the
-    same bits alone, in a longer run of rows, and at any offset.
+    (H, n - inner + 1))``, window ``j`` covering rows ``j .. j + inner - 1``.
+    The windows are views of ``X``, nothing is gathered, and a window's fit
+    gets the same bits at any offset in a longer run of rows.
 
     Unchecked, like :func:`ols_fit`.
     """
-    windows = sliding_window_view(X, inner, axis=1)  # (H, windows, p, inner), no copy
-    gram = windows @ windows.swapaxes(-1, -2)  # one product per window
-    rhs = (windows @ sliding_window_view(y, inner, axis=1)[..., None])[..., 0]
-
-    def refit(h, j):
-        return ols_fit(X[h, j:j + inner], y[h, j:j + inner])
-
-    return _solve_normal_equations(gram, rhs, refit)
+    return _fits(sliding_window_view(X, inner, axis=1), sliding_window_view(y, inner, axis=1))
 
 
-def _solve_normal_equations(gram, rhs, refit):
-    """Coefficients of the normal equations ``gram`` (H, fits, p, p) and
-    ``rhs`` (H, fits, p), and the (H, fits) flags of the fits that
-    ``refit(h, i)`` redid.
+def _fits(A, b):
+    """Coefficients of the fits whose rows are the columns of ``A`` (H, fits,
+    p, k), with targets ``b`` (H, fits, k), and the (H, fits) flags of the
+    fits that :func:`ols_fit` redid.
 
-    All fits are scaled to a unit diagonal and solved in one batched solve.
-    A column that is zero on all of a fit's rows gets a unit pivot and a
-    zero right hand side, so its coefficient is 0: the minimum norm answer
-    of :func:`ols_fit`.  A fit whose Cholesky factor fails or has a pivot
-    below ``_MIN_PIVOT`` is refitted by ``refit``, :func:`ols_fit` on its
-    rows.  ``gram`` is overwritten.
+    A fit's normal equations are one product of its own rows, so it gets
+    the same bits alone, among other fits and in a stack of designs.  All
+    fits are scaled to a unit diagonal and solved in one batched solve.  A
+    column that is zero on all of a fit's rows gets a unit pivot and a zero
+    right hand side, so its coefficient is 0: the minimum norm answer of
+    :func:`ols_fit`.  A fit whose Cholesky factor fails or has a pivot below
+    ``_MIN_PIVOT`` is refitted by :func:`ols_fit`.
     """
+    gram = A @ A.swapaxes(-1, -2)
+    rhs = (A @ b[..., None])[..., 0]
     p = gram.shape[-1]
     diag = gram.reshape(*gram.shape[:2], p * p)[..., ::p + 1]
     scale = np.sqrt(diag)
@@ -158,23 +111,12 @@ def _solve_normal_equations(gram, rhs, refit):
     gram /= scale[..., None, :]
     diag[...] = 1.0  # the unit pivot of a dead column; 1 up to rounding elsewhere
     bad = ~_well_conditioned(gram)
-    gram[bad] = np.eye(p)  # a solvable stand-in: refit redoes these fits
+    gram[bad] = np.eye(p)  # a solvable stand-in: ols_fit redoes these fits
     coef = np.linalg.solve(gram, (rhs / scale)[..., None])[..., 0]
     coef /= scale
     for h, i in zip(*np.nonzero(bad)):
-        coef[h, i] = refit(h, i)
+        coef[h, i] = ols_fit(A[h, i].T, b[h, i])
     return coef, bad
-
-
-def _masked_sums(m, A):
-    """``m @ A`` for masks ``m`` (fits, n) and a stack ``A`` (H, n, k), taken in
-    products of a few rows of ``m`` each, small enough that BLAS runs them
-    on one thread: the bits then do not depend on the BLAS thread count."""
-    out = np.empty((A.shape[0], len(m), A.shape[2]))
-    rows = max(1, _PRODUCT_SIZE // (A.shape[1] * A.shape[2]))
-    for s in range(0, len(m), rows):
-        np.matmul(m[s:s + rows], A, out=out[:, s:s + rows])
-    return out
 
 
 def _well_conditioned(gram):

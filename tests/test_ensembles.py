@@ -130,6 +130,28 @@ def test_uncorr_needs_one_stream_per_variable(data_small):
                              np.random.default_rng(1))
 
 
+def _both_builders(data, sample, target_day):
+    """The ms and the hist builder on ``sample``, each as a call of no arguments."""
+    yield lambda: ms_ensembles_for_day(data, ("DA", "W"), sample, target_day, (1, 12), 3, 0.5,
+                                       np.random.default_rng(1))
+    yield lambda: historical_ensembles_for_day(data, ("DA", "W"), sample, target_day, (1, 12))
+
+
+def test_a_repeated_sample_day_is_rejected(data_small, no_fits):
+    sample = np.sort(np.append(np.arange(20, 120), 54))
+    for build in _both_builders(data_small, sample, 120):
+        with pytest.raises(ValueError, match="sample day 54 appears more than once"):
+            build()
+    assert no_fits == []
+
+
+def test_a_sample_day_at_or_after_the_target_is_rejected(data_small, no_fits):
+    for build in _both_builders(data_small, np.arange(20, 120), 100):
+        with pytest.raises(ValueError, match="sample day 100 is not before the target day 100"):
+            build()
+    assert no_fits == []
+
+
 def test_corr_preserves_cross_correlation(data_small):
     """Joint splits keep the DA/ID error dependence, per variable splits lose it."""
     sample = np.arange(12, 132)  # 120 days -> 60 errors per split
@@ -197,9 +219,9 @@ def test_hour_blocks_equal_a_per_hour_replay(panel_small, monkeypatch):
     stacks = []
     fits, windows = splitcast.ensembles.ols_fits, splitcast.ensembles.window_fits
 
-    def recording_fits(X, y, masks, products=None):
-        stacks.append(("masks", X.shape[0]))
-        return fits(X, y, masks, products)
+    def recording_fits(X, y, rows):
+        stacks.append(("splits", X.shape[0]))
+        return fits(X, y, rows)
 
     def recording_windows(X, y, inner):
         stacks.append(("windows", X.shape[0]))
@@ -217,8 +239,8 @@ def test_hour_blocks_equal_a_per_hour_replay(panel_small, monkeypatch):
     stacks.clear()
     ms = ms_ensembles_for_day(data, ("W", "DA"), train, 110, hours, 4, 0.5,
                               np.random.default_rng(7))
-    # 4 fits an hour leave room for W at 2, 12 and 23 in one block
-    assert stacks == [("masks", k) for k in [2, 3] + [1] * 5]
+    # 4 split fits of 45 rows an hour: W at 1 and 24, at 2, 12 and 23; DA hour by hour
+    assert stacks == [("splits", k) for k in [2, 3] + [1] * 5]
     stream = np.random.default_rng(7)
     plans = [random_split(train, 0.5, stream) for _ in range(4)]
     for v in ("W", "DA"):
@@ -401,10 +423,9 @@ _THREADS_SCRIPT = textwrap.dedent("""
 
 
 def test_members_do_not_depend_on_the_blas_thread_count():
-    """At a 365-day window the masked Gram sums of an ms hour would be one
-    product large enough for OpenBLAS to split over threads; the fits take
-    them a few masks at a time, and each hist window is a product of its
-    own 182 rows, so the members keep their bits."""
+    """Each fit's normal equations are products of its own rows alone, 182
+    or 183 at a 365-day window: too small for OpenBLAS to split over
+    threads, so the members keep their bits."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(splitcast.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     digests = set()
@@ -422,7 +443,7 @@ def no_fits(monkeypatch):
     """The builders' least squares fits, batched or single, counted instead of run."""
     calls = []
     monkeypatch.setattr(splitcast.ensembles, "ols_fits",
-                        lambda X, y, masks, products=None: calls.append(X.shape))
+                        lambda X, y, rows: calls.append(X.shape))
     monkeypatch.setattr(splitcast.ensembles, "window_fits",
                         lambda X, y, inner: calls.append(X.shape))
     monkeypatch.setattr(splitcast.models, "ols_fit", lambda X, y: calls.append(X.shape))

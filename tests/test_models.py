@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import splitcast.models
 from splitcast.errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
 from splitcast.backtest import forecast_day
 from splitcast.config import ExperimentConfig
@@ -86,23 +85,19 @@ def _weekday_design(rng, n, extra, repeats):
     return X, y, X[:, :7].argmax(axis=1)
 
 
-def _random_masks(rng, dow, count, size, dead_weekday):
-    """``count`` 0/1 rows with ``size`` ones each, drawn off one weekday if given."""
+def _random_rows(rng, dow, count, size, dead_weekday):
+    """``count`` sorted row sets of ``size`` rows each, drawn off one weekday if given."""
     pool = np.flatnonzero(dow != dead_weekday) if dead_weekday is not None else np.arange(dow.size)
-    masks = np.zeros((count, dow.size), dtype=bool)
-    for m in masks:
-        m[rng.choice(pool, size=size, replace=False)] = True
-    return masks
+    return np.sort([rng.choice(pool, size=size, replace=False) for _ in range(count)], axis=1)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 90),
        st.sampled_from([None, 0, 3, 6]), st.integers(0, 10), st.integers(2, 4))
-def test_ols_fits_match_lstsq_per_mask(seed, extra, count, dead_weekday, repeats, stack):
-    """Every batched fit of a stack of designs that share the masks equals
+def test_ols_fits_match_lstsq_per_row_set(seed, extra, count, dead_weekday, repeats, stack):
+    """Every batched fit of a stack of designs that share the row sets equals
     lstsq on its rows; a weekday missing from a fit's rows leaves a dead dummy
-    whose coefficient is exactly 0.  A design alone is the stack's entry, bit
-    for bit."""
+    whose coefficient is exactly 0."""
     rng = np.random.default_rng(seed)
     n = 80
     designs = [_weekday_design(rng, n, extra, repeats) for _ in range(stack)]
@@ -110,56 +105,68 @@ def test_ols_fits_match_lstsq_per_mask(seed, extra, count, dead_weekday, repeats
     y = np.stack([d[1] for d in designs])
     dow = designs[0][2]  # every design has the same weekday dummies
     size = 2 * X.shape[2] + int(rng.integers(0, 20))
-    masks = _random_masks(rng, dow, count, size, dead_weekday)
-    coef, fallbacks = ols_fits(X, y, masks)
+    rows = _random_rows(rng, dow, count, size, dead_weekday)
+    coef, refitted = ols_fits(X, y, rows)
     assert coef.shape == (stack, count, X.shape[2])
-    assert fallbacks.tolist() == [0] * stack
+    assert refitted.shape == (stack, count) and not refitted.any()
     for Xh, yh, ch in zip(X, y, coef):
-        for m, c in zip(masks, ch):
-            oracle = np.linalg.lstsq(Xh[m], yh[m], rcond=None)[0]
+        for r, c in zip(rows, ch):
+            oracle = np.linalg.lstsq(Xh[r], yh[r], rcond=None)[0]
             np.testing.assert_allclose(c, oracle, rtol=1e-9, atol=1e-9 * np.abs(oracle).max())
-            dead = ~Xh[m].any(axis=0)
+            dead = ~Xh[r].any(axis=0)
             assert dead_weekday is None or dead[dead_weekday]
             assert np.all(c[dead] == 0.0)
-    alone, alone_fallbacks = ols_fits(X[-1], y[-1], masks)
-    np.testing.assert_array_equal(alone, coef[-1])
-    assert alone_fallbacks == 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 30), st.integers(2, 4),
+       st.sampled_from([None, 0, 3, 6]))
+def test_a_fit_depends_on_its_rows_alone(seed, extra, count, stack, dead_weekday):
+    """A row set's coefficients are the same bits fitted alone, in a batch of
+    other row sets, and inside a stack of other designs."""
+    rng = np.random.default_rng(seed)
+    designs = [_weekday_design(rng, 80, extra, 0) for _ in range(stack)]
+    X = np.stack([d[0] for d in designs])
+    y = np.stack([d[1] for d in designs])
+    rows = _random_rows(rng, designs[0][2], count, 2 * X.shape[2] + 5, dead_weekday)
+    coef, _ = ols_fits(X, y, rows)
+    for h in (0, stack - 1):
+        np.testing.assert_array_equal(ols_fits(X[h:h + 1], y[h:h + 1], rows)[0][0], coef[h])
+        for i in (0, count // 2, count - 1):
+            alone, _ = ols_fits(X[h:h + 1], y[h:h + 1], rows[i:i + 1])
+            np.testing.assert_array_equal(alone[0, 0], coef[h, i])
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(1e-12, 1e-5))
 def test_near_collinear_fits_take_ols_fit(seed, count, eps):
     """A column that nearly copies another trips the guard: each fit is then
-    ols_fit on its rows, bit for bit, and counted as a fallback."""
+    ols_fit on its rows, bit for bit, and flagged as refitted."""
     rng = np.random.default_rng(seed)
     X, y, dow = _weekday_design(rng, 80, 3, 0)
     X[:, 8] = X[:, 7] * (1.0 + eps * rng.standard_normal(80))
-    masks = _random_masks(rng, dow, count, 40, None)
-    coef, fallbacks = ols_fits(X, y, masks)
-    assert fallbacks == count
-    for m, c in zip(masks, coef):
-        np.testing.assert_array_equal(c, ols_fit(X[m], y[m]))
+    rows = _random_rows(rng, dow, count, 40, None)
+    coef, refitted = ols_fits(X[None], y[None], rows)
+    assert np.count_nonzero(refitted) == count
+    for r, c in zip(rows, coef[0]):
+        np.testing.assert_array_equal(c, ols_fit(X[r], y[r]))
 
 
-def test_ols_fits_blocks_and_mixed_guard(rng, monkeypatch):
-    """Fits spread over several blocks, one of them singular, come back in
-    mask order; only the singular one is refitted by ols_fit."""
-    monkeypatch.setattr(splitcast.models, "_PRODUCT_SIZE", 3 * 60 * 15)  # 3 Gram sums a product
+def test_only_the_singular_row_set_is_refitted(rng):
+    """Among several row sets, one singular: the fits come back in row set
+    order, and only the singular one is refitted by ols_fit."""
     X = _well_conditioned(rng)
     y = rng.standard_normal(60)
-    masks = np.zeros((8, 60), dtype=bool)
-    for j, m in enumerate(masks):
-        m[4 * j:4 * j + 30] = True
-    X[40:, 4] = X[40:, 3]  # columns 3 and 4 agree on rows 40..59, which the last masks partly cover
-    coef, fallbacks = ols_fits(X, y, masks)
-    assert fallbacks == 0
-    masks[7] = False
-    masks[7, 40:] = True  # columns 3 and 4 equal on every row: singular
-    coef, fallbacks = ols_fits(X, y, masks)
-    assert fallbacks == 1
-    np.testing.assert_array_equal(coef[7], ols_fit(X[40:], y[40:]))
-    for m, c in zip(masks[:7], coef[:7]):
-        np.testing.assert_allclose(c, np.linalg.lstsq(X[m], y[m], rcond=None)[0],
+    rows = np.array([np.arange(4 * j, 4 * j + 30) for j in range(8)])
+    X[30:, 4] = X[30:, 3]  # columns 3 and 4 agree on rows 30..59, which the last sets partly cover
+    coef, refitted = ols_fits(X[None], y[None], rows)
+    assert not refitted.any()
+    rows[7] = np.arange(30, 60)  # columns 3 and 4 equal on every row: singular
+    coef, refitted = ols_fits(X[None], y[None], rows)
+    assert refitted.tolist() == [[False] * 7 + [True]]
+    np.testing.assert_array_equal(coef[0, 7], ols_fit(X[rows[7]], y[rows[7]]))
+    for r, c in zip(rows[:7], coef[0, :7]):
+        np.testing.assert_allclose(c, np.linalg.lstsq(X[r], y[r], rcond=None)[0],
                                    rtol=1e-9, atol=1e-12)
 
 
