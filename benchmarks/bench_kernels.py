@@ -15,12 +15,16 @@ grid, and the fan is the 99 tau quantile regression of one (variable,
 hour) on a 365 day window with the 21 price regressors, alone and in a
 stack of 24 such designs (one day's 24 hours, solved in one call) with its
 time per fan.
+The point set is the 168 point fits of a default day (7 kinds x 24 hours
+on a 365 day window of a synthetic panel), one ``np.linalg.lstsq`` per
+(kind, hour) as the per-fit reference, against one ``ols_fit`` per stack of
+hours that share a row length, as ``backtest.forecast_day`` makes them.
 The historical simulation set is the 184 least squares fits of one
 (variable, hour) on a default day: 183 inner windows of 182 days and the
 final window, in a 365 day sample with 21 regressors, fitted one by one
-with ``ols_fit`` and batched with ``window_fits``; the stacked set is those
-fits for one variable's 24 hours, at 21 and at 5 regressors, taken in the
-hour blocks that the ensemble builders use, with its time per hour.  The
+with ``np.linalg.lstsq`` and batched with ``window_fits``; the stacked set
+is those fits for one variable's 24 hours, at 21 and at 5 regressors, taken
+in the hour blocks that the ensemble builders use, with its time per hour.  The
 multiple split set is the 20 split fits of each of those 24 hours, each on
 182 random estimation days of the 365 (``ols_fits``), in the builders' hour
 blocks, with its time per hour.  The trading hour prices 3,660 members
@@ -47,8 +51,8 @@ import datetime as dt
 
 import numpy as np
 
-from splitcast.ensembles import ForecastEnsemble, _hours_per_block
-from splitcast.features import MarketData
+from splitcast.ensembles import ForecastEnsemble, _hours_per_block, design_blocks
+from splitcast.features import KINDS, MarketData
 from splitcast.models import ols_fit, ols_fits, window_fits
 from splitcast.panel import SyntheticConfig, generate_synthetic_panel, load_panel, write_panel
 from splitcast.quantreg import qr_fit_fan
@@ -157,9 +161,20 @@ def main():
     _report("qr_fit_fan", "24 x 99 taus, n=365, p=21", lambda: qr_fit_fan(Xs, ys), repeats=3,
             fans=24)
 
+    data = MarketData.from_panel(generate_synthetic_panel(SyntheticConfig(days=381), seed=1))
+    window = np.arange(380 - 365, 380)
+    stacks = [(Xb[:, :-1], yb[:, :-1]) for _, _, Xb, yb in
+              design_blocks(data, KINDS, window, 380, range(1, 25), window.size)]
+    _report("point lstsq", "168 fits, n=365",
+            lambda: [np.linalg.lstsq(Xh, yh, rcond=None)[0] for Xs, ys in stacks
+                     for Xh, yh in zip(Xs, ys)])
+    _report("point ols_fit", f"{len(stacks)} stacks of 168 fits, n=365",
+            lambda: [ols_fit(Xs, ys) for Xs, ys in stacks])
+
     inner = 182
-    _report("hist ols_fit", "184 windows, n=365, p=21",
-            lambda: [ols_fit(X[j:j + inner], y[j:j + inner]) for j in range(365 - inner + 1)])
+    _report("hist lstsq", "184 windows, n=365, p=21",
+            lambda: [np.linalg.lstsq(X[j:j + inner], y[j:j + inner], rcond=None)[0]
+                     for j in range(365 - inner + 1)])
     _report("hist windows", "184 windows, n=365, p=21",
             lambda: window_fits(X[None], y[None], inner))
     for p in (21, 5):

@@ -23,13 +23,14 @@ import numpy as np
 from .config import config_echo_lines
 from .ensembles import (
     derived_ensemble,
+    design_blocks,
     historical_ensembles_for_day,
     interpolated_quantiles,
     ms_ensembles_for_day,
 )
 from .errors import ConfigError, SplitcastError
 from .features import KINDS, MAX_LAG, MarketData, ModelSpec, design_rows, targets
-from .models import expert_design, ols_fit
+from .models import ols_fit
 from .panel import DAILY_SERIES, FORECASTS, READ_SERIES, MarketPanel, load_panel
 from .quantreg import TAU_GRID, qr_fan, qr_fit_fan, tail_column
 from .scores import (
@@ -123,16 +124,14 @@ def forecast_day(data, cfg, day_idx):
     all_days = np.append(window, day_idx)
     hours = range(1, 25)
     # the limited benchmark, last, settles on the realized price: score_day adds it
-    out = {"point": {}, "fans": dict.fromkeys(plan.fans),
-           "intervals": dict.fromkeys(plan.intervals),
+    out = {"point": {kind: np.empty(24) for kind in plan.point},
+           "fans": dict.fromkeys(plan.fans), "intervals": dict.fromkeys(plan.intervals),
            "decisions": {key: [] for key in plan.decisions[:-1]}}
 
-    for kind in plan.point:
-        values = np.empty(24)
-        for h in hours:
-            X, y = expert_design(ModelSpec(kind, h), data, all_days)
-            values[h - 1] = X[-1] @ ols_fit(X[:-1], y[:-1])
-        out["point"][kind] = values
+    # one fit per stack of hours that share a row length, on the whole window
+    for kind, block, X, y in design_blocks(data, plan.point, window, day_idx, hours, window.size):
+        for h, row, beta in zip(block, X[:, -1], ols_fit(X[:, :-1], y[:, :-1])):
+            out["point"][kind][h - 1] = row @ beta
 
     for variable in plan.variables_of("qr"):
         # one stack of hours per regressor count: the edge hours of W have one fewer

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .features import KINDS, row_length
+from .models import min_rows
 from .panel import DEFAULT_SCHEMA, DERIVED, OPTIONAL_SCHEMA
 
 ENV_CONFIG = "SPLITCAST_CONFIG"
@@ -51,8 +52,8 @@ def _parse(annotation, text):
 
 
 def _fit_rows(kinds):
-    """Rows a least squares fit of any of ``kinds`` needs: 2 per regressor."""
-    return max((2 * row_length(k, h) for k in kinds for h in range(1, 25)), default=0)
+    """Rows a least squares fit of any of ``kinds`` needs (``models.min_rows``)."""
+    return max((min_rows(row_length(k, h)) for k in kinds for h in range(1, 25)), default=0)
 
 
 def check_level(value, name):
@@ -126,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError("split_ratio must be inside (0, 1)")
         if self.n_splits < 1:
             raise ConfigError("n_splits must be at least 1")
+        if self.master_seed < 0:  # a SeedSequence entropy is non-negative
+            raise ConfigError(f"master_seed {self.master_seed} is negative")
         for v in self.variables:
             if v not in KINDS:
                 raise ConfigError(f"unknown variable {v!r}")
@@ -135,6 +138,8 @@ class ExperimentConfig:
         for v in self.qr_variables:
             if v not in KINDS:
                 raise ConfigError(f"unknown qr variable {v!r}")
+        if "qr" in self.methods and not self.qr_variables:
+            raise ConfigError("method qr needs at least one qr variable")
         for v in self.mv_variables:
             if v not in self.variables:
                 raise ConfigError(f"mv variable {v!r} not in the ensemble variable set")

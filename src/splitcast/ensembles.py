@@ -25,14 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyEnsembleError, TooFewRowsError
-from .features import KINDS, ModelSpec, row_length
-from .models import expert_design, ols_fits, window_fits
+from .errors import EmptyEnsembleError
+from .features import KINDS, ModelSpec, design_rows, row_length, targets
+from .models import check_design, check_rows, ols_fits, window_fits
 from .panel import DERIVED
 
-# floats of one block of hours' fits (about 1 MB): its designs, gathered rows,
-# Gram matrices and residuals (``_hours_per_block``); a block holds at least
-# one whole hour
+# floats of one block of hours' fits (about 1 MB): their Gram matrices,
+# Cholesky factors and errors, and for split fits the gathered rows
+# (``_hours_per_block``); a block holds at least one whole hour
 _BLOCK_FLOATS = 1 << 17
 
 
@@ -113,15 +113,6 @@ def _check_variables(variables):
     return variables
 
 
-def _check_fit_rows(n_rows, variables, hours, what):
-    """Every sub-fit has ``n_rows`` rows: raise before the first one when that
-    is short of 2 per regressor for some (variable, hour)."""
-    p = max((row_length(v, h) for v in variables for h in hours), default=0)
-    if n_rows < 2 * p:
-        raise TooFewRowsError(
-            f"{what} of {n_rows} rows for {p} regressors, need at least {2 * p}")
-
-
 def _check_sample(days, target_day):
     """The sample ``days`` sorted; a day it repeats, or one at or after
     ``target_day``, raises ValueError."""
@@ -141,56 +132,63 @@ def _hours_per_block(n, p, n_fits, fit_rows=None):
 
     A split fit (``fit_rows`` estimation rows) counts the hour's design and
     targets, (n + 1)(p + 1) floats, and per fit its gathered rows and
-    targets, its Gram matrix and Cholesky factor, and its residuals on the
-    ``n`` rows with the product they come from.  Window fits (``fit_rows``
-    None) are views of the design; their blocks are sized at
-    n p (p + 1) / 2 + n_fits (p^2 + n) floats an hour."""
+    targets, Gram matrix, Cholesky factor, and residuals on the ``n`` rows
+    with the product they come from.  A window fit (``fit_rows`` None), a
+    view of the design, counts its Gram matrix, Cholesky factor and
+    coefficients, and an hour its ``n_fits - 1`` errors."""
     if fit_rows is None:
-        return max(1, _BLOCK_FLOATS // (n * p * (p + 1) // 2 + n_fits * (p * p + n)))
+        return max(1, _BLOCK_FLOATS // (n_fits * (2 * p * p + p) + n_fits - 1))
     per_fit = fit_rows * (p + 1) + 2 * p * p + 2 * n
     return max(1, _BLOCK_FLOATS // ((n + 1) * (p + 1) + n_fits * per_fit))
 
 
-def _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_fits, fit_rows,
-                       outputs, members_of):
-    """One ``{hour: ForecastEnsemble}`` per entry ``(n_members, meta)`` of
-    ``outputs``.
-
-    Each variable's hours are taken in blocks that share a row length and
-    fit ``_BLOCK_FLOATS`` (``_hours_per_block`` of ``n_fits`` and
-    ``fit_rows``), each block's designs over the sample and the target day
-    (its last row) built into one (hours, days, p) stack and validated once
-    per hour.  ``members_of(v, block_hours, X, y)`` gives,
-    for each output, the members of variable ``v`` at the block's hours,
-    (hours, n_members), and the count of each hour's fits sent to
-    ``ols_fit``; ``meta["ols_fallbacks"]`` sums the counts of an hour."""
+def design_blocks(data, kinds, sample_days, target_day, hours, fit_rows, n_splits=None):
+    """``(kind, block hours, X (hours, days, p), y (hours, days))`` stacks of
+    the experts of ``kinds`` over the sorted ``sample_days`` and, last,
+    ``target_day``: each kind's ``hours`` grouped by row length and cut into
+    blocks of ``_hours_per_block``, each hour's sample validated once.  The
+    fits are the windows of ``fit_rows`` consecutive rows, or ``n_splits``
+    gathered sets of ``fit_rows`` rows; too few rows for some (kind, hour)
+    raise TooFewRowsError before the first block."""
+    n = len(sample_days)
+    check_rows(fit_rows, max((row_length(k, h) for k in kinds for h in hours), default=0))
     all_days = np.append(sample_days, target_day)
-    hours = [int(h) for h in hours]
-    members = [[np.empty((n_members, len(variables))) for _ in hours] for n_members, _ in outputs]
-    fallbacks = [[0] * len(hours) for _ in outputs]
-    for vi, v in enumerate(variables):
+    for kind in kinds:
         by_p = {}
-        for k, hour in enumerate(hours):
-            by_p.setdefault(row_length(v, hour), []).append(k)
-        for p, ks in by_p.items():
-            size = _hours_per_block(sample_days.size, p, n_fits, fit_rows)
-            for start in range(0, len(ks), size):
-                block = ks[start:start + size]
+        for hour in hours:
+            by_p.setdefault(row_length(kind, hour), []).append(hour)
+        for p, kind_hours in by_p.items():
+            size = (_hours_per_block(n, p, n - fit_rows + 1) if n_splits is None
+                    else _hours_per_block(n, p, n_splits, fit_rows))
+            for start in range(0, len(kind_hours), size):
+                block = kind_hours[start:start + size]
                 X = np.empty((len(block), all_days.size, p))
                 y = np.empty((len(block), all_days.size))
-                for j, k in enumerate(block):
-                    _, y[j] = expert_design(ModelSpec(v, hours[k]), data, all_days, X[j])
-                results = members_of(v, [hours[k] for k in block], X, y)
-                for out_members, out_fallbacks, (columns, counts) in zip(members, fallbacks,
-                                                                         results):
-                    for k, column, count in zip(block, columns, counts):
-                        out_members[k][:, vi] = column
-                        out_fallbacks[k] += int(count)
+                for j, hour in enumerate(block):
+                    spec = ModelSpec(kind, hour)
+                    design_rows(spec, data, all_days, out=X[j])
+                    y[j] = targets(spec, data, all_days)
+                    check_design(X[j, :-1], y[j, :-1])
+                yield kind, block, X, y
+
+
+def _ensembles_by_hour(data, variables, target_day, hours, blocks, outputs, members_of):
+    """One ``{hour: ForecastEnsemble}`` per entry ``(n_members, meta)`` of
+    ``outputs``, from the :func:`design_blocks` ``blocks`` of ``variables``.
+    ``members_of(v, block_hours, X, y)`` gives, for each output, the members
+    of variable ``v`` at the block's hours, (hours, n_members), and the count
+    of each hour's fits sent to lstsq, which ``meta["ols_fallbacks"]`` sums."""
+    built = [{int(h): [np.empty((n, len(variables))), 0] for h in hours} for n, _ in outputs]
+    for v, block, X, y in blocks:
+        for by_hour, (columns, counts) in zip(built, members_of(v, block, X, y)):
+            for hour, column, count in zip(block, columns, counts):
+                by_hour[hour][0][:, variables.index(v)] = column
+                by_hour[hour][1] += int(count)
     target_date = data.panel.dates[int(target_day)]
     return [{hour: ForecastEnsemble(variables=variables, members=m, target_date=target_date,
                                     hour=hour, meta=dict(meta, ols_fallbacks=f))
-             for hour, m, f in zip(hours, out_members, out_fallbacks)}
-            for (_, meta), out_members, out_fallbacks in zip(outputs, members, fallbacks)]
+             for hour, (m, f) in by_hour.items()}
+            for (_, meta), by_hour in zip(outputs, built)]
 
 
 def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
@@ -225,7 +223,6 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
         if m == "uncorr" and len(stream) != len(variables):
             raise ValueError("uncorr mode needs one rng stream per variable")
     n_estim = round(ratio * sample_days.size)
-    _check_fit_rows(n_estim, variables, hours, "split estimation side")
 
     def split_rows(stream):
         """The sorted estimation and calibration row positions of each split
@@ -254,8 +251,9 @@ def ms_ensembles_for_day(data, variables, sample_days, target_day, hours,
 
     n_calib = sample_days.size - n_estim
     meta = {"calibration_size": int(n_calib)}
-    by_mode = _ensembles_by_hour(data, variables, sample_days, target_day, hours, n_splits,
-                                 n_estim, [(n_splits * n_calib, meta)] * len(modes), members_of)
+    blocks = design_blocks(data, variables, sample_days, target_day, hours, n_estim, n_splits)
+    by_mode = _ensembles_by_hour(data, variables, target_day, hours, blocks,
+                                 [(n_splits * n_calib, meta)] * len(modes), members_of)
     return by_mode[0] if single else dict(zip(modes, by_mode))
 
 
@@ -266,7 +264,7 @@ class _Windows(NamedTuple):
     first_day: int
     inner: int
     coef: np.ndarray  # (windows, p)
-    fallback: np.ndarray  # (windows,) bool: refitted by ols_fit
+    fallback: np.ndarray  # (windows,) bool: refitted by lstsq
 
 
 def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
@@ -293,7 +291,6 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
     inner = n // 2 if inner_window is None else int(inner_window)
     if not 0 < inner < n:
         raise ValueError(f"inner window {inner} must be inside the {n} training days")
-    _check_fit_rows(inner, variables, hours, "inner window")
 
     # window j covers sample rows j .. j + inner - 1; the last one gives the point forecast
     n_windows = n - inner + 1
@@ -331,8 +328,9 @@ def historical_ensembles_for_day(data, variables, train_days, target_day, hours,
         members = (X[:, -1, None, :] @ betas[:, -1, :, None])[:, 0] + errors
         return [(members, np.count_nonzero(fallback, axis=1))]
 
-    return _ensembles_by_hour(data, variables, train_days, target_day, hours, n_windows, None,
-                              [(n - inner, {})], members_of)[0]
+    blocks = design_blocks(data, variables, train_days, target_day, hours, inner)
+    return _ensembles_by_hour(data, variables, target_day, hours, blocks, [(n - inner, {})],
+                              members_of)[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,72 +1,69 @@
-"""Ordinary least squares fitting of the expert models.
-
-The ensembles refit one small design on many row subsets: a window per
-historical simulation step, an estimation side per random split.
-:func:`window_fits` and :func:`ols_fits` batch those refits through the
-normal equations, each fit's from one product of its own rows, with a
-guard that sends each ill-conditioned fit to :func:`ols_fit`.
+"""Ordinary least squares fitting of the expert models, by one engine:
+:func:`ols_fit` fits designs on all their rows (the point forecasts),
+:func:`window_fits` on every window of consecutive rows (historical
+simulation) and :func:`ols_fits` on given row sets (random splits).  All
+go through one batched solve of the normal equations, with a guard that
+refits each ill-conditioned fit by ``np.linalg.lstsq``.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
-from .features import design_rows, targets
 
 # smallest Cholesky pivot of a unit diagonal Gram matrix that stays batched; a
 # pivot is 1 - R^2 of its column on the columns before it, within the fit's rows
 _MIN_PIVOT = 1e-6
 
 
+def min_rows(p):
+    """Rows a fit of ``p`` regressors needs: 2 per regressor."""
+    return 2 * p
+
+
+def check_rows(n, p):
+    """Raise TooFewRowsError when ``n`` rows are short of :func:`min_rows` ``p``."""
+    if n < min_rows(p):
+        raise TooFewRowsError(f"{n} rows for {p} regressors, need at least {min_rows(p)}")
+
+
 def check_design(X, y=None):
     """Shared fit preconditions: finite values, enough rows, no dead column."""
-    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError(f"design must be 2-D, got shape {X.shape}")
     n, p = X.shape
-    if n < 2 * p:
-        raise TooFewRowsError(f"{n} rows for {p} regressors, need at least {2 * p}")
+    check_rows(n, p)
     if not np.all(np.isfinite(X)):
         raise DegenerateDesignError("non finite values in design matrix")
     dead = np.flatnonzero(~X.any(axis=0))
     if dead.size:
         raise DegenerateDesignError(f"all zero design column(s) at {dead.tolist()}")
     if y is not None:
-        y = np.asarray(y, dtype=np.float64)
         if y.shape != (n,):
             raise ShapeMismatchError(f"targets shape {y.shape} does not match {n} rows")
         if not np.all(np.isfinite(y)):
             raise DegenerateDesignError("non finite values in targets")
-        return X, y
-    return X
-
-
-def expert_design(spec, data, days, out=None):
-    """Design rows and targets of ``spec`` for ``days``, whose last entry is the
-    target day; the rows are built in ``out`` when it is given.  The sample
-    before the target day is validated here, once, so the fits on its subsets
-    go straight to :func:`ols_fit`."""
-    X, _ = design_rows(spec, data, days, out)
-    y = targets(spec, data, days)
-    check_design(X[:-1], y[:-1])
-    return X, y
 
 
 def ols_fit(X, y):
-    """Least squares coefficients; the minimum norm solution when the design is
-    singular, e.g. a split whose estimation days miss a weekday.
+    """Least squares coefficients of ``y`` on all rows of ``X``: (p,) for one
+    design (n, p) with targets (n,), (H, p) for a stack (H, n, p) with
+    targets (H, n).  A design's fit is the one window of :func:`window_fits`
+    over its n rows, so it gets the same bits alone and in a stack; a
+    singular design gets the minimum norm solution of ``np.linalg.lstsq``.
 
     Unchecked: validate the sample once with :func:`check_design`.
-    Deterministic: refitting identical inputs is bit identical.
     """
-    return np.linalg.lstsq(X, y, rcond=None)[0]
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    n, p = X.shape[-2:]
+    return window_fits(X.reshape(-1, n, p), y.reshape(-1, n), n)[0].reshape(*X.shape[:-2], p)
 
 
 def ols_fits(X, y, rows):
     """Least squares coefficients of ``y`` on ``X`` over each row of ``rows``,
     for a stack ``X`` (H, n, p) with targets ``y`` (H, n) and the sorted
     sample rows of each fit, (fits, k): ``(coefficients (H, fits, p),
-    fallback flags (H, fits))``, flagged where :func:`ols_fit` refitted
+    fallback flags (H, fits))``, flagged where ``np.linalg.lstsq`` refitted
     the fit.  The fits' rows are gathered, H * fits * k * (p + 1) floats,
     so the caller bounds the stack's size.
 
@@ -91,15 +88,15 @@ def window_fits(X, y, inner):
 def _fits(A, b):
     """Coefficients of the fits whose rows are the columns of ``A`` (H, fits,
     p, k), with targets ``b`` (H, fits, k), and the (H, fits) flags of the
-    fits that :func:`ols_fit` redid.
+    fits that ``np.linalg.lstsq`` redid.
 
     A fit's normal equations are one product of its own rows, so it gets
-    the same bits alone, among other fits and in a stack of designs.  All
-    fits are scaled to a unit diagonal and solved in one batched solve.  A
-    column that is zero on all of a fit's rows gets a unit pivot and a zero
-    right hand side, so its coefficient is 0: the minimum norm answer of
-    :func:`ols_fit`.  A fit whose Cholesky factor fails or has a pivot below
-    ``_MIN_PIVOT`` is refitted by :func:`ols_fit`.
+    the same bits alone, among other fits and in a stack of designs; each
+    Gram matrix is scaled to a unit diagonal.  A column that is zero on all
+    of a fit's rows gets a unit pivot and a zero right hand side, so its
+    coefficient is 0: the minimum norm answer of ``np.linalg.lstsq``.  A fit
+    whose Cholesky factor fails or has a pivot below ``_MIN_PIVOT`` is
+    refitted by ``np.linalg.lstsq``.
     """
     gram = A @ A.swapaxes(-1, -2)
     rhs = (A @ b[..., None])[..., 0]
@@ -111,11 +108,11 @@ def _fits(A, b):
     gram /= scale[..., None, :]
     diag[...] = 1.0  # the unit pivot of a dead column; 1 up to rounding elsewhere
     bad = ~_well_conditioned(gram)
-    gram[bad] = np.eye(p)  # a solvable stand-in: ols_fit redoes these fits
+    gram[bad] = np.eye(p)  # a solvable stand-in: lstsq redoes these fits
     coef = np.linalg.solve(gram, (rhs / scale)[..., None])[..., 0]
     coef /= scale
     for h, i in zip(*np.nonzero(bad)):
-        coef[h, i] = ols_fit(A[h, i].T, b[h, i])
+        coef[h, i] = np.linalg.lstsq(A[h, i].T, b[h, i], rcond=None)[0]
     return coef, bad
 
 

@@ -381,11 +381,14 @@ def _planned_configs(draw):
                                ("hist", "hist" in methods)) if ok]
     trading = bool(traders) and draw(st.booleans())
 
-    def subset(values, max_size=None):
-        return tuple(draw(st.lists(st.sampled_from(values), unique=True, max_size=max_size)))
+    def subset(values, max_size=None, min_size=0):
+        return tuple(draw(st.lists(st.sampled_from(values), unique=True, min_size=min_size,
+                                   max_size=max_size)))
 
     return _cfg("unused", methods=methods, ms_modes=ms_modes, derived=subset(("SP", "RL")),
-                qr_variables=subset(("L", "W", "RL"), 2), mv_variables=subset(("DA", "ID", "L"), 2),
+                # qr needs a variable to forecast
+                qr_variables=subset(("L", "W", "RL"), 2, int("qr" in methods)),
+                mv_variables=subset(("DA", "ID", "L"), 2),
                 interval_levels=subset((0.8, 0.9, 0.95, 0.98), 3), n_splits=2, trading=trading,
                 trading_method=draw(st.sampled_from(traders)) if trading else "ms").validate()
 

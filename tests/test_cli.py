@@ -471,6 +471,32 @@ def test_backtest_rejects_var_level_outside_the_unit_interval(panel_csv, tmp_pat
     assert not (tmp_path / "x").exists()
 
 
+def test_backtest_rejects_a_negative_seed_before_day_one(panel_csv, tmp_path, capsys):
+    assert main(["backtest", "--input", str(panel_csv), "--out", str(tmp_path / "x"),
+                 "--window", "100", "--eval-days", "1", "--seed", "-1",
+                 "--set", "methods=point,ms", *BASE_SET]) == 2
+    assert _one_line_error(capsys) == "error: master_seed -1 is negative\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_forecast_rejects_qr_without_variables_before_day_one(panel_csv, tmp_path, capsys,
+                                                               monkeypatch):
+    """An empty qr_variables would write a fans file without a row, which
+    evaluate rejects: forecast refuses it before the first day."""
+    import splitcast.backtest as backtest
+
+    days = []
+    monkeypatch.setattr(backtest, "forecast_day", lambda *a: days.append(a) or None)
+    day = load_panel(str(panel_csv)).dates[150].isoformat()
+    out = tmp_path / "fc"
+    assert main(["forecast", "--method", "qr", "--input", str(panel_csv), "--out", str(out),
+                 "--window", "100", "--start", day, "--end", day,
+                 "--set", "qr_variables="]) == 2
+    assert _one_line_error(capsys) == "error: method qr needs at least one qr variable\n"
+    assert days == []
+    assert not (out / "fans.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def degenerate_csv(tmp_path_factory):
     """A 140 day panel (seed 3) whose load forecast is one constant from day

@@ -132,6 +132,23 @@ def test_validate_rejects_a_repeated_list_entry(changes, key):
         ExperimentConfig(**changes).validate()
 
 
+@pytest.mark.parametrize("methods", [("point",), ("point", "ms"), ("qr", "hist")])
+def test_validate_rejects_a_negative_seed_whatever_the_methods(methods):
+    """A stream's SeedSequence takes no negative entropy; a point run draws
+    no stream, and is rejected all the same."""
+    cfg = ExperimentConfig(methods=methods, master_seed=-1, trading=False)
+    with pytest.raises(ConfigError, match="^master_seed -1 is negative$"):
+        cfg.validate()
+    replace(cfg, master_seed=0).validate()
+
+
+def test_validate_rejects_qr_without_variables():
+    cfg = ExperimentConfig(methods=("point", "qr"), qr_variables=(), trading=False)
+    with pytest.raises(ConfigError, match="method qr needs at least one qr variable"):
+        cfg.validate()
+    replace(cfg, methods=("point",)).validate()
+
+
 def test_validate_bounds_the_members_of_one_ensemble():
     # 20 splits of 183 calibration days: the paper's 3,660 members
     ExperimentConfig().validate()

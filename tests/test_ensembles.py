@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import splitcast.ensembles
-import splitcast.models
 from splitcast.ensembles import (
     ForecastEnsemble,
     derived_ensemble,
@@ -23,8 +22,13 @@ from splitcast.ensembles import (
 )
 from splitcast.errors import EmptyEnsembleError, TooFewRowsError
 from splitcast.features import KINDS, MarketData, ModelSpec, design_rows, row_length, targets
-from splitcast.models import ols_fit, window_fits
+from splitcast.models import window_fits
 from splitcast.quantreg import TAU_GRID
+
+
+def _lstsq(X, y):
+    """The replays' oracle: one lstsq fit, apart from the batched engine."""
+    return np.linalg.lstsq(X, y, rcond=None)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,7 +95,7 @@ def test_ms_members_recenter_on_target_point(data_small):
         plan = random_split(sample, 0.5, stream)
         fit_pos = np.searchsorted(sample, plan.estimation_days)
         cal_pos = np.searchsorted(sample, plan.calibration_days)
-        beta = ols_fit(X[fit_pos], y[fit_pos])
+        beta = _lstsq(X[fit_pos], y[fit_pos])
         chunks.append(X[-1] @ beta + (y[cal_pos] - X[cal_pos] @ beta))
     expected = np.concatenate(chunks)
     # batched normal equations against the lstsq replay
@@ -187,9 +191,9 @@ def test_historical_point_centering(data_small):
     y = targets(spec, data_small, days)
     errors = []
     for pos in range(15, 30):
-        beta = ols_fit(X[pos - 15:pos], y[pos - 15:pos])
+        beta = _lstsq(X[pos - 15:pos], y[pos - 15:pos])
         errors.append(y[pos] - X[pos] @ beta)
-    point = X[-1] @ ols_fit(X[15:30], y[15:30])
+    point = X[-1] @ _lstsq(X[15:30], y[15:30])
     # batched normal equations against the lstsq replay
     np.testing.assert_allclose(ens.members[:, 0], point + np.array(errors), rtol=1e-9)
     assert ens.meta["ols_fallbacks"] == 0
@@ -215,7 +219,7 @@ def test_hour_blocks_equal_a_per_hour_replay(panel_small, monkeypatch):
     replay that fits every (hour, window or split) alone with lstsq."""
     # W: two hours per block at 5 regressors, and at 4 for the edge hours;
     # DA: one hour per block
-    monkeypatch.setattr(splitcast.ensembles, "_BLOCK_FLOATS", 14_000)
+    monkeypatch.setattr(splitcast.ensembles, "_BLOCK_FLOATS", 6_000)
     stacks = []
     fits, windows = splitcast.ensembles.ols_fits, splitcast.ensembles.window_fits
 
@@ -239,8 +243,8 @@ def test_hour_blocks_equal_a_per_hour_replay(panel_small, monkeypatch):
     stacks.clear()
     ms = ms_ensembles_for_day(data, ("W", "DA"), train, 110, hours, 4, 0.5,
                               np.random.default_rng(7))
-    # 4 split fits of 45 rows an hour: W at 1 and 24, at 2, 12 and 23; DA hour by hour
-    assert stacks == [("splits", k) for k in [2, 3] + [1] * 5]
+    # 4 split fits of 45 rows an hour: W at 1 and 24, at 2 and 12, at 23; DA hour by hour
+    assert stacks == [("splits", k) for k in [2, 2, 1] + [1] * 5]
     stream = np.random.default_rng(7)
     plans = [random_split(train, 0.5, stream) for _ in range(4)]
     for v in ("W", "DA"):
@@ -270,7 +274,7 @@ def _near_copy_of_neighbour_forecast(panel, hour, rng):
 
 
 def test_near_collinear_design_counts_fallbacks(panel_small):
-    """Every fit of a near collinear (variable, hour) goes back to ols_fit and
+    """Every fit of a near collinear (variable, hour) goes back to lstsq and
     is counted in its ensemble's meta; the other hours stay batched."""
     data = MarketData.from_panel(
         _near_copy_of_neighbour_forecast(panel_small, 12, np.random.default_rng(3)))
@@ -286,8 +290,8 @@ def test_near_collinear_design_counts_fallbacks(panel_small):
     days = np.append(train, 110)
     X, _ = design_rows(spec, data, days)
     y = targets(spec, data, days)
-    point = X[-1] @ ols_fit(X[45:90], y[45:90])
-    errors = [y[pos] - X[pos] @ ols_fit(X[pos - 45:pos], y[pos - 45:pos]) for pos in range(45, 90)]
+    point = X[-1] @ _lstsq(X[45:90], y[45:90])
+    errors = [y[pos] - X[pos] @ _lstsq(X[pos - 45:pos], y[pos - 45:pos]) for pos in range(45, 90)]
     np.testing.assert_allclose(hist[12].column("W"), point + np.array(errors), rtol=1e-7)
 
 
@@ -318,7 +322,7 @@ def test_a_window_fit_depends_on_its_rows_alone(data_small, kind, hour, n, share
 
 def test_window_fits_match_lstsq_and_flag_fallbacks(rng):
     """Every window's fit is lstsq on its rows; a window whose two columns
-    agree on all of its rows is refitted by ols_fit and flagged."""
+    agree on all of its rows is refitted by lstsq and flagged."""
     X = rng.standard_normal((2, 60, 4))
     X[:, :, 0] = 1.0
     X[1, 40:, 3] = X[1, 40:, 2]  # design 1: windows from row 40 on are singular
@@ -329,7 +333,7 @@ def test_window_fits_match_lstsq_and_flag_fallbacks(rng):
         for j in range(41):
             oracle = np.linalg.lstsq(X[h, j:j + 20], y[h, j:j + 20], rcond=None)[0]
             np.testing.assert_allclose(coef[h, j], oracle, rtol=1e-9, atol=1e-12)
-    np.testing.assert_array_equal(coef[1, 40], ols_fit(X[1, 40:], y[1, 40:]))
+    np.testing.assert_array_equal(coef[1, 40], _lstsq(X[1, 40:], y[1, 40:]))
 
 
 def test_a_carried_day_equals_a_fresh_one(panel_small, monkeypatch):
@@ -440,13 +444,12 @@ def test_members_do_not_depend_on_the_blas_thread_count():
 
 @pytest.fixture
 def no_fits(monkeypatch):
-    """The builders' least squares fits, batched or single, counted instead of run."""
+    """The builders' least squares fits, counted instead of run."""
     calls = []
     monkeypatch.setattr(splitcast.ensembles, "ols_fits",
                         lambda X, y, rows: calls.append(X.shape))
     monkeypatch.setattr(splitcast.ensembles, "window_fits",
                         lambda X, y, inner: calls.append(X.shape))
-    monkeypatch.setattr(splitcast.models, "ols_fit", lambda X, y: calls.append(X.shape))
     return calls
 
 

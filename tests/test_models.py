@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from splitcast.errors import DegenerateDesignError, ShapeMismatchError, TooFewRowsError
 from splitcast.backtest import forecast_day
 from splitcast.config import ExperimentConfig
-from splitcast.features import ModelSpec, design_rows, targets
-from splitcast.models import check_design, expert_design, ols_fit, ols_fits
+from splitcast.ensembles import design_blocks
+from splitcast.features import ModelSpec, design_rows, row_length, targets
+from splitcast.models import check_design, ols_fit, ols_fits, window_fits
 
 
 def _well_conditioned(rng, n=60, p=5):
@@ -141,7 +142,7 @@ def test_a_fit_depends_on_its_rows_alone(seed, extra, count, stack, dead_weekday
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(1e-12, 1e-5))
 def test_near_collinear_fits_take_ols_fit(seed, count, eps):
     """A column that nearly copies another trips the guard: each fit is then
-    ols_fit on its rows, bit for bit, and flagged as refitted."""
+    lstsq on its rows, bit for bit, and flagged as refitted."""
     rng = np.random.default_rng(seed)
     X, y, dow = _weekday_design(rng, 80, 3, 0)
     X[:, 8] = X[:, 7] * (1.0 + eps * rng.standard_normal(80))
@@ -149,12 +150,12 @@ def test_near_collinear_fits_take_ols_fit(seed, count, eps):
     coef, refitted = ols_fits(X[None], y[None], rows)
     assert np.count_nonzero(refitted) == count
     for r, c in zip(rows, coef[0]):
-        np.testing.assert_array_equal(c, ols_fit(X[r], y[r]))
+        np.testing.assert_array_equal(c, np.linalg.lstsq(X[r], y[r], rcond=None)[0])
 
 
 def test_only_the_singular_row_set_is_refitted(rng):
     """Among several row sets, one singular: the fits come back in row set
-    order, and only the singular one is refitted by ols_fit."""
+    order, and only the singular one is refitted by lstsq."""
     X = _well_conditioned(rng)
     y = rng.standard_normal(60)
     rows = np.array([np.arange(4 * j, 4 * j + 30) for j in range(8)])
@@ -164,36 +165,73 @@ def test_only_the_singular_row_set_is_refitted(rng):
     rows[7] = np.arange(30, 60)  # columns 3 and 4 equal on every row: singular
     coef, refitted = ols_fits(X[None], y[None], rows)
     assert refitted.tolist() == [[False] * 7 + [True]]
-    np.testing.assert_array_equal(coef[0, 7], ols_fit(X[rows[7]], y[rows[7]]))
+    np.testing.assert_array_equal(coef[0, 7],
+                                  np.linalg.lstsq(X[rows[7]], y[rows[7]], rcond=None)[0])
     for r, c in zip(rows[:7], coef[0, :7]):
         np.testing.assert_allclose(c, np.linalg.lstsq(X[r], y[r], rcond=None)[0],
                                    rtol=1e-9, atol=1e-12)
 
 
-def test_expert_design_validates_the_sample_only(data_small):
-    spec = ModelSpec("DA", 12)
+def test_design_blocks_validate_the_sample_only(data_small):
+    """The builder stacks each hour's design rows and targets, the target day
+    last, and validates the sample rows alone."""
     days = np.arange(30, 81)
-    X, y = expert_design(spec, data_small, days)
-    np.testing.assert_array_equal(X, design_rows(spec, data_small, days)[0])
-    np.testing.assert_array_equal(y, targets(spec, data_small, days))
+    [(kind, hours, X, y)] = design_blocks(data_small, ("DA",), days[:-1], days[-1], (12, 3),
+                                          days.size - 1)
+    assert (kind, hours) == ("DA", [12, 3])
+    for j, hour in enumerate(hours):
+        spec = ModelSpec("DA", hour)
+        np.testing.assert_array_equal(X[j], design_rows(spec, data_small, days)[0])
+        np.testing.assert_array_equal(y[j], targets(spec, data_small, days))
     with pytest.raises(TooFewRowsError, match="41 rows for 21 regressors"):
-        expert_design(spec, data_small, days[:42])  # 41 sample days and the target
-    expert_design(spec, data_small, days[:43])  # the target row does not count
+        list(design_blocks(data_small, ("DA",), days[:41], days[41], (12,), 41))
+    # 42 sample days pass: the target row does not count
+    list(design_blocks(data_small, ("DA",), days[:42], days[42], (12,), 42))
 
 
 def test_point_forecast_inner_product(data_small):
-    """The engine's point forecast is the target row times the window fit."""
+    """The engine's point forecast is the target row times the fit of its
+    stack of hours that share a row length, and that fit is lstsq's up to
+    rounding."""
     cfg = ExperimentConfig(calibration_window_days=50, methods=("point",), trading=False)
     day = 100
     point = forecast_day(data_small, cfg, day)["point"]
     assert set(point) == {"L", "W", "RES", "RL", "DA", "ID", "SP"}
     days = np.arange(day - 50, day + 1)
     for kind, hour in (("L", 9), ("W", 1), ("SP", 24)):
-        spec = ModelSpec(kind, hour)
-        X, _ = design_rows(spec, data_small, days)
-        y = targets(spec, data_small, days)
-        beta = np.linalg.lstsq(X[:-1], y[:-1], rcond=None)[0]
-        assert point[kind][hour - 1] == float(X[-1] @ beta)
+        hours = [h for h in range(1, 25) if row_length(kind, h) == row_length(kind, hour)]
+        X = np.stack([design_rows(ModelSpec(kind, h), data_small, days)[0] for h in hours])
+        y = np.stack([targets(ModelSpec(kind, h), data_small, days) for h in hours])
+        j = hours.index(hour)
+        assert point[kind][hour - 1] == X[j, -1] @ ols_fit(X[:, :-1], y[:, :-1])[j]
+        beta = np.linalg.lstsq(X[j, :-1], y[j, :-1], rcond=None)[0]
+        np.testing.assert_allclose(point[kind][hour - 1], X[j, -1] @ beta, rtol=1e-9)
+
+
+def test_ols_fit_of_a_stack_is_its_window_fit(rng):
+    """ols_fit of a stack is window_fits over all its rows, and a design's
+    fit inside a stack is its fit alone, bit for bit."""
+    X = rng.standard_normal((3, 60, 5))
+    X[:, :, 0] = 1.0
+    y = rng.standard_normal((3, 60))
+    coef = ols_fit(X, y)
+    np.testing.assert_array_equal(coef, window_fits(X, y, 60)[0][:, 0])
+    for h in range(3):
+        np.testing.assert_array_equal(coef[h], ols_fit(X[h], y[h]))
+
+
+def test_a_singular_design_in_a_stack_takes_lstsq(rng):
+    """A design with two equal columns, among full rank ones, gets lstsq's
+    minimum norm bits; the others stay batched."""
+    X = rng.standard_normal((3, 60, 5))
+    X[:, :, 0] = 1.0
+    X[1, :, 4] = X[1, :, 3]
+    y = rng.standard_normal((3, 60))
+    coef = ols_fit(X, y)
+    np.testing.assert_array_equal(coef[1], np.linalg.lstsq(X[1], y[1], rcond=None)[0])
+    assert window_fits(X, y, 60)[1][:, 0].tolist() == [False, True, False]
+    np.testing.assert_allclose(coef[[0, 2]], [np.linalg.lstsq(X[h], y[h], rcond=None)[0]
+                                              for h in (0, 2)], rtol=1e-9, atol=1e-12)
 
 
 def test_fit_on_market_design(data_small):
